@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .evolve import RunConfig, apply_hamiltonian, run
-from .fields import PAULI, BispinorField, GridSpec, gradient, integrate, laplacian
+from .fields import PAULI, BispinorField, GridSpec, gradient, integrate
 from .geometry import GridPotential
 from .sngroup import SnGroupElement, represent, transform_potentials
 
@@ -79,14 +79,32 @@ class ChargeRecord:
 def momentum_density(phi, p: Optional[GridPotential], grid: GridSpec, m: float, hbar: float):
     """Canonical momentum density hbar Im(phi+ grad phi) (+ Coriolis spin term)."""
     phi = np.asarray(phi, dtype=complex)
-    gphi = gradient(phi, grid)
-    dens = hbar * np.imag(np.einsum("a...,ja...->j...", np.conj(phi), gphi))
+    return _momentum_density(phi, gradient(phi, grid), p, m, hbar)
+
+
+def _momentum_density(phi, gphi, p: Optional[GridPotential], m: float, hbar: float):
+    cphi = np.conj(phi)
+    dens = np.empty((3,) + phi.shape[1:])
+    for j in range(3):
+        np.sum((cphi * gphi[j]).imag, axis=0, out=dens[j])
+    dens *= hbar
     if p is not None and np.any(p.varpi):
-        sdens = np.einsum("a...,jab,b...->j...", np.conj(phi), PAULI, phi).real
+        sdens = np.einsum("a...,jab,b...->j...", cphi, PAULI, phi).real
         dens = dens + 0.5 * hbar * m * np.cross(
             np.moveaxis(p.varpi, 0, -1), np.moveaxis(sdens, 0, -1)
         ).transpose(3, 0, 1, 2)
     return dens
+
+
+def _first_moments(f, grid: GridSpec):
+    """int x_a f dV for a = 1, 2, 3 from the 1-D marginals of f.
+
+    Leading component axes of f are carried along: shape (3,) + f.shape[:-3].
+    """
+    x = grid.axis()
+    s12 = np.sum(f, axis=-1)
+    marginals = (np.sum(s12, axis=-1), np.sum(s12, axis=-2), np.sum(f, axis=(-3, -2)))
+    return np.stack([mg @ x for mg in marginals]) * grid.dv
 
 
 def compute_charges(
@@ -98,39 +116,37 @@ def compute_charges(
 
     p must be the potential actually in force at this instant (for the
     self-sourced flow, the solved U; the run monitor hands it over).
+
+    One spectral gradient serves both the momentum density and the kinetic
+    energy T = (hbar^2/2m) sum_j |d_j phi|^2 dV, which equals -<phi, Delta phi>
+    because spectral derivatives are anti-Hermitian. Position moments come
+    from 1-D marginals; E_paper = <phi, H phi> goes through apply_hamiltonian.
     """
     grid, m, hbar = f.grid, f.m, f.hbar
     phi = f.data
-    X = grid.mesh()
     rho = np.sum(np.abs(phi) ** 2, axis=0)
 
-    pdens = momentum_density(phi, p, grid, m, hbar)
+    gphi = gradient(phi, grid)
+    T_kin = hbar**2 / (2 * m) * float(np.vdot(gphi, gphi).real) * grid.dv
+    pdens = _momentum_density(phi, gphi, p, m, hbar)
+    del gphi  # free 3 x 2 n^3 complex before apply_hamiltonian allocates
     P = integrate(pdens, grid)
-    sdens = np.einsum("a...,jab,b...->j...", np.conj(phi), PAULI, phi).real
-    xcrossp = np.cross(
-        np.moveaxis(X, 0, -1), np.moveaxis(pdens, 0, -1)
-    ).transpose(3, 0, 1, 2)
-    J = integrate(xcrossp, grid) + 0.5 * hbar * integrate(sdens, grid)
+    xp = _first_moments(pdens, grid)  # [a, c] = int x_a p_c
+    # int phi+ sigma_j phi from the 2x2 Gram matrix of the components
+    gram = np.array([[np.vdot(phi[a], phi[b]) for b in range(2)] for a in range(2)])
+    spin = np.einsum("jab,ab->j", PAULI, gram).real * grid.dv
+    J = np.array(
+        [xp[1, 2] - xp[2, 1], xp[2, 0] - xp[0, 2], xp[0, 1] - xp[1, 0]]
+    ) + 0.5 * hbar * spin
     Mq = m * float(integrate(rho, grid))
 
-    T_kin = float(
-        np.real(
-            np.sum(np.conj(phi) * (-(hbar**2) / (2 * m)) * laplacian(phi, grid))
-        )
-        * grid.dv
-    )
     U = p.U if p is not None else np.zeros(grid.shape)
     W_pot = m * float(integrate(U * rho, grid))
-    E_paper = float(
-        np.real(np.sum(np.conj(phi) * apply_hamiltonian(phi, p, grid, m, hbar)))
-        * grid.dv
-    )
+    E_paper = float(np.vdot(phi, apply_hamiltonian(phi, p, grid, m, hbar)).real) * grid.dv
     E_sn = T_kin + 0.5 * W_pot if mode == "self" else float("nan")
 
-    Gb = f.time * P - m * integrate(X * rho, grid)
-    D = -5.0 * f.time * E_paper - 3.0 * float(
-        integrate(np.einsum("j...,j...->...", X, pdens), grid)
-    )
+    Gb = f.time * P - m * _first_moments(rho, grid)
+    D = -5.0 * f.time * E_paper - 3.0 * float(np.trace(xp))
     return ChargeRecord(
         t=f.time,
         E_paper=E_paper,

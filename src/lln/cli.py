@@ -355,7 +355,8 @@ def cmd_evolve(args) -> int:
             print(f"norm drift {drift:.3e} exceeds {checks['norm_tol']}", file=sys.stderr)
             rc = 1
     if "snapshot" in outputs:
-        fields.save_snapshot(_out_path(outputs["snapshot"]), result.field, G=phys["G"])
+        fields.save_snapshot(_out_path(outputs["snapshot"]), result.field, G=phys["G"],
+                             poisson=rcfg.poisson)
     if "report" in outputs:
         _write_report(outputs["report"], report)
     print(json.dumps({k: v for k, v in report.items() if not isinstance(v, dict)}))
@@ -385,6 +386,9 @@ def cmd_ground_state(args) -> int:
     _check_keys(outputs, {"snapshot", "report"}, set(), "outputs")
     checks = cfg.get("checks") or {}
     _check_keys(checks, {"require_converged", "energy_window"}, set(), "checks")
+    poisson = relax.get("poisson", "periodic")
+    if poisson not in ("periodic", "isolated"):
+        raise ConfigError(f"relax: unknown poisson mode {poisson!r}")
 
     try:
         res = evolve_mod.ground_state(
@@ -395,7 +399,7 @@ def cmd_ground_state(args) -> int:
             max_iter=int(relax.get("max_iter", 20000)),
             source=relax.get("source", "self"),
             p=pot,
-            poisson=relax.get("poisson", "periodic"),
+            poisson=poisson,
         )
     except ValueError as exc:
         print(f"ground-state failed: {exc}", file=sys.stderr)
@@ -419,7 +423,8 @@ def cmd_ground_state(args) -> int:
             )
             rc = 1
     if "snapshot" in outputs:
-        fields.save_snapshot(_out_path(outputs["snapshot"]), res.field, G=phys["G"])
+        fields.save_snapshot(_out_path(outputs["snapshot"]), res.field, G=phys["G"],
+                             poisson=poisson)
     if "report" in outputs:
         _write_report(outputs["report"], report)
     print(json.dumps(report))
@@ -452,9 +457,12 @@ def cmd_charges(args) -> int:
             print(f"cannot read potentials: {exc}", file=sys.stderr)
             return 2
     if args.mode == "self" and pot is None:
+        # the solver the run used, as recorded in the header; files written
+        # before the header carried it were periodic
+        poisson = args.poisson or snap.poisson or "periodic"
+        solve = gravity.poisson_isolated if poisson == "isolated" else gravity.poisson_periodic
         rho = gravity.mass_density(f.data, f.grid, f.m)
-        U = gravity.poisson_periodic(rho, f.grid, snap.G)
-        pot = geometry.GridPotential(f.grid, U=U)
+        pot = geometry.GridPotential(f.grid, U=solve(rho, f.grid, snap.G))
     rec = charges_mod.compute_charges(f, pot, mode=args.mode)
     if args.out:
         charges_mod.write_csv([rec], _out_path(args.out))
@@ -551,6 +559,9 @@ def main(argv=None) -> int:
     pc.add_argument("--snapshot", required=True)
     pc.add_argument("--potentials", help="optional potential snapshot (.lls)")
     pc.add_argument("--mode", choices=("free", "external", "self"), default="free")
+    pc.add_argument("--poisson", choices=("periodic", "isolated"),
+                    help="Poisson solver for --mode self (default: the one recorded "
+                    "in the snapshot header, else periodic)")
     pc.add_argument("--out", help="write a one-row charge CSV here")
     pc.set_defaults(func=cmd_charges)
 

@@ -211,8 +211,10 @@ def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> 
 
     split: Strang splitting kick/drift/kick, exactly norm preserving;
     requires vanishing Coriolis potential. Self-consistent U is refreshed
-    before every kick (the drift does not change |phi|, so this costs one
-    Poisson solve per step).
+    after every drift (the drift does not change |phi|, so this costs one
+    Poisson solve per step). The half-kick phase exp(-i m U dt / 2 hbar) is
+    evaluated once per U and applied both where it closes step k and where it
+    opens step k+1; a static U is evaluated once per run.
     rk4: classical Runge-Kutta on the full H, any potentials; refuses steps
     beyond the stability bound with a suggested dt.
     """
@@ -232,17 +234,31 @@ def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> 
             )
         k2 = grid.k2
         drift = np.exp(-1j * hbar * k2 * cfg.dt / (2.0 * m))
+
+        def half_kick(pot):
+            if pot is None:
+                return None
+            z = -1j * (m / hbar) * pot.U
+            z *= cfg.dt / 2.0
+            return np.exp(z, out=z)
+
         pot = _potential_for(f.data, cfg, grid, m, p)
+        kick = half_kick(pot)
         if cfg.monitor_every:
             note(f, pot)
         for step in range(cfg.steps):
-            if pot is not None:
-                f.data *= np.exp(-1j * (m / hbar) * pot.U * (cfg.dt / 2.0))
-            f.data = ifftn(drift * fftn(f.data))
+            if kick is not None:
+                f.data *= kick
+            # in place: no fresh 2 n^3 buffers per step; the operand order
+            # keeps the rounding of drift * F
+            F = fftn(f.data, overwrite_x=True)
+            np.multiply(drift, F, out=F)
+            f.data = ifftn(F, overwrite_x=True)
             if cfg.source == "self":
                 pot = _self_potential(f.data, grid, m, cfg.G, cfg.poisson, p)
-            if pot is not None:
-                f.data *= np.exp(-1j * (m / hbar) * pot.U * (cfg.dt / 2.0))
+                kick = half_kick(pot)
+            if kick is not None:
+                f.data *= kick
             f.time += cfg.dt
             if cfg.monitor_every and (step + 1) % cfg.monitor_every == 0:
                 note(f, pot)

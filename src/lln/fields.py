@@ -62,12 +62,12 @@ def _workers() -> int:
     return -1  # scipy: use all available
 
 
-def fftn(f, axes=(-3, -2, -1)):
-    return sfft.fftn(f, axes=axes, workers=_workers())
+def fftn(f, axes=(-3, -2, -1), overwrite_x=False):
+    return sfft.fftn(f, axes=axes, overwrite_x=overwrite_x, workers=_workers())
 
 
-def ifftn(F, axes=(-3, -2, -1)):
-    return sfft.ifftn(F, axes=axes, workers=_workers())
+def ifftn(F, axes=(-3, -2, -1), overwrite_x=False):
+    return sfft.ifftn(F, axes=axes, overwrite_x=overwrite_x, workers=_workers())
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,17 @@ class GridSpec:
         return k1**2 + k2**2 + k3**2
 
     @cached_property
+    def inv_laplacian_rfft(self) -> np.ndarray:
+        """-1/k^2 on the rfftn half-spectrum, 0 at k = 0."""
+        k = self.k1()
+        kh = 2.0 * np.pi * sfft.rfftfreq(self.n, d=self.dx)
+        k2 = k.reshape(-1, 1, 1) ** 2 + k.reshape(1, -1, 1) ** 2 + kh.reshape(1, 1, -1) ** 2
+        k2.flat[0] = 1.0
+        mult = -1.0 / k2
+        mult.flat[0] = 0.0
+        return mult
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         # 2/3 rule on each axis
         k = self.k1()
@@ -146,18 +157,28 @@ def sigma_dot(v, phi):
 
 def _spectral(f, grid, mult):
     F = fftn(np.asarray(f))
-    out = ifftn(mult * F)
+    F *= mult
+    out = ifftn(F, overwrite_x=True)
     if np.isrealobj(f):
         return out.real
     return out
 
 
 def gradient(f, grid: GridSpec):
-    """Spectral gradient; returns shape (3,) + f.shape."""
-    F = fftn(np.asarray(f))
-    out = np.stack([ifftn(1j * k * F) for k in grid.kvec])
-    if np.isrealobj(f):
-        return out.real
+    """Spectral gradient; returns shape (3,) + f.shape.
+
+    The multiplier i k_j depends on axis j alone, so component j is a 1-D
+    transform pair along that axis; the other two axes would cancel.
+    """
+    f = np.asarray(f)
+    real = np.isrealobj(f)
+    out = np.empty((3,) + f.shape, dtype=float if real else complex)
+    for j, k in enumerate(grid.kvec):
+        axis = (j - 3,)
+        F = fftn(f, axes=axis)
+        F *= 1j * k
+        F = ifftn(F, axes=axis, overwrite_x=True)
+        out[j] = F.real if real else F
     return out
 
 
@@ -424,6 +445,7 @@ class Snapshot:
     G: float
     time: float
     mass_tag: float = 1.0
+    poisson: str | None = None  # solver of the self-consistent U, if recorded
 
     def to_field(self) -> BispinorField:
         if self.kind != "bispinor":
@@ -444,7 +466,7 @@ class Snapshot:
         return self.data[0].real.copy(), self.data[1:4].real.copy()
 
 
-def _write_snapshot(path, kind, grid, data, m, hbar, G, time, mass_tag=1.0):
+def _write_snapshot(path, kind, grid, data, m, hbar, G, time, mass_tag=1.0, poisson=None):
     data = np.asarray(data, dtype=complex)
     header = {
         "format": "lls",
@@ -462,15 +484,18 @@ def _write_snapshot(path, kind, grid, data, m, hbar, G, time, mass_tag=1.0):
         "time": float(time),
         "mass_tag": float(mass_tag),
     }
+    if poisson is not None:
+        header["poisson"] = poisson
     payload = np.ascontiguousarray(np.transpose(data, (3, 2, 1, 0))).astype("<c16")
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
         fh.write(payload.tobytes())
 
 
-def save_snapshot(path, f: BispinorField, G: float = 0.0):
+def save_snapshot(path, f: BispinorField, G: float = 0.0, poisson=None):
+    """Write f; poisson ("periodic" | "isolated") records how a run solved U."""
     _write_snapshot(
-        path, "bispinor", f.grid, f.data, f.m, f.hbar, G, f.time, f.mass_tag
+        path, "bispinor", f.grid, f.data, f.m, f.hbar, G, f.time, f.mass_tag, poisson
     )
 
 
@@ -491,6 +516,8 @@ def load_snapshot(path) -> Snapshot:
                 raise ValueError(f"{path}: snapshot header missing {key!r}")
         if header["format"] != "lls" or header.get("dtype") != "complex128":
             raise ValueError(f"{path}: not a recognized snapshot file")
+        if header.get("poisson", "periodic") not in ("periodic", "isolated"):
+            raise ValueError(f"{path}: unknown poisson mode {header['poisson']!r}")
         n1, n2, n3 = header["n"]
         if not (n1 == n2 == n3):
             raise ValueError(f"{path}: only cubic grids are supported")
@@ -519,4 +546,5 @@ def load_snapshot(path) -> Snapshot:
         G=float(header["G"]),
         time=float(header["time"]),
         mass_tag=float(header.get("mass_tag", 1.0)),
+        poisson=header.get("poisson"),
     )

@@ -6,7 +6,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import fft as sfft
 
-from .fields import GridSpec, gradient
+from .fields import GridSpec, _workers, fftn, gradient, ifftn
 from .geometry import GridPotential
 
 __all__ = [
@@ -38,14 +38,23 @@ def mass_density(phi, grid: GridSpec, m: float, normalized: bool = True):
 
 
 def inverse_laplacian(f, grid: GridSpec):
-    """Mean-free spectral inverse: Delta(out) = f - mean(f)."""
-    F = sfft.fftn(np.asarray(f), workers=-1)
+    """Mean-free spectral inverse: Delta(out) = f - mean(f).
+
+    Real input goes through rfftn/irfftn with the cached half-spectrum
+    multiplier of the grid; complex input through the full fftn pair.
+    """
+    f = np.asarray(f)
+    axes = (-3, -2, -1)
+    if np.isrealobj(f):
+        F = sfft.rfftn(f, axes=axes, workers=_workers())
+        F *= grid.inv_laplacian_rfft
+        return sfft.irfftn(F, s=grid.shape, axes=axes, workers=_workers())
+    F = fftn(f)
     k2 = grid.k2.copy()
     k2.flat[0] = 1.0
     F = -F / k2
     F.flat[0] = 0.0
-    out = sfft.ifftn(F, workers=-1)
-    return out.real if np.isrealobj(f) else out
+    return ifftn(F)
 
 
 def poisson_periodic(rho, grid: GridSpec, G: float = 1.0):
@@ -55,7 +64,7 @@ def poisson_periodic(rho, grid: GridSpec, G: float = 1.0):
     mean and satisfies Delta U = 4 pi G (rho - rho_mean) exactly in the
     spectral sense.
     """
-    return inverse_laplacian(-4.0 * np.pi * G * np.asarray(rho), grid) * (-1.0)
+    return inverse_laplacian(rho, grid) * (4.0 * np.pi * G)
 
 
 def constraint_potential(grid: GridSpec, rho, varpi_curl2=0.0, G: float = 1.0, dt_div=0.0):
@@ -109,7 +118,7 @@ def _isolated_kernel(grid: GridSpec):
         R.flat[0] = 1.0
         K = 1.0 / R
         K.flat[0] = self_cell_coefficient() / grid.dx
-        _KERNEL_CACHE[key] = sfft.rfftn(K, workers=-1)
+        _KERNEL_CACHE[key] = sfft.rfftn(K, workers=_workers())
     return _KERNEL_CACHE[key]
 
 
@@ -125,7 +134,9 @@ def poisson_isolated(rho, grid: GridSpec, G: float = 1.0):
     pad = np.zeros((M, M, M))
     pad[: grid.n, : grid.n, : grid.n] = rho
     Khat = _isolated_kernel(grid)
-    conv = sfft.irfftn(sfft.rfftn(pad, workers=-1) * Khat, s=(M, M, M), workers=-1)
+    conv = sfft.irfftn(
+        sfft.rfftn(pad, workers=_workers()) * Khat, s=(M, M, M), workers=_workers()
+    )
     return -G * grid.dv * conv[: grid.n, : grid.n, : grid.n]
 
 

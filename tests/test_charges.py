@@ -4,8 +4,10 @@ evolution, the charge CSV format, and evolve-then-map consistency."""
 import numpy as np
 import pytest
 
-from lln.fields import GridSpec, gaussian_packet
-from lln.evolve import RunConfig, run
+from lln.fields import PAULI, GridSpec, band_limited_noise, fftn, gaussian_packet, ifftn
+from lln.evolve import RunConfig, apply_hamiltonian, run
+from lln.geometry import GridPotential
+from lln.gravity import mass_density, poisson_periodic
 from lln.sngroup import SnGroupElement
 from lln.charges import (
     CSV_COLUMNS,
@@ -59,6 +61,56 @@ def test_plane_wave_charges():
     # spin up along z: J_z picks up hbar/2 on top of the orbital part
     pd = momentum_density(f.data, None, G32, f.m, f.hbar)
     assert pd.shape == (3,) + G32.shape
+
+
+def _charges_reference(f, p, mode):
+    """Oracle: the charges by dense formulas (3-D gradient, Laplacian, mesh)."""
+    grid, m, hbar = f.grid, f.m, f.hbar
+    phi = f.data
+    X = grid.mesh()
+    rho = np.sum(np.abs(phi) ** 2, axis=0)
+    F = fftn(phi)
+    gphi = np.stack([ifftn(1j * k * F) for k in grid.kvec])
+    pdens = hbar * np.imag(np.einsum("a...,ja...->j...", np.conj(phi), gphi))
+    sdens = np.einsum("a...,jab,b...->j...", np.conj(phi), PAULI, phi).real
+    if p is not None and np.any(p.varpi):
+        pdens = pdens + 0.5 * hbar * m * np.cross(
+            np.moveaxis(p.varpi, 0, -1), np.moveaxis(sdens, 0, -1)
+        ).transpose(3, 0, 1, 2)
+    integ = lambda a: np.sum(a, axis=(-3, -2, -1)) * grid.dv
+    P = integ(pdens)
+    xcrossp = np.cross(np.moveaxis(X, 0, -1), np.moveaxis(pdens, 0, -1))
+    J = integ(np.moveaxis(xcrossp, -1, 0)) + 0.5 * hbar * integ(sdens)
+    lap = ifftn(-grid.k2 * fftn(phi))
+    T = float(np.real(np.sum(np.conj(phi) * (-(hbar**2) / (2 * m)) * lap)) * grid.dv)
+    U = p.U if p is not None else np.zeros(grid.shape)
+    W = m * float(integ(U * rho))
+    E = float(np.real(np.sum(np.conj(phi) * apply_hamiltonian(phi, p, grid, m, hbar)))
+              * grid.dv)
+    E_sn = T + 0.5 * W if mode == "self" else float("nan")
+    Gb = f.time * P - m * integ(X * rho)
+    D = -5.0 * f.time * E - 3.0 * float(integ(np.einsum("j...,j...->...", X, pdens)))
+    return ChargeRecord(t=f.time, E_paper=E, E_sn=E_sn, P=P, J=J, M=m * float(integ(rho)),
+                        Gb=Gb, D=D, T_kin=T, W_pot=W)
+
+
+@pytest.mark.parametrize("kind", ["none", "self", "varpi"])
+def test_compute_charges_matches_dense_formulas(kind):
+    # spinning, boosted, off-centre packet: every charge column is nonzero
+    f = gaussian_packet(G32, sigma=1.0, center=(0.7, -0.4, 0.3),
+                        k0=(K1, -2 * K1, 0.5 * K1), spin=(0.8, 0.6j), m=1.3, hbar=0.9,
+                        time=0.25)
+    p, mode = None, "free"
+    if kind == "self":
+        U = poisson_periodic(mass_density(f.data, G32, f.m), G32)
+        p, mode = GridPotential(G32, U=U), "self"
+    elif kind == "varpi":
+        varpi = 0.3 * band_limited_noise(G32, modes=2, seed=41, comps=(3,))
+        p, mode = GridPotential(G32, U=varpi[0] ** 2, varpi=varpi), "external"
+    new = np.array(compute_charges(f, p, mode=mode).row())
+    ref = np.array(_charges_reference(f, p, mode).row())
+    assert np.all(np.abs(ref[3:13]) > 1e-2)  # P, J, M and G components
+    np.testing.assert_allclose(new, ref, rtol=1e-12, atol=0, equal_nan=True)
 
 
 def test_free_conservation():

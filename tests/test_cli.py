@@ -15,7 +15,7 @@ import pytest
 
 import lln
 from lln import charges as charges_mod
-from lln import fields, sngroup
+from lln import fields, gravity, sngroup
 from lln.cli import main
 
 G16 = {"n": 16, "length": 16.0}
@@ -187,6 +187,64 @@ def test_charges_subcommand(tmp_path, capsys):
     assert np.isfinite(payload["E_sn"])
     row = charges_mod.read_csv(csv)[0]
     assert row.M == pytest.approx(payload["M"], abs=0)
+
+
+def _w_pot(f, U):
+    return f.m * float(np.sum(U * np.sum(np.abs(f.data) ** 2, axis=0)) * f.grid.dv)
+
+
+def test_charges_readback_uses_recorded_poisson(tmp_path, capsys):
+    snap = tmp_path / "gs.lls"
+    cfg = {
+        "grid": dict(G16),
+        "initial": {"kind": "gaussian", "sigma": 1.2},
+        "relax": {"dtau": 0.05, "max_iter": 20, "source": "self", "poisson": "isolated"},
+        "outputs": {"snapshot": str(snap)},
+        "checks": {"require_converged": False},
+    }
+    assert main(["ground-state", "--config", write_config(tmp_path, cfg)]) == 0
+    loaded = fields.load_snapshot(str(snap))
+    assert loaded.poisson == "isolated"
+    f = loaded.to_field()
+    rho = gravity.mass_density(f.data, f.grid, f.m)
+    w_iso = _w_pot(f, gravity.poisson_isolated(rho, f.grid, loaded.G))
+    w_per = _w_pot(f, gravity.poisson_periodic(rho, f.grid, loaded.G))
+    assert abs(w_iso - w_per) > 0.1 * abs(w_per)  # the two solvers really differ
+
+    capsys.readouterr()
+    assert main(["charges", "--snapshot", str(snap), "--mode", "self"]) == 0
+    assert json.loads(capsys.readouterr().out)["W_pot"] == pytest.approx(w_iso, rel=1e-12)
+    rc = main(["charges", "--snapshot", str(snap), "--mode", "self", "--poisson", "periodic"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["W_pot"] == pytest.approx(w_per, rel=1e-12)
+
+    # a header without the key (older files) reads back with periodic Poisson
+    old = tmp_path / "old.lls"
+    fields.save_snapshot(str(old), f, G=loaded.G)
+    assert fields.load_snapshot(str(old)).poisson is None
+    assert main(["charges", "--snapshot", str(old), "--mode", "self"]) == 0
+    assert json.loads(capsys.readouterr().out)["W_pot"] == pytest.approx(w_per, rel=1e-12)
+
+
+def test_snapshot_poisson_key_written_and_checked(tmp_path, capsys):
+    snap = tmp_path / "final.lls"
+    path = evolve_config(
+        tmp_path,
+        evolver={"kind": "split", "dt": 1e-3, "steps": 2, "source": "self",
+                 "poisson": "isolated"},
+        outputs={"snapshot": str(snap)},
+    )
+    assert main(["evolve", "--config", path]) == 0
+    assert fields.load_snapshot(str(snap)).poisson == "isolated"
+    head, payload = snap.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["poisson"] = "spectral"
+    snap.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    assert main(["charges", "--snapshot", str(snap), "--mode", "self"]) == 2
+    cfg = {"grid": dict(G16), "initial": {"kind": "gaussian"},
+           "relax": {"poisson": "spectral"}}
+    assert main(["ground-state", "--config", write_config(tmp_path, cfg, "g.json")]) == 2
+    assert "unknown poisson mode" in capsys.readouterr().err
 
 
 def test_charges_exit_codes(tmp_path, capsys):

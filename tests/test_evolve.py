@@ -10,13 +10,15 @@ from lln.fields import (
     GridSpec,
     PAULI,
     band_limited_noise,
+    fftn,
     gaussian_packet,
     gradient,
+    ifftn,
     integrate,
     observables,
 )
 from lln.geometry import GridPotential, dirac_residual, flat_potential
-from lln.gravity import uniform_rotation_potential
+from lln.gravity import mass_density, poisson_isolated, uniform_rotation_potential
 from lln.evolve import (
     RunConfig,
     StabilityError,
@@ -192,6 +194,61 @@ def test_rk4_matches_split_external():
     # is the Strang dt^2 commutator term
     assert np.max(np.abs(a.data - b.data)) < 1e-9
     assert abs(a.time - b.time) < 1e-15
+
+
+def _split_reference(f, cfg, p=None):
+    """Oracle: Strang steps that evaluate both half-kick phases afresh and
+    solve periodic Poisson with the full complex FFT pair."""
+    f = f.copy()
+    grid, m, hbar = f.grid, f.m, f.hbar
+    drift = np.exp(-1j * hbar * grid.k2 * cfg.dt / (2.0 * m))
+
+    def potential(phi):
+        if cfg.source != "self":
+            return None if p is None else p.U
+        rho = mass_density(phi, grid, m)
+        if cfg.poisson == "isolated":
+            return poisson_isolated(rho, grid, cfg.G)
+        k2 = grid.k2.copy()
+        k2.flat[0] = 1.0
+        F = -fftn(-4.0 * np.pi * cfg.G * rho) / k2
+        F.flat[0] = 0.0
+        return -ifftn(F).real
+
+    U = potential(f.data)
+    for _ in range(cfg.steps):
+        if U is not None:
+            f.data *= np.exp(-1j * (m / hbar) * U * (cfg.dt / 2.0))
+        f.data = ifftn(drift * fftn(f.data))
+        if cfg.source == "self":
+            U = potential(f.data)
+        if U is not None:
+            f.data *= np.exp(-1j * (m / hbar) * U * (cfg.dt / 2.0))
+        f.time += cfg.dt
+    return f
+
+
+@pytest.mark.parametrize(
+    "source, poisson, exact",
+    [("free", "periodic", True), ("external", "periodic", True),
+     ("self", "isolated", True), ("self", "periodic", False)],
+)
+def test_split_reuses_half_kick_phase(source, poisson, exact):
+    # run evaluates the phase once per U; the reference twice per step
+    f = gaussian_packet(G16, sigma=1.2, center=(0.4, -0.3, 0.2), k0=(0.4, 0, -0.2),
+                        spin=(0.6, 0.8j), m=1.3, hbar=0.9)
+    p = None
+    if source == "external":
+        p = GridPotential(G16, U=0.5 * band_limited_noise(G16, 2, 17))
+    cfg = RunConfig(dt=2e-3, steps=12, source=source, poisson=poisson, G=2.0)
+    out = run(f, cfg, p).field
+    ref = _split_reference(f, cfg, p)
+    assert out.time == ref.time
+    if exact:
+        assert np.array_equal(out.data, ref.data)
+    else:
+        assert np.max(np.abs(out.data - ref.data)) <= 1e-13 * np.max(np.abs(ref.data))
+        assert not np.array_equal(out.data, ref.data)  # rfftn Poisson rounds differently
 
 
 def test_monitor_plumbing():

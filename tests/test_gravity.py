@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.fft
 
-from lln import fields
+from lln import fields, gravity
 from lln.fields import GridSpec, band_limited_noise, gaussian_packet
 from lln.geometry import GridPotential
 from lln.gravity import (
@@ -205,3 +206,35 @@ def test_gradient_preset_is_curl_free():
 def test_unknown_preset_raises():
     with pytest.raises(ValueError):
         coriolis_preset("vortex", G32)
+
+
+def test_inverse_laplacian_real_half_spectrum_matches_full():
+    # real input runs rfftn/irfftn with the cached -1/k^2 half-spectrum;
+    # complex input the full fftn pair with the same multiplier
+    f = np.random.default_rng(26).standard_normal(G32.shape)
+    u = inverse_laplacian(f, G32)
+    uc = inverse_laplacian(f.astype(complex), G32)
+    assert u.dtype == np.float64
+    scale = np.max(np.abs(u))
+    assert np.max(np.abs(u - uc.real)) <= 1e-13 * scale
+    assert np.max(np.abs(uc.imag)) <= 1e-13 * scale
+    assert G32.inv_laplacian_rfft is G32.inv_laplacian_rfft
+
+
+def test_lln_threads_caps_gravity_ffts(monkeypatch):
+    monkeypatch.setenv("LLN_THREADS", "1")
+    monkeypatch.setattr(gravity, "_KERNEL_CACHE", {})  # rebuild the kernel too
+    seen = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        def spy(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
+            seen.append((_name, kwargs.get("workers")))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, spy)
+    rho = mass_density(gaussian_packet(G32, sigma=1.0).data, G32, 1.0)
+    poisson_periodic(rho, G32)
+    inverse_laplacian(rho.astype(complex), G32)
+    poisson_isolated(rho, G32)
+    assert [n for n, _ in seen].count("rfftn") == 3  # periodic, kernel, source
+    assert {n for n, _ in seen} == {"fftn", "ifftn", "rfftn", "irfftn"}
+    assert all(w == 1 for _, w in seen), seen
