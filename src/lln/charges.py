@@ -10,7 +10,7 @@ virial drift dD/dt = -11 <T>, which makes a useful diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -258,16 +258,7 @@ def covariance_test(
     p_hat = None
     if p is not None:
         p_hat = transform_potentials(u, p, t_hat=f0_hat.time)
-    cfg_hat = RunConfig(
-        dt=cfg.dt / nu**5,
-        steps=cfg.steps,
-        evolver=cfg.evolver,
-        source=cfg.source,
-        G=cfg.G,
-        poisson=cfg.poisson,
-        hamiltonian=cfg.hamiltonian,
-        dealias=cfg.dealias,
-    )
+    cfg_hat = replace(cfg, dt=cfg.dt / nu**5, monitor_every=0, monitor=None)
     res_b = run(f0_hat, cfg_hat, p_hat)
     legB = res_b.field
 

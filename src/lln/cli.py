@@ -105,7 +105,7 @@ def _build_potentials(cfg, grid):
             return pot
         U = None
         varpi = pot.varpi
-        dvarpi = pot._cache["dvarpi"]
+        dvarpi = pot.dvarpi
     elif preset == "taubnut":
         kw = {}
         if "a" in cfg:
@@ -243,7 +243,7 @@ def cmd_verify_geometry(args) -> int:
     worst_pat, worst_zero = 0.0, 0.0
     for x in pts:
         samp = pot.sample(x, derivatives=True)
-        closed = geometry.christoffels(samp).dense[0]
+        closed = geometry.christoffels(samp)[0]
         fd = geometry.christoffels_fd(pot, x, h=args.h)
         worst_pat = max(worst_pat, float(np.max(np.abs(closed - fd))))
         mask = np.abs(closed) < 1e-14
@@ -460,9 +460,7 @@ def cmd_charges(args) -> int:
         # the solver the run used, as recorded in the header; files written
         # before the header carried it were periodic
         poisson = args.poisson or snap.poisson or "periodic"
-        solve = gravity.poisson_isolated if poisson == "isolated" else gravity.poisson_periodic
-        rho = gravity.mass_density(f.data, f.grid, f.m)
-        pot = geometry.GridPotential(f.grid, U=solve(rho, f.grid, snap.G))
+        pot = evolve_mod.self_potential(f.data, f.grid, f.m, snap.G, poisson)
     rec = charges_mod.compute_charges(f, pot, mode=args.mode)
     if args.out:
         charges_mod.write_csv([rec], _out_path(args.out))

@@ -43,6 +43,7 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "run",
+    "self_potential",
     "ground_state",
     "GroundStateResult",
     "CurrentCheck",
@@ -185,12 +186,20 @@ class RunResult:
     warnings: list = dc_field(default_factory=list)
 
 
-def _self_potential(phi, grid, m, G, poisson, base: Optional[GridPotential]):
+def self_potential(
+    phi, grid: GridSpec, m: float, G: float, poisson: str,
+    base: Optional[GridPotential] = None,
+) -> GridPotential:
+    """Self-consistent potential of phi: U solves Delta U = 4 pi G m |phi|^2
+    (per unit norm) with the "periodic" or "isolated" solver; a base
+    potential is added on top when given."""
     rho = mass_density(phi, grid, m)
     if poisson == "periodic":
         U = poisson_periodic(rho, grid, G)
-    else:
+    elif poisson == "isolated":
         U = poisson_isolated(rho, grid, G)
+    else:
+        raise ValueError(f"unknown poisson mode {poisson!r}")
     if base is not None:
         return GridPotential(grid, U=U + base.U, varpi=base.varpi)
     return GridPotential(grid, U=U)
@@ -203,7 +212,7 @@ def _potential_for(phi, cfg: RunConfig, grid, m, p: Optional[GridPotential]):
         if p is None:
             raise ValueError("external source mode needs a potential")
         return p
-    return _self_potential(phi, grid, m, cfg.G, cfg.poisson, p)
+    return self_potential(phi, grid, m, cfg.G, cfg.poisson, p)
 
 
 def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> RunResult:
@@ -255,7 +264,7 @@ def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> 
             np.multiply(drift, F, out=F)
             f.data = ifftn(F, overwrite_x=True)
             if cfg.source == "self":
-                pot = _self_potential(f.data, grid, m, cfg.G, cfg.poisson, p)
+                pot = self_potential(f.data, grid, m, cfg.G, cfg.poisson, p)
                 kick = half_kick(pot)
             if kick is not None:
                 f.data *= kick
@@ -324,13 +333,16 @@ def ground_state(
     """Imaginary-time split-step relaxation to the lowest state.
 
     Self-consistent mode refreshes U from the renormalized density every
-    sweep. Convergence is declared when the energy settles to within tol
-    between consecutive sweeps.
+    sweep, with the "periodic" or "isolated" Poisson solver. Convergence is
+    declared when the energy settles to within tol between consecutive
+    sweeps.
     """
     if source not in ("self", "external"):
         raise ValueError("ground_state supports 'self' or 'external' sources")
     if source == "external" and p is None:
         raise ValueError("external source needs a potential")
+    if poisson not in ("periodic", "isolated"):
+        raise ValueError(f"unknown poisson mode {poisson!r}")
     if p is not None and np.any(p.varpi):
         raise ValueError("imaginary-time split-step requires vanishing varpi")
     f = f0.copy().normalized()
@@ -341,10 +353,11 @@ def ground_state(
     it = 0
     for it in range(1, max_iter + 1):
         if source == "self":
-            pot = _self_potential(f.data, grid, m, G, poisson, p)
-        f.data *= np.exp(-(m / hbar) * pot.U * (dtau / 2.0))
+            pot = self_potential(f.data, grid, m, G, poisson, p)
+        half_kick = np.exp(-(m / hbar) * pot.U * (dtau / 2.0))
+        f.data *= half_kick
         f.data = ifftn(decay * fftn(f.data))
-        f.data *= np.exp(-(m / hbar) * pot.U * (dtau / 2.0))
+        f.data *= half_kick
         f = f.normalized()
         E = energy_expectation(f.data, pot, grid, m, hbar)
         if abs(E - E_prev) < tol:

@@ -44,7 +44,6 @@ __all__ = [
     "gamma_set",
     "clifford_residual",
     "chirality_matrix",
-    "ChristoffelTable",
     "christoffels",
     "christoffels_fd",
     "ricci_fd",
@@ -52,7 +51,8 @@ __all__ = [
     "ricci_constraint_residual",
     "TimeMap",
     "schwarzian",
-    "LiftedSpinor",
+    "generator_matrix",
+    "generator_field",
     "spin_connection",
     "spin_connection_contraction",
     "covariant_spinor_derivative",
@@ -350,18 +350,10 @@ def chirality_matrix(gam: GammaSet, g: np.ndarray) -> np.ndarray:
 ############################################################
 
 
-@dataclass
-class ChristoffelTable:
-    """Dense Gamma^rho_{mu nu}, shape (..., 5, 5, 5), index order [rho, mu, nu]."""
-
-    dense: np.ndarray
-
-    def __getitem__(self, idx):
-        return self.dense[idx]
-
-
-def christoffels(sample: PotentialSample) -> ChristoffelTable:
+def christoffels(sample: PotentialSample) -> np.ndarray:
     """Closed-form connection of the Brinkmann metric.
+
+    Dense Gamma^rho_{mu nu}, shape (..., 5, 5, 5), index order [rho, mu, nu].
 
     Non-vanishing families only: Gamma^i_tt, Gamma^i_jt, Gamma^s_ij,
     Gamma^s_it, Gamma^s_tt. Requires a sample with first derivatives.
@@ -385,12 +377,21 @@ def christoffels(sample: PotentialSample) -> ChristoffelTable:
     G[..., 4, :3, 3] = s_it
     G[..., 4, 3, :3] = s_it
     G[..., 4, 3, 3] = -dtU - np.einsum("...i,...i->...", w, acc)
-    return ChristoffelTable(dense=G)
+    return G
 
 
 def _metric_at(potential, x, t):
     s = potential.sample(np.atleast_2d(x), t)
     return brinkmann_metric(s.U, s.varpi)[0]
+
+
+def _connection_from_dg(gi, dg):
+    """(1/2) g^{rs} (d_m g_{sn} + d_n g_{sm} - d_s g_{mn}) with dg[l] = d_l g."""
+    return 0.5 * (
+        np.einsum("rs,msn->rmn", gi, dg)
+        + np.einsum("rs,nsm->rmn", gi, dg)
+        - np.einsum("rs,smn->rmn", gi, dg)
+    )
 
 
 def christoffels_fd(potential, point, t: float = 0.0, h: float = 1e-3) -> np.ndarray:
@@ -410,9 +411,7 @@ def christoffels_fd(potential, point, t: float = 0.0, h: float = 1e-3) -> np.nda
     dg[3] = (_metric_at(potential, point, t + h) - _metric_at(potential, point, t - h)) / (2 * h)
     s = potential.sample(np.atleast_2d(point), t)
     gi = brinkmann_metric_inverse(s.U, s.varpi)[0]
-    return 0.5 * np.einsum(
-        "rs,msn->rmn", gi, dg
-    ) + 0.5 * np.einsum("rs,nsm->rmn", gi, dg) - 0.5 * np.einsum("rs,smn->rmn", gi, dg)
+    return _connection_from_dg(gi, dg)
 
 
 def ricci_fd(potential, point, t: float = 0.0, h: float = 1e-3) -> np.ndarray:
@@ -457,24 +456,11 @@ def ricci_fd(potential, point, t: float = 0.0, h: float = 1e-3) -> np.ndarray:
             gmp = gat(-exm + exn, -etm + etn)
             ddg[mu, nu] = ddg[nu, mu] = (gpp + gmm - gpm - gmp) / (4 * h**2)
 
-    def gamma_of(gi, d):
-        return 0.5 * (
-            np.einsum("rs,msn->rmn", gi, d)
-            + np.einsum("rs,nsm->rmn", gi, d)
-            - np.einsum("rs,smn->rmn", gi, d)
-        )
-
-    Gam = gamma_of(gi0, dg)
+    Gam = _connection_from_dg(gi0, dg)
     dGam = np.zeros((5, 5, 5, 5))  # [lambda, rho, mu, nu]
     for lam in range(4):
         dgi = -gi0 @ dg[lam] @ gi0
-        term = gamma_of(dgi, dg)
-        term += 0.5 * (
-            np.einsum("rs,msn->rmn", gi0, ddg[lam])
-            + np.einsum("rs,nsm->rmn", gi0, ddg[lam])
-            - np.einsum("rs,smn->rmn", gi0, ddg[lam])
-        )
-        dGam[lam] = term
+        dGam[lam] = _connection_from_dg(dgi, dg) + _connection_from_dg(gi0, ddg[lam])
     ric = (
         np.einsum("rrmn->mn", dGam)
         - np.einsum("mrrn->mn", dGam)
@@ -596,24 +582,51 @@ def schwarzian(tm: TimeMap, t, h: float = 1e-3):
 
 
 ############################################################
-# spinor calculus on grids
+# conformal generators
 ############################################################
 
 
-@dataclass
-class LiftedSpinor:
-    """Pauli pair (phi, chi) assembled into the Dirac 4-spinor of the lift."""
+def generator_matrix(X) -> np.ndarray:
+    """6x6 affine matrix L of a conformal Bargmann generator.
 
-    grid: GridSpec
-    phi: np.ndarray  # (2, n, n, n)
-    chi: np.ndarray  # (2, n, n, n)
-    m: float = 1.0
-    hbar: float = 1.0
-    time: float = 0.0
+    X is any object with attributes (omega, beta, gamma, delta, eps, eta)
+    describing the vector field
 
-    @property
-    def psi(self) -> np.ndarray:
-        return np.concatenate([self.phi, self.chi], axis=0)
+        X^x = omega x x + t beta + gamma - 3 delta x,
+        X^t = -5 delta t + eps,
+        X^s = -beta.x - delta s + eta.
+
+    The field is affine in (x, t, s), so L holds it completely:
+    (X^x, X^t, X^s, 0) = L (x, t, s, 1) and d_nu X^mu = L[mu, nu].
+    """
+    om = np.asarray(X.omega, dtype=float)
+    delta = float(X.delta)
+    L = np.zeros((6, 6))
+    L[:3, :3] = np.array(
+        [[0.0, -om[2], om[1]], [om[2], 0.0, -om[0]], [-om[1], om[0], 0.0]]
+    ) - 3.0 * delta * np.eye(3)
+    L[:3, 3] = X.beta
+    L[3, 3] = -5.0 * delta
+    L[4, :3] = -np.asarray(X.beta, dtype=float)
+    L[4, 4] = -delta
+    L[:3, 5] = X.gamma
+    L[3, 5] = X.eps
+    L[4, 5] = X.eta
+    return L
+
+
+def generator_field(L: np.ndarray, x, t=0.0, s=0.0) -> np.ndarray:
+    """X^mu = L (x, t, s, 1) at events; x has its 3 components first.
+
+    Returns shape (5,) + the broadcast batch shape of x[0], t and s.
+    """
+    events = np.stack(np.broadcast_arrays(*np.asarray(x, dtype=float), t, s, 1.0))
+    return np.einsum("mn,n...->m...", L[:5], events)
+
+
+############################################################
+# spinor calculus on grids
+############################################################
 
 
 def _gamma_grids(p: GridPotential) -> GammaSet:
@@ -647,24 +660,6 @@ def _dgamma_lower(p: GridPotential, mu: int) -> np.ndarray:
     return out
 
 
-def _christoffel_grids(p: GridPotential) -> np.ndarray:
-    """Closed-form Gamma^rho_{mu nu} on the grid, shape (5, 5, 5, grid)."""
-    grid = p.grid
-    G = np.zeros((5, 5, 5) + grid.shape)
-    dw = p.dvarpi
-    om = dw - np.swapaxes(dw, 0, 1)
-    acc = p.dU  # static: no dt varpi
-    G[:3, 3, 3] = acc
-    G[:3, :3, 3] = -0.5 * om
-    G[:3, 3, :3] = -0.5 * om
-    G[4, :3, :3] = 0.5 * (dw + np.swapaxes(dw, 0, 1))
-    s_it = -p.dU - 0.5 * np.einsum("ij...,j...->i...", om, p.varpi)
-    G[4, :3, 3] = s_it
-    G[4, 3, :3] = s_it
-    G[4, 3, 3] = -np.einsum("i...,i...->...", p.varpi, acc)
-    return G
-
-
 def spin_connection(p: GridPotential) -> np.ndarray:
     """Connection matrices omega_mu, shape (5, 4, 4, grid).
 
@@ -673,7 +668,16 @@ def spin_connection(p: GridPotential) -> np.ndarray:
     omega_s vanishes: nothing depends on s and no Christoffel has a lower s.
     """
     gam = _gamma_grids(p)
-    Gam = _christoffel_grids(p)
+    # christoffels at the nodes, index axes moved in front; static potentials
+    nodes = PotentialSample(
+        U=p.U,
+        varpi=np.moveaxis(p.varpi, 0, -1),
+        dU=np.moveaxis(p.dU, 0, -1),
+        dtU=np.zeros(p.grid.shape),
+        dvarpi=np.moveaxis(p.dvarpi, (0, 1), (-2, -1)),
+        dtvarpi=np.zeros(p.grid.shape + (3,)),
+    )
+    Gam = np.moveaxis(christoffels(nodes), (-3, -2, -1), (0, 1, 2))
     out = np.zeros((5, 4, 4) + p.grid.shape, dtype=complex)
     for mu in range(4):  # omega_s = 0
         D = _dgamma_lower(p, mu) - np.einsum(
@@ -734,50 +738,25 @@ def lie_derivative_spinor_density(
 ) -> np.ndarray:
     """Spinor-density Lie derivative along a conformal generator, on the s=0 slice.
 
-    X is any object with attributes (omega, beta, gamma, delta, eps, eta)
-    describing the vector field
-
-        X^x = omega x x + t beta + gamma - 3 delta x,
-        X^t = -5 delta t + eps,
-        X^s = -beta.x - delta s + eta.
-
-    Implements L_X = X^mu nabla_mu - (1/4) d_[mu X_nu] gamma^mu gamma^nu
-    + weight (div X); indices are lowered with the full Brinkmann metric, so
-    potential terms are included. The s-linear part of X^s acts through
-    (im/hbar) s and drops on the s = 0 slice; its trace survives in div X.
-    dt_psi is required whenever X^t is not identically zero at the field's
-    time slice (pass the PDE right-hand side or a finite-difference stamp).
+    X is any object :func:`generator_matrix` accepts. Implements
+    L_X = X^mu nabla_mu - (1/4) d_[mu X_nu] gamma^mu gamma^nu + weight (div X);
+    indices are lowered with the full Brinkmann metric, so potential terms
+    are included. The s-linear part of X^s acts through (im/hbar) s and drops
+    on the s = 0 slice; its trace survives in div X. dt_psi is required
+    whenever X^t is not identically zero at the field's time slice (pass the
+    PDE right-hand side or a finite-difference stamp).
     """
     psi = np.asarray(psi, dtype=complex)
     grid = p.grid
-    Xmesh = grid.mesh()
-    om = np.asarray(X.omega, dtype=float)
-    beta = np.asarray(X.beta, dtype=float)
-    gam_tr = np.asarray(X.gamma, dtype=float)
-    delta = float(X.delta)
-    eps = float(X.eps)
-    eta = float(X.eta)
-
+    L = generator_matrix(X)
     # X^mu on the s = 0 slice at time t0; X^t is spatially constant.
-    Xx = (
-        np.cross(om, np.moveaxis(Xmesh, 0, -1)).transpose(3, 0, 1, 2)
-        + t0 * beta.reshape(3, 1, 1, 1)
-        + gam_tr.reshape(3, 1, 1, 1)
-        - 3.0 * delta * Xmesh
-    )
-    Xt = -5.0 * delta * t0 + eps
-    Xs = -np.einsum("j,j...->...", beta, Xmesh) + eta
-    ones = np.ones(grid.shape)
-
-    Xup = np.zeros((5,) + grid.shape)
-    Xup[:3] = Xx
-    Xup[3] = Xt * ones
-    Xup[4] = Xs
+    Xup = generator_field(L, grid.mesh(), t0)
+    Xx, Xt, Xs = Xup[:3], Xup[3], Xup[4]
 
     # transport: X^j d_j + X^t d_t + X^s (im/hbar) + spin connection along X
     gpsi = gradient(psi, grid)
     transport = np.einsum("j...,ja...->a...", Xx, gpsi)
-    if abs(Xt) > 0:
+    if np.any(Xt):
         if dt_psi is None:
             raise ValueError("generator moves time; dt_psi is required")
         transport = transport + Xt * np.asarray(dt_psi, dtype=complex)
@@ -787,34 +766,18 @@ def lie_derivative_spinor_density(
         "m...,mab...,b...->a...", Xup, conn, psi
     )
 
-    # d_mu X_nu with X_nu = g_{nu lambda} X^lambda, assembled analytically:
-    # X^mu is polynomial in (x, t) so only the potentials are differentiated
-    # (spectrally); taking an FFT derivative of the linear-in-x pieces
-    # themselves would alias on the torus.
-    U = p.U
-    w = p.varpi
-    dU = p.dU
-    dw = p.dvarpi  # [i, j] = d_i varpi_j
-    dXx = np.cross(om[None, :], np.eye(3)) - 3.0 * delta * np.eye(3)
-    # dXx[i, j] = d_i X^j (constant matrix)
-
-    dX = np.zeros((5, 5) + grid.shape)
-    # d_i X_j = d_i X^j + (d_i varpi_j) X^t
-    dX[:3, :3] = dXx.reshape(3, 3, 1, 1, 1) + dw * Xt
-    # d_i X_t = (d_i varpi_k) X^k + varpi_k d_i X^k - 2 (d_i U) X^t + d_i X^s
-    dX[:3, 3] = (
-        np.einsum("ik...,k...->i...", dw, Xx)
-        + np.einsum("k...,ik->i...", w, dXx)
-        - 2.0 * dU * Xt
-        - beta.reshape(3, 1, 1, 1) * ones
+    # d_mu X_nu = g_{nu lambda} d_mu X^lambda + (d_mu g_{nu lambda}) X^lambda,
+    # with d_mu X^lambda = L[lambda, mu] exactly: X^mu is affine, so only the
+    # potentials are differentiated (spectrally); taking an FFT derivative of
+    # the linear-in-x pieces themselves would alias on the torus. Static
+    # potentials leave only d_i g_{jt} = d_i varpi_j and d_i g_tt = -2 d_i U.
+    g = np.moveaxis(
+        brinkmann_metric(p.U, np.moveaxis(p.varpi, 0, -1)), (-2, -1), (0, 1)
     )
-    # d_i X_s = d_i X^t = 0
-    # d_t rows: potentials are static, d_t X^x = beta, d_t X^t = -5 delta
-    dX[3, :3] = beta.reshape(3, 1, 1, 1) + w * (-5.0 * delta)
-    dX[3, 3] = np.einsum("j...,j->...", w, beta) - 2.0 * U * (-5.0 * delta)
-    dX[3, 4] = -5.0 * delta * ones
-    # d_s X_nu = g_{nu s} d_s X^s = -delta on the t slot
-    dX[4, 3] = -delta * ones
+    dX = np.einsum("nl...,lm->mn...", g, L[:5, :5])
+    dw = p.dvarpi  # [i, j] = d_i varpi_j
+    dX[:3, :3] += dw * Xt
+    dX[:3, 3] += np.einsum("ik...,k...->i...", dw, Xx) - 2.0 * p.dU * Xt
 
     A = 0.5 * (dX - np.swapaxes(dX, 0, 1))
     gam = _gamma_grids(p)
@@ -829,7 +792,7 @@ def lie_derivative_spinor_density(
             )
             kos += -0.25 * a * block
 
-    divX = -15.0 * delta
+    divX = np.trace(L[:5, :5])
     return transport + kos + weight * divX * psi
 
 

@@ -16,6 +16,7 @@ __all__ = [
     "constraint_potential",
     "mass_density",
     "coriolis_preset",
+    "uniform_rotation_potential",
     "taub_nut_varpi",
     "self_cell_coefficient",
 ]
@@ -161,6 +162,12 @@ def taub_nut_varpi(x, a: float = 1.0, sign: int = +1):
     return out
 
 
+def _vorticity(Omega0) -> np.ndarray:
+    """Omega0 as a 3-vector; a scalar is taken along the z axis."""
+    om = np.asarray(Omega0, dtype=float)
+    return np.array([0.0, 0.0, float(om)]) if om.ndim == 0 else om
+
+
 def coriolis_preset(name: str, grid: GridSpec, **kw):
     """Named Coriolis fields on a grid; returns (varpi, valid_mask).
 
@@ -176,10 +183,7 @@ def coriolis_preset(name: str, grid: GridSpec, **kw):
     X = grid.mesh()
     mask = np.ones(grid.shape, dtype=bool)
     if name == "uniform":
-        om = kw.get("Omega0", 1.0)
-        om = np.asarray(om, dtype=float)
-        if om.ndim == 0:
-            om = np.array([0.0, 0.0, float(om)])
+        om = _vorticity(kw.get("Omega0", 1.0))
         varpi = 0.5 * np.cross(om, np.moveaxis(X, 0, -1)).transpose(3, 0, 1, 2)
         return varpi, mask
     if name == "taubnut":
@@ -211,13 +215,7 @@ def uniform_rotation_potential(grid: GridSpec, Omega0) -> GridPotential:
     passed through instead.
     """
     varpi, _ = coriolis_preset("uniform", grid, Omega0=Omega0)
-    om = np.asarray(Omega0, dtype=float)
-    if om.ndim == 0:
-        om = np.array([0.0, 0.0, float(om)])
-    eps = np.zeros((3, 3, 3))
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-    dw = 0.5 * np.einsum("ijk,k->ij", eps, om)
+    dw = 0.5 * np.cross(_vorticity(Omega0), np.eye(3))  # d_i varpi_j = (Omega x e_i)_j / 2
     dvarpi = np.broadcast_to(
         dw[:, :, None, None, None], (3, 3) + grid.shape
     ).copy()

@@ -35,7 +35,7 @@ from .fields import (
     shift_field,
     resample_separable,
 )
-from .geometry import GridPotential, TimeMap
+from .geometry import GridPotential, TimeMap, generator_field, generator_matrix
 
 __all__ = [
     "SnGroupElement",
@@ -234,6 +234,16 @@ class SnGroupElement:
 ############################################################
 
 
+def _time_out(u: SnGroupElement, t):
+    """t_hat = (d t + e)/g, the time u assigns to an event at time t."""
+    return (u.d * t + u.e) / u.g
+
+
+def _time_in(u: SnGroupElement, t_hat):
+    """The inverse of :func:`_time_out`: the input time u maps to t_hat."""
+    return (u.g * t_hat - u.e) / u.d
+
+
 def act(u: SnGroupElement, x, t=0.0, s=0.0):
     """Apply u to event coordinates; x may carry leading batch axes (..., 3)."""
     x = np.asarray(x, dtype=float)
@@ -241,7 +251,7 @@ def act(u: SnGroupElement, x, t=0.0, s=0.0):
     s = np.asarray(s, dtype=float)
     Ax = np.einsum("ij,...j->...i", u.A, x)
     xh = (Ax + np.multiply.outer(t, u.b) + u.c) / u.g
-    th = (u.d * t + u.e) / u.g
+    th = _time_out(u, t)
     sh = (
         s
         - np.einsum("...i,i->...", Ax, u.b)
@@ -297,8 +307,7 @@ class LieParams:
     """Generator components: rotation omega, boost beta, translations
     (gamma: space, eps: time, eta: vertical), anisotropic dilation delta.
 
-    Vector field: X^x = omega x x + t beta + gamma - 3 delta x,
-    X^t = -5 delta t + eps, X^s = -beta.x - delta s + eta.
+    The vector field is written out at :func:`lln.geometry.generator_matrix`.
     """
 
     omega: np.ndarray = dc_field(default_factory=lambda: np.zeros(3))
@@ -316,26 +325,13 @@ class LieParams:
 
 def lie_vector(X: LieParams):
     """Coordinate components of the generator as a callable (x, t, s) -> tuple."""
+    L = generator_matrix(X)
 
     def comps(x, t=0.0, s=0.0):
-        x = np.asarray(x, dtype=float)
-        xx = (
-            np.cross(X.omega, x)
-            + np.multiply.outer(np.asarray(t, dtype=float), X.beta)
-            + X.gamma
-            - 3.0 * X.delta * x
-        )
-        xt = -5.0 * X.delta * np.asarray(t, dtype=float) + X.eps
-        xs = -np.einsum("j,...j->...", X.beta, x) - X.delta * np.asarray(s) + X.eta
-        return xx, xt, xs
+        Xup = generator_field(L, np.moveaxis(np.asarray(x, dtype=float), -1, 0), t, s)
+        return np.moveaxis(Xup[:3], 0, -1), Xup[3], Xup[4]
 
     return comps
-
-
-def _cross_matrix(w):
-    return np.array(
-        [[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]]
-    )
 
 
 def exp_element(X: LieParams, tau: float = 1.0) -> SnGroupElement:
@@ -344,16 +340,7 @@ def exp_element(X: LieParams, tau: float = 1.0) -> SnGroupElement:
     The action on (x, t, s) is affine, so the flow is a 6x6 homogeneous
     matrix exponential; the element parameters are read back off its blocks.
     """
-    L = np.zeros((6, 6))
-    L[:3, :3] = _cross_matrix(X.omega) - 3.0 * X.delta * np.eye(3)
-    L[:3, 3] = X.beta
-    L[3, 3] = -5.0 * X.delta
-    L[4, :3] = -X.beta
-    L[4, 4] = -X.delta
-    L[:3, 5] = X.gamma
-    L[3, 5] = X.eps
-    L[4, 5] = X.eta
-    E = expm(tau * L)
+    E = expm(tau * generator_matrix(X))
     nu = 1.0 / E[4, 4]
     d = float(np.sqrt(nu * E[3, 3]))
     g = nu / d
@@ -385,19 +372,13 @@ def infinitesimal_action(
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[0] != 4:
         raise ValueError("expected a 4-component spinor field")
-    Xmesh = grid.mesh()
-    Xx = (
-        np.cross(X.omega, np.moveaxis(Xmesh, 0, -1)).transpose(3, 0, 1, 2)
-        + t0 * X.beta.reshape(3, 1, 1, 1)
-        + X.gamma.reshape(3, 1, 1, 1)
-        - 3.0 * X.delta * Xmesh
-    )
-    Xt = -5.0 * X.delta * t0 + X.eps
-    Xs = -np.einsum("j,j...->...", X.beta, Xmesh) + X.eta
+    L = generator_matrix(X)
+    Xup = generator_field(L, grid.mesh(), t0)
+    Xx, Xt, Xs = Xup[:3], Xup[3], Xup[4]
 
     gpsi = gradient(psi, grid)
     out = np.einsum("j...,ja...->a...", Xx, gpsi)
-    if abs(Xt) > 0:
+    if np.any(Xt):
         if dt_psi is None:
             raise ValueError("generator moves time; dt_psi is required")
         out = out + Xt * np.asarray(dt_psi, dtype=complex)
@@ -411,7 +392,7 @@ def infinitesimal_action(
     block[2:, :2] = 0.5j * sb
     out = out + np.einsum("ab,b...->a...", block, psi)
 
-    out = out + weight * (-15.0 * X.delta) * psi
+    out = out + weight * np.trace(L[:5, :5]) * psi
     return out
 
 
@@ -420,16 +401,28 @@ def infinitesimal_action(
 ############################################################
 
 
-def _rep_phase_exponent(u: SnGroupElement, x_out, t_out: float):
-    """f(x, t) such that the multiplier is exp(i m_in f / hbar)."""
+def _rep_phase(u: SnGroupElement, x_out, t_out, m: float, hbar: float):
+    """Boost multiplier exp(i m f / hbar) at output events; x_out indexed first."""
     b2 = float(np.dot(u.b, u.b))
-    return (
+    f_exp = (
         u.g * np.einsum("j,j...->...", u.b, x_out)
         - (u.g / (2.0 * u.d)) * b2 * t_out
         + (u.e / (2.0 * u.d)) * b2
         - float(np.dot(u.b, u.c))
         - u.h
     )
+    return np.exp(1j * m / hbar * f_exp)
+
+
+def _rep_blocks(u: SnGroupElement):
+    """Pauli blocks (upper, lower_left, lower_right) of the block lower
+    triangular representation matrix."""
+    nu = u.nu
+    a = su2_from_quat(u.quat)
+    upper = nu**5 * a  # nu^6 * (a / nu)
+    lower_left = nu**6 * (-0.5j) * np.einsum("j,jab,bc->ac", nu * u.b, PAULI, a)
+    lower_right = nu**7 * a  # nu^6 * nu
+    return upper, lower_left, lower_right
 
 
 def _pullback_points_map(u: SnGroupElement, tau: float):
@@ -481,60 +474,38 @@ def represent(u: SnGroupElement, f: BispinorField) -> BispinorField:
     upper Pauli pair transforms among itself (the representation matrix is
     block lower triangular); use represent_pair to transport a derived chi.
     """
-    phi_out, _ = _represent_arrays(u, f, chi=None)
-    nu = u.nu
-    t_hat = (u.d * f.time + u.e) / u.g
-    return BispinorField(
-        grid=f.grid,
-        data=phi_out,
-        m=nu * f.m,
-        hbar=f.hbar,
-        time=t_hat,
-        mass_tag=nu * f.mass_tag,
-    )
+    return represent_pair(u, f, None)[0]
 
 
-def represent_pair(u: SnGroupElement, f: BispinorField, chi: np.ndarray):
-    """Transform (phi, chi) together; returns (field_out, chi_out)."""
-    phi_out, chi_out = _represent_arrays(u, f, chi=np.asarray(chi, dtype=complex))
-    nu = u.nu
-    t_hat = (u.d * f.time + u.e) / u.g
-    out = BispinorField(
-        grid=f.grid,
-        data=phi_out,
-        m=nu * f.m,
-        hbar=f.hbar,
-        time=t_hat,
-        mass_tag=nu * f.mass_tag,
-    )
-    return out, chi_out
+def represent_pair(u: SnGroupElement, f: BispinorField, chi):
+    """Transform (phi, chi) together; returns (field_out, chi_out).
 
-
-def _represent_arrays(u: SnGroupElement, f: BispinorField, chi=None):
+    With chi None only phi is transported and chi_out is None.
+    """
     _commensurate_warning(u, f)
     grid = f.grid
     nu = u.nu
-    tau = f.time
-    t_hat = (u.d * tau + u.e) / u.g
-    M, v = _pullback_points_map(u, tau)
+    t_hat = _time_out(u, f.time)
+    M, v = _pullback_points_map(u, f.time)
     phi_p = _resample_linear(f.data, grid, M, v)
-    a = su2_from_quat(u.quat)
-    f_exp = _rep_phase_exponent(u, grid.mesh(), t_hat)
-    phase = np.exp(1j * f.m / f.hbar * f_exp)
-    upper = nu**5 * a  # nu^6 * (a / nu)
-    phi_out = phase * np.einsum("ab,b...->a...", upper, phi_p)
-    chi_out = None
-    if chi is not None:
-        chi_p = _resample_linear(chi, grid, M, v)
-        lower_left = nu**6 * (-0.5j) * np.einsum(
-            "j,jab,bc->ac", nu * u.b, PAULI, a
-        )
-        lower_right = nu**7 * a  # nu^6 * nu
-        chi_out = phase * (
-            np.einsum("ab,b...->a...", lower_left, phi_p)
-            + np.einsum("ab,b...->a...", lower_right, chi_p)
-        )
-    return phi_out, chi_out
+    upper, lower_left, lower_right = _rep_blocks(u)
+    phase = _rep_phase(u, grid.mesh(), t_hat, f.m, f.hbar)
+    out = BispinorField(
+        grid=grid,
+        data=phase * np.einsum("ab,b...->a...", upper, phi_p),
+        m=nu * f.m,
+        hbar=f.hbar,
+        time=t_hat,
+        mass_tag=nu * f.mass_tag,
+    )
+    if chi is None:
+        return out, None
+    chi_p = _resample_linear(np.asarray(chi, dtype=complex), grid, M, v)
+    chi_out = phase * (
+        np.einsum("ab,b...->a...", lower_left, phi_p)
+        + np.einsum("ab,b...->a...", lower_right, chi_p)
+    )
+    return out, chi_out
 
 
 def represent_fn(u: SnGroupElement, fn, m: float, hbar: float):
@@ -542,27 +513,17 @@ def represent_fn(u: SnGroupElement, fn, m: float, hbar: float):
 
     Returns (new_fn, new_mass); chain the mass when composing by hand.
     """
-    nu = u.nu
-    a = su2_from_quat(u.quat)
-    upper = nu**5 * a
-    At = u.A.T
+    upper = _rep_blocks(u)[0]
 
     def out(x, t):
         x = np.asarray(x, dtype=float)
-        tau = (u.g * t - u.e) / u.d
-        x_in = np.einsum("ij,...j->...i", At, u.g * x - tau * u.b - u.c)
-        val = fn(x_in, tau)  # (..., 2)
-        f_exp = (
-            u.g * np.einsum("j,...j->...", u.b, x)
-            - (u.g / (2.0 * u.d)) * float(np.dot(u.b, u.b)) * t
-            + (u.e / (2.0 * u.d)) * float(np.dot(u.b, u.b))
-            - float(np.dot(u.b, u.c))
-            - u.h
-        )
-        phase = np.exp(1j * m / hbar * f_exp)
+        tau = _time_in(u, t)
+        M, v = _pullback_points_map(u, tau)
+        val = fn(x @ M.T + v, tau)  # (..., 2)
+        phase = _rep_phase(u, np.moveaxis(x, -1, 0), t, m, hbar)
         return phase[..., None] * np.einsum("ab,...b->...a", upper, val)
 
-    return out, nu * m
+    return out, u.nu * m
 
 
 ############################################################
@@ -583,8 +544,7 @@ def transform_potentials(u: SnGroupElement, p: GridPotential, t_hat=None) -> Gri
     nu = u.nu
     if t_hat is None:
         t_hat = u.e / u.g
-    tau = (u.g * t_hat - u.e) / u.d
-    M, v = _pullback_points_map(u, tau)
+    M, v = _pullback_points_map(u, _time_in(u, t_hat))
     U_p = _resample_linear(p.U[None], grid, M, v)[0]
     w_p = _resample_linear(p.varpi, grid, M, v)
     Atb = u.A.T @ u.b

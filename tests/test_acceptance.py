@@ -106,7 +106,7 @@ def test_christoffel_closed_forms_against_finite_differences():
     mask = christoffel_pattern()
     worst, worst_zero = 0.0, 0.0
     for x in rng.uniform(-4.0, 4.0, size=(6, 3)):
-        closed = christoffels(pot.sample(x, derivatives=True)).dense[0]
+        closed = christoffels(pot.sample(x, derivatives=True))[0]
         fd = christoffels_fd(pot, x, h=1e-3)
         worst = max(worst, float(np.max(np.abs(closed - fd))))
         worst_zero = max(worst_zero, float(np.max(np.abs(fd[~mask]))))

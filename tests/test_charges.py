@@ -216,3 +216,28 @@ def test_covariance_rotation_free():
     assert out["rel_l2"] < 1e-12
     assert abs(out["final_time_A"] - out["final_time_B"]) < 1e-15
     assert set(out) == {"rel_l2", "legA", "legB", "final_time_A", "final_time_B"}
+
+
+def test_covariance_legs_share_the_run_config(monkeypatch):
+    # leg B runs the caller's config with dt / nu^5 and without the monitor
+    seen = []
+
+    def spy(f, cfg, p=None):
+        seen.append(cfg)
+        return run(f, cfg, p)
+
+    monkeypatch.setattr("lln.charges.run", spy)
+    calls = []
+    cfg = RunConfig(dt=1e-3, steps=4, evolver="split", source="self", G=2.5,
+                    poisson="isolated", dealias=True, monitor_every=2,
+                    monitor=lambda f, pot: calls.append(f.time))
+    u = SnGroupElement.dilation(1.1)
+    f = gaussian_packet(GridSpec(16, 16.0), sigma=1.0)
+    covariance_test(f, u, cfg)
+    assert len(calls) == 3  # leg A only: t = 0 and every second step
+    a, b = seen
+    assert a is cfg
+    assert (b.G, b.poisson, b.dealias) == (2.5, "isolated", True)
+    assert (b.evolver, b.source, b.steps, b.hamiltonian) == ("split", "self", 4, "canonical")
+    assert b.dt == cfg.dt / u.nu**5
+    assert (b.monitor_every, b.monitor) == (0, None)

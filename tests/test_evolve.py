@@ -457,6 +457,9 @@ def test_ground_state_guards():
     with pytest.raises(ValueError):
         ground_state(f, source="external",
                      p=uniform_rotation_potential(G16, (0, 0, 0.1)))
+    # a misspelt mode used to fall through to the isolated solver
+    with pytest.raises(ValueError, match="unknown poisson mode 'perodic'"):
+        ground_state(f, poisson="perodic")
 
 
 def test_ground_state_harmonic_trap():

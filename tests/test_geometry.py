@@ -180,7 +180,7 @@ def test_christoffel_zero_pattern_and_symmetry():
     pot = trig_potential()
     pts = RNG.uniform(-6, 6, size=(40, 3))
     s = pot.sample(pts, t=0.0, derivatives=True)
-    dense = christoffels(s).dense
+    dense = christoffels(s)
     mask = _allowed_mask()
     assert np.max(np.abs(dense[:, ~mask])) == 0.0
     assert np.max(np.abs(dense - np.swapaxes(dense, -1, -2))) == 0.0
@@ -190,7 +190,7 @@ def test_christoffel_closed_vs_fd_static():
     pot = trig_potential()
     for point in ([0.7, -1.3, 2.1], [3.1, 0.2, -0.4], [-2.0, 5.0, 1.0]):
         s = pot.sample(np.array([point]), t=0.0, derivatives=True)
-        closed = christoffels(s).dense[0]
+        closed = christoffels(s)[0]
         fd = christoffels_fd(pot, point, t=0.0, h=1e-3)
         assert np.max(np.abs(closed - fd)) < 1e-6
         assert np.max(np.abs(fd[~_allowed_mask()])) < 1e-10
@@ -201,7 +201,7 @@ def test_christoffel_closed_vs_fd_time_dependent():
     for t in (0.0, 0.9):
         point = [1.1, -0.6, 0.8]
         s = pot.sample(np.array([point]), t=t, derivatives=True)
-        closed = christoffels(s).dense[0]
+        closed = christoffels(s)[0]
         fd = christoffels_fd(pot, point, t=t, h=1e-3)
         assert np.max(np.abs(closed - fd)) < 1e-6
 
@@ -213,7 +213,7 @@ def test_christoffel_on_grid_potential_samples():
     p = GridPotential(G32, U=U, varpi=w)
     point = [0.9, -2.3, 1.7]
     s = p.sample(np.array([point]), derivatives=True)
-    closed = christoffels(s).dense[0]
+    closed = christoffels(s)[0]
     fd = christoffels_fd(p, point, h=1e-3)
     assert np.max(np.abs(closed - fd)) < 1e-6
 
@@ -406,6 +406,20 @@ def test_lie_derivative_rotation_closed_form():
     spin[:2] = 0.5j * w0 * np.einsum("ab,b...->a...", PAULI[2], psi[:2])
     spin[2:] = 0.5j * w0 * np.einsum("ab,b...->a...", PAULI[2], psi[2:])
     assert np.max(np.abs(out - orbital - spin)) < 1e-12
+
+
+def test_lie_derivative_static_time_translation_is_dt():
+    # d_t is Killing for static (U, varpi) and leaves the Brinkmann frame
+    # alone, so its spinor Lie derivative is d_t psi itself: the spin
+    # connection along t and the potential terms of d_[mu X_nu] cancel
+    U = 0.3 * band_limited_noise(G32, modes=2, seed=15)
+    w = 0.15 * band_limited_noise(G32, modes=2, seed=16, comps=(3,))
+    p = GridPotential(G32, U=U, varpi=w)
+    psi, dt_psi = four_spinor(7), four_spinor(8)
+    X = SimpleNamespace(omega=np.zeros(3), beta=np.zeros(3), gamma=np.zeros(3),
+                        delta=0.0, eps=1.0, eta=0.0)
+    out = lie_derivative_spinor_density(psi, p, X, m=1.0, hbar=1.0, dt_psi=dt_psi)
+    assert np.max(np.abs(out - dt_psi)) < 1e-13  # measured 1.1e-16
 
 
 def test_lie_derivative_needs_dt_psi_when_time_moves():
