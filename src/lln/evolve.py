@@ -356,7 +356,10 @@ def ground_state(
             pot = self_potential(f.data, grid, m, G, poisson, p)
         half_kick = np.exp(-(m / hbar) * pot.U * (dtau / 2.0))
         f.data *= half_kick
-        f.data = ifftn(decay * fftn(f.data))
+        # in place, with the operand order of decay * F (as in run)
+        F = fftn(f.data, overwrite_x=True)
+        np.multiply(decay, F, out=F)
+        f.data = ifftn(F, overwrite_x=True)
         f.data *= half_kick
         f = f.normalized()
         E = energy_expectation(f.data, pot, grid, m, hbar)

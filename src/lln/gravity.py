@@ -108,6 +108,8 @@ def self_cell_coefficient() -> float:
 
 
 def _isolated_kernel(grid: GridSpec):
+    """(Khat, work) of the grid: the doubled-grid kernel half-spectrum and
+    the complex (2n, 2n, n+1) workspace the solve transforms in."""
     key = (grid.n, round(grid.length, 12))
     if key not in _KERNEL_CACHE:
         M = 2 * grid.n
@@ -119,7 +121,8 @@ def _isolated_kernel(grid: GridSpec):
         R.flat[0] = 1.0
         K = 1.0 / R
         K.flat[0] = self_cell_coefficient() / grid.dx
-        _KERNEL_CACHE[key] = sfft.rfftn(K, workers=_workers())
+        Khat = sfft.rfftn(K, workers=_workers())
+        _KERNEL_CACHE[key] = (Khat, np.empty_like(Khat))
     return _KERNEL_CACHE[key]
 
 
@@ -129,16 +132,33 @@ def poisson_isolated(rho, grid: GridSpec, G: float = 1.0):
     Zero-padded convolution on the doubled grid, so periodic images never
     contribute; the source must be well localized inside the box (check the
     edge fraction of the state first).
+
+    Only the octant that holds rho is nonzero and only that octant is read
+    back, so the transforms skip the zeros: the forward pass runs the real
+    transform along axis 2 on the n^2 source rows, then axis 1 on the first
+    n slabs, then axis 0; the inverse pass runs the same steps in reverse,
+    keeping only the rows that are read back. The complex steps run in place
+    in one workspace cached per grid next to the kernel, so a call allocates
+    nothing of doubled-grid size, and calls on the same grid from several
+    threads at once are not safe. The returned U is a fresh array.
     """
     rho = np.asarray(rho, dtype=float)
-    M = 2 * grid.n
-    pad = np.zeros((M, M, M))
-    pad[: grid.n, : grid.n, : grid.n] = rho
-    Khat = _isolated_kernel(grid)
-    conv = sfft.irfftn(
-        sfft.rfftn(pad, workers=_workers()) * Khat, s=(M, M, M), workers=_workers()
-    )
-    return -G * grid.dv * conv[: grid.n, : grid.n, : grid.n]
+    n = grid.n
+    M = 2 * n
+    Khat, work = _isolated_kernel(grid)
+    # overwrite_x on complex input makes scipy write the transform into its
+    # argument; src is the first n slabs of work, the ones the source fills
+    src = work[:n]
+    src[:, :n] = sfft.rfftn(rho, s=(M,), axes=(2,), workers=_workers())
+    src[:, n:] = 0.0
+    fftn(src, axes=(1,), overwrite_x=True)
+    work[n:] = 0.0
+    fftn(work, axes=(0,), overwrite_x=True)
+    np.multiply(work, Khat, out=work)
+    ifftn(work, axes=(0,), overwrite_x=True)
+    ifftn(src, axes=(1,), overwrite_x=True)
+    conv = sfft.irfftn(src[:, :n], s=(M,), axes=(2,), workers=_workers())
+    return -G * grid.dv * conv[:, :, :n]
 
 
 ############################################################

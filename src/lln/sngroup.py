@@ -454,6 +454,8 @@ def _resample_linear(data, grid: GridSpec, M, v):
 
 
 def _commensurate_warning(u: SnGroupElement, f: BispinorField):
+    # stacklevel 3 names the caller of represent or represent_pair, so each
+    # of them calls this directly
     if not np.any(u.b):
         return
     kb = f.m * u.g * u.b / f.hbar
@@ -474,7 +476,8 @@ def represent(u: SnGroupElement, f: BispinorField) -> BispinorField:
     upper Pauli pair transforms among itself (the representation matrix is
     block lower triangular); use represent_pair to transport a derived chi.
     """
-    return represent_pair(u, f, None)[0]
+    _commensurate_warning(u, f)
+    return _represent_pair(u, f, None)[0]
 
 
 def represent_pair(u: SnGroupElement, f: BispinorField, chi):
@@ -483,6 +486,10 @@ def represent_pair(u: SnGroupElement, f: BispinorField, chi):
     With chi None only phi is transported and chi_out is None.
     """
     _commensurate_warning(u, f)
+    return _represent_pair(u, f, chi)
+
+
+def _represent_pair(u: SnGroupElement, f: BispinorField, chi):
     grid = f.grid
     nu = u.nu
     t_hat = _time_out(u, f.time)

@@ -31,6 +31,7 @@ from lln.evolve import (
     hamiltonian_mismatch,
     max_frequency,
     run,
+    self_potential,
     spin_commutator_residual,
 )
 from lln.sngroup import SnGroupElement, compose, represent_pair, transform_potentials
@@ -476,6 +477,28 @@ def test_ground_state_harmonic_trap():
     rho = np.sum(np.abs(res.field.data) ** 2, axis=0)
     var = float(integrate(rho * X[0] ** 2, G32))
     assert abs(var - 0.5) < 5e-3
+
+
+@pytest.mark.parametrize("poisson", ["isolated", "periodic"])
+def test_ground_state_in_place_drift_is_bit_identical(poisson):
+    # reference sweeps with the drift written out of place, decay * F
+    f0 = gaussian_packet(G16, sigma=1.2, center=(0.3, -0.2, 0.1), m=1.3, hbar=0.9)
+    G, dtau, sweeps = 4.0, 0.02, 25
+    f = f0.copy().normalized()
+    grid, m, hbar = f.grid, f.m, f.hbar
+    decay = np.exp(-hbar * grid.k2 * dtau / (2.0 * m))
+    for _ in range(sweeps):
+        pot = self_potential(f.data, grid, m, G, poisson)
+        half_kick = np.exp(-(m / hbar) * pot.U * (dtau / 2.0))
+        f.data *= half_kick
+        f.data = ifftn(decay * fftn(f.data))
+        f.data *= half_kick
+        f = f.normalized()
+        E = energy_expectation(f.data, pot, grid, m, hbar)
+    res = ground_state(f0, G=G, dtau=dtau, tol=0.0, max_iter=sweeps, poisson=poisson)
+    assert not res.converged and res.iterations == sweeps
+    assert np.array_equal(res.field.data, f.data)
+    assert res.energy == E
 
 
 def test_ground_state_self_gravity_oracle():

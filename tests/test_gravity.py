@@ -91,6 +91,81 @@ def test_isolated_kernel_is_cached():
     from lln.gravity import _isolated_kernel
 
     assert _isolated_kernel(G32) is _isolated_kernel(G32)
+    Khat, work = _isolated_kernel(G32)
+    assert work.shape == Khat.shape == (64, 64, 33)
+    work.fill(np.nan)
+    poisson_isolated(np.ones(G32.shape), G32)
+    # the solve transforms in the cached workspace, not a fresh one
+    assert np.all(np.isfinite(work))
+    assert _isolated_kernel(G32)[0] is Khat
+    assert _isolated_kernel(G32)[1] is work
+
+
+def _poisson_isolated_dense(rho, grid, G=1.0):
+    """Oracle: the full zero-padded doubled-grid convolution, transforming
+    all (2n)^3 points."""
+    M = 2 * grid.n
+    pad = np.zeros((M, M, M))
+    pad[: grid.n, : grid.n, : grid.n] = rho
+    Khat = gravity._isolated_kernel(grid)[0]
+    conv = scipy.fft.irfftn(scipy.fft.rfftn(pad) * Khat, s=(M, M, M))
+    return -G * grid.dv * conv[: grid.n, : grid.n, : grid.n]
+
+
+def _isolated_sources(grid, seed):
+    r2 = np.sum(grid.mesh() ** 2, axis=0)
+    gauss = np.exp(-r2 / 2.0)
+    noise = np.random.default_rng(seed).standard_normal(grid.shape)
+    return gauss, noise
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize(
+    "n, length", [(16, 8.0), (16, 12.0), (32, 16.0), (32, 11.0)]
+)
+def test_isolated_pruned_matches_dense_oracle(n, length):
+    grid = GridSpec(n=n, length=length)
+    for rho in _isolated_sources(grid, seed=n):
+        U = poisson_isolated(rho, grid, G=1.3)
+        assert U.shape == grid.shape and U.dtype == np.float64
+        assert _rel_err(U, _poisson_isolated_dense(rho, grid, G=1.3)) <= 1e-13
+
+
+def test_isolated_result_never_aliases_the_workspace():
+    G16 = GridSpec(n=16, length=8.0)
+    gauss, noise = _isolated_sources(G32, seed=31)
+    U1 = poisson_isolated(gauss, G32)
+    kept = U1.copy()
+    U2 = poisson_isolated(noise, G32)
+    assert np.array_equal(U1, kept)  # the second call left the first alone
+    for U in (U1, U2):
+        assert U.flags.c_contiguous
+        for cached in gravity._isolated_kernel(G32):
+            assert not np.shares_memory(U, cached)
+    # calls on two grids interleave without sharing a workspace
+    for _ in range(2):
+        for grid, seed in ((G16, 16), (G32, 32), (G16, 17)):
+            for rho in _isolated_sources(grid, seed):
+                U = poisson_isolated(rho, grid)
+                assert _rel_err(U, _poisson_isolated_dense(rho, grid)) <= 1e-13
+
+
+def test_isolated_allocates_no_doubled_grid_array():
+    import tracemalloc
+
+    rho = _isolated_sources(G32, seed=33)[0]
+    poisson_isolated(rho, G32)  # kernel, workspace and FFT plans are built
+    tracemalloc.start()
+    try:
+        poisson_isolated(rho, G32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a full-pad solve peaks at 6.1 MiB here, the pruned one at 1.0
+    assert peak < (2 * G32.n) ** 3 * 8
 
 
 def test_mass_density():

@@ -293,6 +293,22 @@ def test_represent_warns_on_incommensurate_boost():
         represent(SnGroupElement.boost([0.37, 0.0, 0.0]), f)
 
 
+@pytest.mark.parametrize(
+    "entry", [represent, lambda u, f: represent_pair(u, f, None)],
+    ids=["represent", "represent_pair"],
+)
+def test_incommensurate_boost_warning_names_the_caller(entry):
+    f = gaussian_packet(G16, sigma=1.2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        entry(SnGroupElement.boost([0.37, 0.0, 0.0]), f)
+    assert [str(w.message) for w in caught] == [
+        "boost phase wavevector m g b / hbar is not a lattice mode; "
+        "the represented field is discontinuous across the periodic seam"
+    ]
+    assert caught[0].filename == __file__
+
+
 def test_represent_quarter_turn():
     f = gaussian_packet(G32, sigma=1.0, center=(1.0, -0.5, 0.0),
                         k0=(2 * np.pi / 16, 0, 0))
