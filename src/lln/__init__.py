@@ -74,7 +74,6 @@ from .evolve import (
     energy_expectation,
     gauge_transform,
     ground_state,
-    hamiltonian_mismatch,
     run,
     spin_commutator_residual,
 )

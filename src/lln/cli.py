@@ -177,10 +177,10 @@ def _build_initial(cfg, grid, phys) -> fields.BispinorField:
     raise ConfigError(f"initial: unknown kind {kind!r}")
 
 
-def _build_runconfig(cfg, monitor_every=0, monitor=None) -> evolve_mod.RunConfig:
+def _build_runconfig(cfg, G, monitor_every=0) -> evolve_mod.RunConfig:
     _check_keys(
         cfg,
-        {"kind", "dt", "steps", "source", "poisson", "hamiltonian", "dealias"},
+        {"kind", "dt", "steps", "source", "poisson"},
         {"dt", "steps"},
         "evolver",
     )
@@ -190,11 +190,9 @@ def _build_runconfig(cfg, monitor_every=0, monitor=None) -> evolve_mod.RunConfig
             steps=int(cfg["steps"]),
             evolver=cfg.get("kind", "split"),
             source=cfg.get("source", "free"),
+            G=G,
             poisson=cfg.get("poisson", "periodic"),
-            hamiltonian=cfg.get("hamiltonian", "canonical"),
-            dealias=bool(cfg.get("dealias", False)),
             monitor_every=monitor_every,
-            monitor=monitor,
         )
     except ValueError as exc:
         raise ConfigError(f"evolver: {exc}")
@@ -318,11 +316,10 @@ def cmd_evolve(args) -> int:
     checks = cfg.get("checks") or {}
     _check_keys(checks, {"norm_tol", "charge_tols"}, set(), "checks")
 
-    source = (cfg["evolver"].get("source", "free")) if isinstance(cfg["evolver"], dict) else "free"
     every = int(outputs.get("charges_every", 0))
-    monitor = charges_mod.charge_monitor(mode=source) if every else None
-    rcfg = _build_runconfig(cfg["evolver"], monitor_every=every, monitor=monitor)
-    rcfg.G = phys["G"]
+    rcfg = _build_runconfig(cfg["evolver"], phys["G"], monitor_every=every)
+    if every:
+        rcfg.monitor = charges_mod.charge_monitor(mode=rcfg.source)
 
     try:
         result = evolve_mod.run(f0, rcfg, pot)
@@ -491,8 +488,7 @@ def cmd_symmetry_check(args) -> int:
             u = sngroup.load_element(cfg["element_path"])
     except ValueError as exc:
         raise ConfigError(f"element: {exc}")
-    rcfg = _build_runconfig(cfg["evolver"])
-    rcfg.G = phys["G"]
+    rcfg = _build_runconfig(cfg["evolver"], phys["G"])
     checks = cfg.get("checks") or {}
     _check_keys(checks, {"tol"}, set(), "checks")
     outputs = cfg.get("outputs") or {}

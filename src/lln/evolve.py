@@ -5,10 +5,9 @@ ordinary Schrodinger problem i hbar dphi/dt = H phi with
 
     H = (1/2m)(P - m varpi)^2 + m U - (hbar/4) sigma(curl varpi),
 
-P = -i hbar grad. The same operator in developed form (Laplacian plus
-symmetrized Coriolis advection plus |varpi|^2/2) is implemented separately
-as a cross-check; the two agree to roundoff. Split-step integration covers
-the varpi = 0 case (exactly unitary); a spectral RK4 path handles the rest.
+P = -i hbar grad, applied in this canonical form only. Split-step
+integration covers the varpi = 0 case (exactly unitary); a spectral RK4 path
+handles the rest.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .fields import (
     ifftn,
     laplacian,
     sigma_dot,
+    sigma_grad,
 )
 from .geometry import GridPotential, flat_potential
 from .gravity import mass_density, poisson_isolated, poisson_periodic
@@ -36,7 +36,6 @@ from .gravity import mass_density, poisson_isolated, poisson_periodic
 __all__ = [
     "chi_from_phi",
     "apply_hamiltonian",
-    "hamiltonian_mismatch",
     "energy_expectation",
     "StabilityError",
     "max_frequency",
@@ -56,8 +55,7 @@ __all__ = [
 def chi_from_phi(phi, p: Optional[GridPotential], grid: GridSpec, m: float, hbar: float):
     """Algebraic lower pair: chi = -(hbar/2m) sigma(grad) phi + (i/2) sigma(varpi) phi."""
     phi = np.asarray(phi, dtype=complex)
-    g = gradient(phi, grid)  # (3, 2, grid)
-    chi = -(hbar / (2.0 * m)) * np.einsum("jab,jb...->a...", PAULI, g)
+    chi = -(hbar / (2.0 * m)) * sigma_grad(phi, grid)
     if p is not None and np.any(p.varpi):
         chi = chi + 0.5j * sigma_dot(p.varpi, phi)
     return chi
@@ -69,65 +67,31 @@ def apply_hamiltonian(
     grid: GridSpec,
     m: float,
     hbar: float,
-    form: str = "canonical",
-    dealias: bool = False,
 ):
-    """H phi for the developed or canonical operator form.
+    """H phi = (1/2m)(P - m varpi)^2 phi + m U phi - (hbar/4) sigma(curl varpi) phi.
 
-    canonical: (1/2m)(P - m varpi)^2 + m U - (hbar/4) sigma(curl varpi)
-    developed: -(hbar^2/2m) Delta + (i hbar/2){sigma(grad), sigma(varpi)}
-               + m (U + |varpi|^2/2) + (hbar/4) sigma(curl varpi)
-
-    Both are Hermitian on the grid (spectral derivatives are exactly
-    antisymmetric) and agree pointwise to roundoff.
+    Hermitian on the grid: spectral derivatives are exactly antisymmetric.
     """
     phi = np.asarray(phi, dtype=complex)
     if p is None:
         p = flat_potential(grid)
     w = p.varpi
-    has_w = bool(np.any(w))
-    if form == "canonical":
-        out = -(hbar**2 / (2.0 * m)) * laplacian(phi, grid)
-        if has_w:
-            gphi = gradient(phi, grid)
-            wgrad = np.einsum("j...,ja...->a...", w, gphi)
-            divw = p.div_varpi
-            # (i hbar/2)(div varpi) + i hbar varpi.grad comes from expanding
-            # the square; |varpi|^2 completes it.
-            out = out + 1j * hbar * wgrad + 0.5j * hbar * divw * phi
-            out = out + 0.5 * m * np.sum(w**2, axis=0) * phi
-            out = out - 0.25 * hbar * sigma_dot(p.curl_varpi, phi)
-        out = out + m * p.U * phi
-    elif form == "developed":
-        out = -(hbar**2 / (2.0 * m)) * laplacian(phi, grid)
-        if has_w:
-            gphi = gradient(phi, grid)
-            sg_sw = np.einsum(
-                "jab,jb...->a...", PAULI, gradient(sigma_dot(w, phi), grid)
-            )
-            sw_sg = sigma_dot(w, np.einsum("jab,jb...->a...", PAULI, gphi))
-            out = out + 0.5j * hbar * (sg_sw + sw_sg)
-            out = out + 0.5 * m * np.sum(w**2, axis=0) * phi
-            out = out + 0.25 * hbar * sigma_dot(p.curl_varpi, phi)
-        out = out + m * p.U * phi
-    else:
-        raise ValueError(f"unknown hamiltonian form {form!r}")
-    if dealias:
-        F = fftn(out)
-        F *= grid.dealias_mask
-        out = ifftn(F)
+    out = -(hbar**2 / (2.0 * m)) * laplacian(phi, grid)
+    if np.any(w):
+        gphi = gradient(phi, grid)
+        wgrad = np.einsum("j...,ja...->a...", w, gphi)
+        divw = p.div_varpi
+        # (i hbar/2)(div varpi) + i hbar varpi.grad comes from expanding
+        # the square; |varpi|^2 completes it.
+        out = out + 1j * hbar * wgrad + 0.5j * hbar * divw * phi
+        out = out + 0.5 * m * np.sum(w**2, axis=0) * phi
+        out = out - 0.25 * hbar * sigma_dot(p.curl_varpi, phi)
+    out = out + m * p.U * phi
     return out
 
 
-def hamiltonian_mismatch(phi, p, grid, m, hbar) -> float:
-    """max |H_canonical phi - H_developed phi| over nodes and components."""
-    a = apply_hamiltonian(phi, p, grid, m, hbar, form="canonical")
-    b = apply_hamiltonian(phi, p, grid, m, hbar, form="developed")
-    return float(np.max(np.abs(a - b)))
-
-
-def energy_expectation(phi, p, grid, m, hbar, form="canonical") -> float:
-    h = apply_hamiltonian(phi, p, grid, m, hbar, form=form)
+def energy_expectation(phi, p, grid, m, hbar) -> float:
+    h = apply_hamiltonian(phi, p, grid, m, hbar)
     return float(np.real(np.sum(np.conj(phi) * h)) * grid.dv)
 
 
@@ -162,8 +126,6 @@ class RunConfig:
     source: str = "free"  # "free" | "external" | "self"
     G: float = 1.0
     poisson: str = "periodic"  # self-consistent solve: "periodic" | "isolated"
-    hamiltonian: str = "canonical"
-    dealias: bool = False
     monitor_every: int = 0
     monitor: Optional[Callable] = None
 
@@ -207,7 +169,7 @@ def self_potential(
 
 def _potential_for(phi, cfg: RunConfig, grid, m, p: Optional[GridPotential]):
     if cfg.source == "free":
-        return p if p is not None else None
+        return p
     if cfg.source == "external":
         if p is None:
             raise ValueError("external source mode needs a potential")
@@ -283,9 +245,7 @@ def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> 
 
         def rhs(phi):
             pk = _potential_for(phi, cfg, grid, m, p)
-            return (-1j / hbar) * apply_hamiltonian(
-                phi, pk, grid, m, hbar, form=cfg.hamiltonian, dealias=cfg.dealias
-            )
+            return (-1j / hbar) * apply_hamiltonian(phi, pk, grid, m, hbar)
 
         if cfg.monitor_every:
             note(f, pot0)

@@ -23,12 +23,12 @@ __all__ = [
     "BispinorField",
     "Observables",
     "sigma_dot",
+    "sigma_grad",
     "gradient",
     "laplacian",
     "divergence",
     "curl",
     "integrate",
-    "inner",
     "norm2",
     "gaussian_packet",
     "band_limited_noise",
@@ -133,18 +133,6 @@ class GridSpec:
         mult.flat[0] = 0.0
         return mult
 
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        # 2/3 rule on each axis
-        k = self.k1()
-        kcut = (2.0 / 3.0) * np.abs(k).max()
-        keep = np.abs(k) <= kcut + 1e-12
-        return (
-            keep.reshape(-1, 1, 1)
-            & keep.reshape(1, -1, 1)
-            & keep.reshape(1, 1, -1)
-        )
-
 
 def sigma_dot(v, phi):
     """Pointwise sigma(v) phi for a Pauli pair phi[..., grid].
@@ -153,6 +141,11 @@ def sigma_dot(v, phi):
     """
     v = np.asarray(v)
     return np.einsum("j...,jab,b...->a...", v, PAULI, phi)
+
+
+def sigma_grad(phi, grid: GridSpec):
+    """sigma(grad) phi = sum_j sigma_j d_j phi for a Pauli pair phi[2, grid]."""
+    return np.einsum("jab,jb...->a...", PAULI, gradient(phi, grid))
 
 
 def _spectral(f, grid, mult):
@@ -211,11 +204,6 @@ def curl(v, grid: GridSpec):
 def integrate(f, grid: GridSpec):
     """Torus quadrature over the trailing grid axes."""
     return np.sum(f, axis=(-3, -2, -1)) * grid.dv
-
-
-def inner(a, b, grid: GridSpec):
-    """Full L2 pairing <a, b>, summed over all component axes."""
-    return np.sum(np.conj(a) * b) * grid.dv
 
 
 def norm2(a, grid: GridSpec) -> float:

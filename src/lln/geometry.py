@@ -29,6 +29,7 @@ from .fields import (
     laplacian,
     sample_points,
     sigma_dot,
+    sigma_grad,
 )
 
 __all__ = [
@@ -210,9 +211,6 @@ class GridPotential:
     def omega2(self):
         """|Omega|^2 = (1/2) Omega_ij Omega_ij = |curl varpi|^2."""
         return self._get("omega2", lambda: np.sum(self.curl_varpi**2, axis=0))
-
-    def is_flat(self) -> bool:
-        return not (np.any(self.U) or np.any(self.varpi))
 
     def sample(self, x, t=0.0, derivatives: bool = False) -> PotentialSample:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -796,11 +794,6 @@ def lie_derivative_spinor_density(
     return transport + kos + weight * divX * psi
 
 
-def _sigma_grad(phi, grid):
-    g = gradient(phi, grid)  # (3, 2, grid)
-    return np.einsum("jab,jb...->a...", PAULI, g)
-
-
 def dirac_residual(
     phi: np.ndarray,
     chi: np.ndarray,
@@ -822,11 +815,11 @@ def dirac_residual(
     grid = p.grid
     phi = np.asarray(phi, dtype=complex)
     chi = np.asarray(chi, dtype=complex)
-    line1 = hbar * _sigma_grad(phi, grid) + 2.0 * m * chi
+    line1 = hbar * sigma_grad(phi, grid) + 2.0 * m * chi
     line2 = (
         1j * hbar * np.asarray(dt_phi, dtype=complex)
         - m * p.U * phi
-        - hbar * _sigma_grad(chi, grid)
+        - hbar * sigma_grad(chi, grid)
     )
     if np.any(p.varpi):
         line1 = line1 - 1j * m * sigma_dot(p.varpi, phi)

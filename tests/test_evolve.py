@@ -2,6 +2,8 @@
 continuity, gauge maps, spin precession, and the self-gravitating
 ground state against a radial shooting oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,10 @@ from lln.fields import (
     gradient,
     ifftn,
     integrate,
+    laplacian,
     observables,
+    sigma_dot,
+    sigma_grad,
 )
 from lln.geometry import GridPotential, dirac_residual, flat_potential
 from lln.gravity import mass_density, poisson_isolated, uniform_rotation_potential
@@ -28,12 +33,12 @@ from lln.evolve import (
     energy_expectation,
     gauge_transform,
     ground_state,
-    hamiltonian_mismatch,
     max_frequency,
     run,
     self_potential,
     spin_commutator_residual,
 )
+from lln.cli import main
 from lln.sngroup import SnGroupElement, compose, represent_pair, transform_potentials
 
 RNG = np.random.default_rng(20260819)
@@ -59,12 +64,38 @@ def bandlimited_spinor(grid, seed, modes=2):
 ############################################################
 
 
+def _developed_hamiltonian(phi, p, grid, m, hbar):
+    """Oracle for apply_hamiltonian: the same operator expanded as
+
+    -(hbar^2/2m) Delta + (i hbar/2){sigma(grad), sigma(varpi)}
+    + m (U + |varpi|^2/2) + (hbar/4) sigma(curl varpi).
+    """
+    phi = np.asarray(phi, dtype=complex)
+    if p is None:
+        p = flat_potential(grid)
+    w = p.varpi
+    out = -(hbar**2 / (2.0 * m)) * laplacian(phi, grid)
+    if np.any(w):
+        sg_sw = sigma_grad(sigma_dot(w, phi), grid)
+        sw_sg = sigma_dot(w, sigma_grad(phi, grid))
+        out = out + 0.5j * hbar * (sg_sw + sw_sg)
+        out = out + 0.5 * m * np.sum(w**2, axis=0) * phi
+        out = out + 0.25 * hbar * sigma_dot(p.curl_varpi, phi)
+    return out + m * p.U * phi
+
+
+def _oracle_mismatch(phi, p, grid, m, hbar):
+    a = apply_hamiltonian(phi, p, grid, m, hbar)
+    b = _developed_hamiltonian(phi, p, grid, m, hbar)
+    return float(np.max(np.abs(a - b)))
+
+
 def test_hamiltonian_forms_agree_bandlimited():
     # products of 2-mode factors live at most at mode 4 < Nyquist(16)=8,
     # so the canonical and developed expansions must agree to roundoff
     phi = bandlimited_spinor(G16, 7)
     p = bandlimited_potential(G16, 11)
-    assert hamiltonian_mismatch(phi, p, G16, m=1.3, hbar=0.9) < 1e-13
+    assert _oracle_mismatch(phi, p, G16, m=1.3, hbar=0.9) < 1e-13
 
 
 def test_hamiltonian_forms_agree_gaussian():
@@ -72,7 +103,7 @@ def test_hamiltonian_forms_agree_gaussian():
     p = bandlimited_potential(G32, 5, wamp=0.3)
     # Gaussian tails alias a little; the two expansions move the aliased
     # energy around differently
-    assert hamiltonian_mismatch(f.data, p, G32, m=1.0, hbar=1.0) < 1e-8
+    assert _oracle_mismatch(f.data, p, G32, m=1.0, hbar=1.0) < 1e-8
 
 
 def test_hamiltonian_hermitian():
@@ -82,27 +113,29 @@ def test_hamiltonian_hermitian():
     for s in range(4):
         a = bandlimited_spinor(G16, 100 + s)
         b = bandlimited_spinor(G16, 200 + s)
-        for form in ("canonical", "developed"):
-            ha = apply_hamiltonian(a, p, G16, m, hbar, form=form)
-            hb = apply_hamiltonian(b, p, G16, m, hbar, form=form)
+        for H in (apply_hamiltonian, _developed_hamiltonian):
+            ha = H(a, p, G16, m, hbar)
+            hb = H(b, p, G16, m, hbar)
             lhs = np.sum(np.conj(a) * hb) * G16.dv
             rhs = np.sum(np.conj(ha) * b) * G16.dv
             worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-12
 
 
-def test_hamiltonian_form_and_dealias_guards():
-    phi = bandlimited_spinor(G16, 3)
-    with pytest.raises(ValueError):
-        apply_hamiltonian(phi, None, G16, 1.0, 1.0, form="weyl")
-    # mode-1 factors: even the |varpi|^2 phi triple product sits at mode 3,
-    # inside the 2/3 cut, so the mask must change nothing
-    p = GridPotential(G16, U=0.3 * band_limited_noise(G16, 1, 31),
-                      varpi=0.25 * band_limited_noise(G16, 1, 32, comps=(3,)))
-    low = band_limited_noise(G16, 1, 33, comps=(2,), real=False)
-    a = apply_hamiltonian(low, p, G16, 1.0, 1.0, dealias=False)
-    b = apply_hamiltonian(low, p, G16, 1.0, 1.0, dealias=True)
-    assert np.max(np.abs(a - b)) < 1e-13
+def test_hamiltonian_form_and_dealias_guards(tmp_path, capsys):
+    # the evolver block selects no operator form and no dealiasing: a
+    # config naming either key fails closed
+    for key, val in (("hamiltonian", "developed"), ("dealias", True)):
+        cfg = {
+            "grid": {"n": 16, "length": 16.0},
+            "initial": {"kind": "gaussian"},
+            "evolver": {"kind": "rk4", "dt": 1e-3, "steps": 2, key: val},
+        }
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["evolve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown keys" in err and key in err
 
 
 def test_energy_expectation_plane_wave():
