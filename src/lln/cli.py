@@ -1,17 +1,21 @@
 """Command line front end.
 
 Subcommands: verify-geometry, evolve, ground-state, charges, symmetry-check.
-Run configs are single JSON documents validated fail-closed (unknown keys are
-errors). Exit codes: 0 all checks pass, 1 a check or computation failed
-(including non-finite snapshot data), 2 usage or configuration errors.
+Run configs are single JSON documents validated fail-closed: unknown keys,
+wrongly typed values (booleans or fractions as counts, NaN, non-string paths)
+and settings that could not take effect are errors. Each subcommand reads and
+checks every setting, LLN_THREADS included, before it computes anything.
+Exit codes: 0 all checks pass, 1 a check or computation failed (including
+non-finite snapshot data), 2 usage or configuration errors.
 
-Environment: LLN_THREADS caps FFT worker threads, LLN_OUTDIR prefixes
-relative output paths.
+Environment: LLN_THREADS (a positive integer) caps FFT worker threads,
+LLN_OUTDIR prefixes relative output paths.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -27,6 +31,19 @@ __all__ = ["main"]
 
 class ConfigError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _config_phase(source):
+    """Every setting is read in this block, before any compute: a malformed
+    value leaves as ConfigError (exit 2) naming `source`. Non-finite snapshot
+    data is not a config error and stays exit 1."""
+    try:
+        yield
+    except fields.SnapshotDataError:
+        raise
+    except (TypeError, ValueError, KeyError, IndexError, OSError) as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def _out_path(path):
@@ -48,123 +65,111 @@ def _check_keys(d: dict, allowed, required, where: str):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _load_config(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})")
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top level must be an object")
+def _section(cfg, name, allowed, required=()) -> dict:
+    """cfg[name] checked against its keys; {} when the section is absent."""
+    sec = cfg.get(name, {})
+    _check_keys(sec, allowed, required, name)
+    return sec
+
+
+def _expect(ok, value, where, what):
+    if not ok:
+        raise ConfigError(f"{where}: expected {what}, got {value!r}")
+    return value
+
+
+def _num(value, where, integral=False):
+    """A JSON number as float, or as int where integral; booleans, NaN and
+    fractional counts are rejected rather than coerced."""
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
+            and value == value and (not integral or float(value).is_integer()),
+            value, where, "an integer" if integral else "a number")
+    return int(value) if integral else float(value)
+
+
+def _flag(value, where) -> bool:
+    return _expect(isinstance(value, bool), value, where, "true or false")
+
+
+def _path(value, where) -> str:
+    # an integer would make open() take over a file descriptor
+    return _expect(isinstance(value, str) and value, value, where, "a non-empty path")
+
+
+def _out_paths(outputs) -> dict:
+    return {k: _out_path(_path(v, f"outputs.{k}")) for k, v in outputs.items()}
+
+
+def _load_config(path, *sections) -> dict:
+    """A run config: the shared sections plus `sections`, the first required."""
+    with open(path, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    _check_keys(cfg, {"grid", "physics", "potentials", "initial", "outputs", "checks",
+                      *sections}, {"grid", "initial", sections[0]}, "config")
     return cfg
 
 
-def _build_grid(cfg) -> fields.GridSpec:
-    _check_keys(cfg, {"n", "length"}, {"n", "length"}, "grid")
-    try:
-        return fields.GridSpec(n=int(cfg["n"]), length=float(cfg["length"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid: {exc}")
-
-
-def _build_physics(cfg) -> dict:
-    cfg = cfg or {}
-    _check_keys(cfg, {"m", "hbar", "G"}, set(), "physics")
-    out = {"m": float(cfg.get("m", 1.0)), "hbar": float(cfg.get("hbar", 1.0)),
-           "G": float(cfg.get("G", 1.0))}
-    if out["m"] <= 0 or out["hbar"] <= 0:
-        raise ConfigError("physics: m and hbar must be positive")
-    return out
+def _snapshot_potential(path, grid) -> geometry.GridPotential:
+    snap = fields.load_snapshot(path)
+    U, varpi = snap.to_potentials()
+    if snap.grid != grid:
+        raise ConfigError("potentials snapshot grid does not match run grid")
+    return geometry.GridPotential(grid, U=U, varpi=varpi)
 
 
 def _build_potentials(cfg, grid):
     """Returns (GridPotential or None). Fail-closed on unknown presets."""
-    if cfg is None:
-        return None
-    _check_keys(
-        cfg,
-        {"preset", "Omega0", "a", "sign", "r_cut", "theta", "snapshot", "U_point_mass"},
-        set(),
-        "potentials",
-    )
     if "snapshot" in cfg:
-        snap = fields.load_snapshot(cfg["snapshot"])
-        if snap.grid != grid:
-            raise ConfigError("potentials snapshot grid does not match run grid")
-        U, varpi = snap.to_potentials()
-        return geometry.GridPotential(grid, U=U, varpi=varpi)
+        return _snapshot_potential(_path(cfg["snapshot"], "potentials.snapshot"), grid)
     preset = cfg.get("preset", "none")
-    if preset == "none":
-        U = None
-        varpi = None
-    elif preset == "uniform":
+    U, varpi, kw = None, None, {}
+    if preset == "uniform":
         pot = gravity.uniform_rotation_potential(grid, cfg.get("Omega0", 1.0))
-        if "U_point_mass" not in cfg:
-            return pot
-        U = None
-        varpi = pot.varpi
-        dvarpi = pot.dvarpi
+        varpi, kw = pot.varpi, {"dvarpi": pot.dvarpi}
     elif preset == "taubnut":
-        kw = {}
-        if "a" in cfg:
-            kw["a"] = float(cfg["a"])
-        if "sign" in cfg:
-            kw["sign"] = int(cfg["sign"])
-        if "r_cut" in cfg:
-            kw["r_cut"] = float(cfg["r_cut"])
-        varpi, _ = gravity.coriolis_preset("taubnut", grid, **kw)
-        U = None
+        varpi, _ = gravity.coriolis_preset("taubnut", grid, **{
+            k: _num(cfg[k], f"potentials.{k}", integral=k == "sign")
+            for k in ("a", "sign", "r_cut") if k in cfg})
     elif preset == "gradient":
         th = cfg.get("theta")
         _check_keys(th or {}, {"amplitude", "sigma"}, {"amplitude", "sigma"},
                     "potentials.theta")
         X = grid.mesh()
         r2 = np.sum(X**2, axis=0)
-        theta = float(th["amplitude"]) * np.exp(-r2 / (2.0 * float(th["sigma"]) ** 2))
+        amp = _num(th["amplitude"], "potentials.theta.amplitude")
+        theta = amp * np.exp(-r2 / (2.0 * _num(th["sigma"], "potentials.theta.sigma") ** 2))
         varpi, _ = gravity.coriolis_preset("gradient", grid, theta=theta)
-        U = None
-    else:
+    elif preset != "none":
         raise ConfigError(f"potentials: unknown preset {preset!r}")
     if "U_point_mass" in cfg:
         pm = cfg["U_point_mass"]
         _check_keys(pm, {"GM", "soften"}, {"GM"}, "potentials.U_point_mass")
         X = grid.mesh()
-        r = np.sqrt(np.sum(X**2, axis=0) + float(pm.get("soften", grid.dx)) ** 2)
-        U = -float(pm["GM"]) / r
+        soften = _num(pm.get("soften", grid.dx), "potentials.U_point_mass.soften")
+        r = np.sqrt(np.sum(X**2, axis=0) + soften**2)
+        U = -_num(pm["GM"], "potentials.U_point_mass.GM") / r
     if U is None and varpi is None:
         return None
-    kw = {"dvarpi": dvarpi} if preset == "uniform" else {}
     return geometry.GridPotential(grid, U=U, varpi=varpi, **kw)
 
 
 def _build_initial(cfg, grid, phys) -> fields.BispinorField:
-    _check_keys(
-        cfg,
-        {"kind", "sigma", "center", "k0", "spin", "path", "normalize"},
-        {"kind"},
-        "initial",
-    )
     kind = cfg["kind"]
     if kind == "gaussian":
         spin = cfg.get("spin", [1.0, 0.0])
         spin_c = [complex(s[0], s[1]) if isinstance(s, list) else complex(s) for s in spin]
         return fields.gaussian_packet(
             grid,
-            sigma=float(cfg.get("sigma", 1.0)),
+            sigma=_num(cfg.get("sigma", 1.0), "initial.sigma"),
             center=cfg.get("center", (0.0, 0.0, 0.0)),
             k0=cfg.get("k0", (0.0, 0.0, 0.0)),
             spin=spin_c,
             m=phys["m"],
             hbar=phys["hbar"],
-            normalize=bool(cfg.get("normalize", True)),
+            normalize=_flag(cfg.get("normalize", True), "initial.normalize"),
         )
     if kind == "snapshot":
-        if "path" not in cfg:
-            raise ConfigError("initial: snapshot kind needs a path")
-        snap = fields.load_snapshot(cfg["path"])
-        f = snap.to_field()
+        f = fields.load_snapshot(_path(cfg.get("path"), "initial.path")).to_field()
         if f.grid != grid:
             raise ConfigError("initial snapshot grid does not match run grid")
         for key, val in (("m", phys["m"]), ("hbar", phys["hbar"])):
@@ -177,29 +182,39 @@ def _build_initial(cfg, grid, phys) -> fields.BispinorField:
     raise ConfigError(f"initial: unknown kind {kind!r}")
 
 
+def _setup(cfg):
+    """Physics constants, potential and initial field of a run config."""
+    grid_cfg = _section(cfg, "grid", {"n", "length"}, {"n", "length"})
+    grid = fields.GridSpec(n=_num(grid_cfg["n"], "grid.n", integral=True),
+                           length=_num(grid_cfg["length"], "grid.length"))
+    phys_cfg = _section(cfg, "physics", {"m", "hbar", "G"})
+    phys = {k: _num(phys_cfg.get(k, 1.0), f"physics.{k}") for k in ("m", "hbar", "G")}
+    if phys["m"] <= 0 or phys["hbar"] <= 0:
+        raise ConfigError("physics: m and hbar must be positive")
+    pot = _build_potentials(_section(cfg, "potentials", {
+        "preset", "Omega0", "a", "sign", "r_cut", "theta", "snapshot", "U_point_mass"}), grid)
+    initial = _section(cfg, "initial",
+                       {"kind", "sigma", "center", "k0", "spin", "path", "normalize"},
+                       {"kind"})
+    return phys, pot, _build_initial(initial, grid, phys)
+
+
 def _build_runconfig(cfg, G, monitor_every=0) -> evolve_mod.RunConfig:
-    _check_keys(
-        cfg,
-        {"kind", "dt", "steps", "source", "poisson"},
-        {"dt", "steps"},
-        "evolver",
+    evolver = _section(cfg, "evolver", {"kind", "dt", "steps", "source", "poisson"},
+                       {"dt", "steps"})
+    return evolve_mod.RunConfig(
+        dt=_num(evolver["dt"], "evolver.dt"),
+        steps=_num(evolver["steps"], "evolver.steps", integral=True),
+        evolver=evolver.get("kind", "split"),
+        source=evolver.get("source", "free"),
+        G=G,
+        poisson=evolver.get("poisson", "periodic"),
+        monitor_every=monitor_every,
     )
-    try:
-        return evolve_mod.RunConfig(
-            dt=float(cfg["dt"]),
-            steps=int(cfg["steps"]),
-            evolver=cfg.get("kind", "split"),
-            source=cfg.get("source", "free"),
-            G=G,
-            poisson=cfg.get("poisson", "periodic"),
-            monitor_every=monitor_every,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"evolver: {exc}")
 
 
 def _write_report(path, payload):
-    with open(_out_path(path), "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -283,7 +298,7 @@ def cmd_verify_geometry(args) -> int:
     failures = {k: v for k, v in report.items() if v > tols[k]}
     report["pass"] = not failures
     if args.json:
-        _write_report(args.json, report)
+        _write_report(_out_path(args.json), report)
     for key in sorted(report):
         if key != "pass":
             print(f"{key:28s} {report[key]:.3e}  (tol {tols[key]:.1e})")
@@ -295,29 +310,22 @@ def cmd_verify_geometry(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(
-        cfg,
-        {"grid", "physics", "potentials", "initial", "evolver", "outputs", "checks"},
-        {"grid", "initial", "evolver"},
-        "config",
-    )
-    grid = _build_grid(cfg["grid"])
-    phys = _build_physics(cfg.get("physics"))
-    pot = _build_potentials(cfg.get("potentials"), grid)
-    f0 = _build_initial(cfg["initial"], grid, phys)
-    outputs = cfg.get("outputs") or {}
-    _check_keys(
-        outputs,
-        {"charges_csv", "charges_every", "snapshot", "report"},
-        set(),
-        "outputs",
-    )
-    checks = cfg.get("checks") or {}
-    _check_keys(checks, {"norm_tol", "charge_tols"}, set(), "checks")
-
-    every = int(outputs.get("charges_every", 0))
-    rcfg = _build_runconfig(cfg["evolver"], phys["G"], monitor_every=every)
+    with _config_phase(args.config):
+        cfg = _load_config(args.config, "evolver")
+        phys, pot, f0 = _setup(cfg)
+        outputs = _section(cfg, "outputs",
+                           {"charges_csv", "charges_every", "snapshot", "report"})
+        every = _num(outputs.pop("charges_every", 0), "outputs.charges_every", integral=True)
+        _expect(every >= 0, every, "outputs.charges_every", "a step count >= 0")
+        paths = _out_paths(outputs)
+        checks = _section(cfg, "checks", {"norm_tol", "charge_tols"})
+        tols = checks.get("charge_tols", {})
+        _expect(isinstance(tols, dict), tols, "checks.charge_tols", "an object")
+        tols = {k: _num(v, f"checks.charge_tols.{k}") for k, v in tols.items()}
+        if tols and not every:
+            raise ConfigError("checks.charge_tols: needs outputs.charges_every > 0")
+        norm_tol = _num(checks["norm_tol"], "checks.norm_tol") if "norm_tol" in checks else None
+        rcfg = _build_runconfig(cfg, phys["G"], monitor_every=every)
     if every:
         rcfg.monitor = charges_mod.charge_monitor(mode=rcfg.source)
 
@@ -333,71 +341,65 @@ def cmd_evolve(args) -> int:
     if result.records:
         drifts = charges_mod.drift_stats(result.records)
         report["charge_drift"] = drifts
-        for name, tol in (checks.get("charge_tols") or {}).items():
+        # which charges exist depends on the run's mode, so names are
+        # checked here rather than in the config phase
+        for name, tol in tols.items():
             if name not in drifts:
                 print(f"check on unknown charge {name!r}", file=sys.stderr)
                 return 2
-            if drifts[name] > float(tol):
+            if drifts[name] > tol:
                 print(
                     f"charge drift {name} = {drifts[name]:.3e} exceeds {tol}",
                     file=sys.stderr,
                 )
                 rc = 1
-        if "charges_csv" in outputs:
-            charges_mod.write_csv(result.records, _out_path(outputs["charges_csv"]))
-    if "norm_tol" in checks:
+        if "charges_csv" in paths:
+            charges_mod.write_csv(result.records, paths["charges_csv"])
+    if norm_tol is not None:
         drift = abs(result.field.norm2 - f0.norm2)
         report["norm_drift"] = drift
-        if drift > float(checks["norm_tol"]):
-            print(f"norm drift {drift:.3e} exceeds {checks['norm_tol']}", file=sys.stderr)
+        if drift > norm_tol:
+            print(f"norm drift {drift:.3e} exceeds {norm_tol}", file=sys.stderr)
             rc = 1
-    if "snapshot" in outputs:
-        fields.save_snapshot(_out_path(outputs["snapshot"]), result.field, G=phys["G"],
+    if "snapshot" in paths:
+        fields.save_snapshot(paths["snapshot"], result.field, G=phys["G"],
                              poisson=rcfg.poisson)
-    if "report" in outputs:
-        _write_report(outputs["report"], report)
+    if "report" in paths:
+        _write_report(paths["report"], report)
     print(json.dumps({k: v for k, v in report.items() if not isinstance(v, dict)}))
     return rc
 
 
 def cmd_ground_state(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(
-        cfg,
-        {"grid", "physics", "potentials", "initial", "relax", "outputs", "checks"},
-        {"grid", "initial", "relax"},
-        "config",
-    )
-    grid = _build_grid(cfg["grid"])
-    phys = _build_physics(cfg.get("physics"))
-    pot = _build_potentials(cfg.get("potentials"), grid)
-    f0 = _build_initial(cfg["initial"], grid, phys)
-    relax = cfg["relax"]
-    _check_keys(
-        relax,
-        {"dtau", "tol", "max_iter", "source", "poisson"},
-        set(),
-        "relax",
-    )
-    outputs = cfg.get("outputs") or {}
-    _check_keys(outputs, {"snapshot", "report"}, set(), "outputs")
-    checks = cfg.get("checks") or {}
-    _check_keys(checks, {"require_converged", "energy_window"}, set(), "checks")
-    poisson = relax.get("poisson", "periodic")
-    if poisson not in ("periodic", "isolated"):
-        raise ConfigError(f"relax: unknown poisson mode {poisson!r}")
-
-    try:
-        res = evolve_mod.ground_state(
-            f0,
+    with _config_phase(args.config):
+        cfg = _load_config(args.config, "relax")
+        phys, pot, f0 = _setup(cfg)
+        relax = _section(cfg, "relax", {"dtau", "tol", "max_iter", "source", "poisson"})
+        poisson = relax.get("poisson", "periodic")
+        if poisson not in ("periodic", "isolated"):
+            raise ConfigError(f"relax: unknown poisson mode {poisson!r}")
+        source = relax.get("source", "self")
+        _expect(source in ("self", "external"), source, "relax.source", "self or external")
+        solve = dict(
             G=phys["G"],
-            dtau=float(relax.get("dtau", 0.05)),
-            tol=float(relax.get("tol", 1e-10)),
-            max_iter=int(relax.get("max_iter", 20000)),
-            source=relax.get("source", "self"),
+            dtau=_num(relax.get("dtau", 0.05), "relax.dtau"),
+            tol=_num(relax.get("tol", 1e-10), "relax.tol"),
+            max_iter=_num(relax.get("max_iter", 20000), "relax.max_iter", integral=True),
+            source=source,
             p=pot,
             poisson=poisson,
         )
+        paths = _out_paths(_section(cfg, "outputs", {"snapshot", "report"}))
+        checks = _section(cfg, "checks", {"require_converged", "energy_window"})
+        require = _flag(checks.get("require_converged", True), "checks.require_converged")
+        window = checks.get("energy_window")
+        if "energy_window" in checks:
+            _expect(isinstance(window, list) and len(window) == 2, window,
+                    "checks.energy_window", "[lo, hi]")
+            window = [_num(v, "checks.energy_window") for v in window]
+
+    try:
+        res = evolve_mod.ground_state(f0, **solve)
     except ValueError as exc:
         print(f"ground-state failed: {exc}", file=sys.stderr)
         return 1
@@ -408,91 +410,60 @@ def cmd_ground_state(args) -> int:
         "converged": res.converged,
     }
     rc = 0
-    if checks.get("require_converged", True) and not res.converged:
+    if require and not res.converged:
         print("relaxation did not converge", file=sys.stderr)
         rc = 1
-    if "energy_window" in checks:
-        lo, hi = checks["energy_window"]
-        if not (float(lo) <= res.energy <= float(hi)):
+    if window is not None:
+        lo, hi = window
+        if not (lo <= res.energy <= hi):
             print(
                 f"energy {res.energy:.6g} outside window [{lo}, {hi}]",
                 file=sys.stderr,
             )
             rc = 1
-    if "snapshot" in outputs:
-        fields.save_snapshot(_out_path(outputs["snapshot"]), res.field, G=phys["G"],
-                             poisson=poisson)
-    if "report" in outputs:
-        _write_report(outputs["report"], report)
+    if "snapshot" in paths:
+        fields.save_snapshot(paths["snapshot"], res.field, G=phys["G"], poisson=poisson)
+    if "report" in paths:
+        _write_report(paths["report"], report)
     print(json.dumps(report))
     return rc
 
 
 def cmd_charges(args) -> int:
-    try:
+    with _config_phase(f"--snapshot {args.snapshot}"):
         snap = fields.load_snapshot(args.snapshot)
         f = snap.to_field()
-    except fields.SnapshotDataError as exc:
-        print(f"bad snapshot data: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"cannot read snapshot: {exc}", file=sys.stderr)
-        return 2
+        out = args.out and _out_path(args.out)
     pot = None
     if args.potentials:
-        try:
-            psnap = fields.load_snapshot(args.potentials)
-            U, varpi = psnap.to_potentials()
-            if psnap.grid != f.grid:
-                print("potential snapshot grid mismatch", file=sys.stderr)
-                return 2
-            pot = geometry.GridPotential(f.grid, U=U, varpi=varpi)
-        except fields.SnapshotDataError as exc:
-            print(f"bad snapshot data: {exc}", file=sys.stderr)
-            return 1
-        except (ValueError, OSError) as exc:
-            print(f"cannot read potentials: {exc}", file=sys.stderr)
-            return 2
+        with _config_phase(f"--potentials {args.potentials}"):
+            pot = _snapshot_potential(args.potentials, f.grid)
     if args.mode == "self" and pot is None:
         # the solver the run used, as recorded in the header; files written
         # before the header carried it were periodic
         poisson = args.poisson or snap.poisson or "periodic"
         pot = evolve_mod.self_potential(f.data, f.grid, f.m, snap.G, poisson)
     rec = charges_mod.compute_charges(f, pot, mode=args.mode)
-    if args.out:
-        charges_mod.write_csv([rec], _out_path(args.out))
+    if out:
+        charges_mod.write_csv([rec], out)
     payload = dict(zip(charges_mod.CSV_COLUMNS, [float(v) for v in rec.row()]))
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_symmetry_check(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(
-        cfg,
-        {"grid", "physics", "potentials", "initial", "evolver", "element",
-         "element_path", "outputs", "checks"},
-        {"grid", "initial", "evolver"},
-        "config",
-    )
-    if ("element" in cfg) == ("element_path" in cfg):
-        raise ConfigError("provide exactly one of element, element_path")
-    grid = _build_grid(cfg["grid"])
-    phys = _build_physics(cfg.get("physics"))
-    pot = _build_potentials(cfg.get("potentials"), grid)
-    f0 = _build_initial(cfg["initial"], grid, phys)
-    try:
+    with _config_phase(args.config):
+        cfg = _load_config(args.config, "evolver", "element", "element_path")
+        if ("element" in cfg) == ("element_path" in cfg):
+            raise ConfigError("provide exactly one of element, element_path")
+        phys, pot, f0 = _setup(cfg)
         if "element" in cfg:
             u = sngroup.element_from_dict(cfg["element"])
         else:
-            u = sngroup.load_element(cfg["element_path"])
-    except ValueError as exc:
-        raise ConfigError(f"element: {exc}")
-    rcfg = _build_runconfig(cfg["evolver"], phys["G"])
-    checks = cfg.get("checks") or {}
-    _check_keys(checks, {"tol"}, set(), "checks")
-    outputs = cfg.get("outputs") or {}
-    _check_keys(outputs, {"report"}, set(), "outputs")
+            u = sngroup.load_element(_path(cfg["element_path"], "element_path"))
+        rcfg = _build_runconfig(cfg, phys["G"])
+        tol = _num(_section(cfg, "checks", {"tol"}).get("tol", 1e-3), "checks.tol")
+        paths = _out_paths(_section(cfg, "outputs", {"report"}))
 
     try:
         res = charges_mod.covariance_test(f0, u, rcfg, pot)
@@ -504,10 +475,9 @@ def cmd_symmetry_check(args) -> int:
         "final_time": res["final_time_A"],
         "nu": u.nu,
     }
-    if "report" in outputs:
-        _write_report(outputs["report"], report)
+    if "report" in paths:
+        _write_report(paths["report"], report)
     print(json.dumps(report))
-    tol = float(checks.get("tol", 1e-3))
     if res["rel_l2"] > tol:
         print(f"covariance discrepancy {res['rel_l2']:.3e} exceeds {tol}", file=sys.stderr)
         return 1
@@ -565,6 +535,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        with _config_phase("environment"):
+            fields._workers()
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -56,10 +56,13 @@ PAULI = np.array(
 
 
 def _workers() -> int:
+    """FFT worker threads: LLN_THREADS, a positive integer, else all."""
     val = os.environ.get("LLN_THREADS", "").strip()
-    if val:
-        return max(1, int(val))
-    return -1  # scipy: use all available
+    if not val:
+        return -1  # scipy: use all available
+    if not val.isdecimal() or int(val) < 1:
+        raise ValueError(f"LLN_THREADS must be a positive integer, got {val!r}")
+    return int(val)
 
 
 def fftn(f, axes=(-3, -2, -1), overwrite_x=False):

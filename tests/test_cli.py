@@ -3,18 +3,24 @@ smoke test at the end that runs ``python -m lln`` and checks the ``lln``
 console-script declaration in pyproject.toml. Exit code contract: 0 pass,
 1 failed check or bad data, 2 usage/config errors."""
 
+import copy
 import json
 import os
+import string
 import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lln
 from lln import charges as charges_mod
+from lln import evolve as evolve_mod
 from lln import fields, gravity, sngroup
 from lln.cli import main
 
@@ -318,6 +324,296 @@ def test_outdir_redirection(tmp_path, monkeypatch, capsys):
     assert main(["evolve", "--config", path]) == 0
     assert (outdir / "report.json").exists()
     assert (outdir / "final.lls").exists()
+
+
+############################################################
+# config phase: every setting is read before compute
+############################################################
+
+
+@pytest.fixture
+def solver_calls(tmp_path, monkeypatch):
+    """Stub out the three solvers, recording each call; the working
+    directory is tmp_path and outputs go to tmp_path/out."""
+    calls = []
+
+    def run(f0, cfg, p=None):
+        calls.append("run")
+        return evolve_mod.RunResult(field=f0, times=[f0.time], records=[])
+
+    def ground_state(f0, **kw):
+        calls.append("ground_state")
+        return SimpleNamespace(field=f0, energy=-1.0, iterations=1, converged=True)
+
+    def covariance_test(f0, u, cfg, p=None):
+        calls.append("covariance_test")
+        return {"rel_l2": 0.0, "final_time_A": 0.0}
+
+    monkeypatch.setattr(evolve_mod, "run", run)
+    monkeypatch.setattr(evolve_mod, "ground_state", ground_state)
+    monkeypatch.setattr(charges_mod, "covariance_test", covariance_test)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("LLN_OUTDIR", str(tmp_path / "out"))
+    return calls
+
+
+DROP = object()
+
+BASES = {
+    "evolve": {
+        "grid": dict(G16),
+        "initial": {"kind": "gaussian", "sigma": 1.2},
+        "evolver": {"kind": "split", "dt": 1e-3, "steps": 20},
+    },
+    "ground-state": {
+        "grid": dict(G16),
+        "initial": {"kind": "gaussian", "sigma": 1.2},
+        "relax": {"dtau": 0.05, "max_iter": 20},
+    },
+    "symmetry-check": {
+        "grid": dict(G16),
+        "initial": {"kind": "gaussian", "sigma": 0.8},
+        "evolver": {"dt": 1e-3, "steps": 2},
+        "element": sngroup.element_to_dict(sngroup.SnGroupElement.dilation(1.1)),
+    },
+}
+
+
+def _with(cfg, edits):
+    """A deep copy of cfg with each dotted key set to its value (DROP deletes)."""
+    cfg = copy.deepcopy(cfg)
+    for key, value in edits.items():
+        *parents, leaf = key.split(".")
+        node = cfg
+        for name in parents:
+            node = node.setdefault(name, {})
+        if value is DROP:
+            del node[leaf]
+        else:
+            node[leaf] = value
+    return cfg
+
+
+def _run_config(command, cfg):
+    with open("run.json", "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh)
+    return main([command, "--config", "run.json"])
+
+
+def _assert_config_error(command, edits, calls, capsys):
+    rc = _run_config(command, _with(BASES[command], edits))
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("config error"), err
+    assert calls == []
+
+
+def test_config_bases_reach_the_solvers(solver_calls, capsys):
+    # the unedited bases are valid, so each failure below is the edit's
+    for command, stub in (("evolve", "run"), ("ground-state", "ground_state"),
+                          ("symmetry-check", "covariance_test")):
+        assert _run_config(command, BASES[command]) == 0
+        assert solver_calls.pop() == stub
+
+
+@pytest.mark.parametrize("command, edits", [
+    ("evolve", {"physics.G": "x"}),
+    ("evolve", {"outputs.charges_every": "x"}),
+    ("evolve", {"checks.norm_tol": "x"}),
+    ("evolve", {"outputs.charges_every": 5, "checks.charge_tols": {"M": "x"}}),
+    ("evolve", {"outputs.charges_every": 5, "checks.charge_tols": [1]}),
+    ("evolve", {"initial.sigma": "x"}),
+    ("evolve", {"initial.center": [1]}),
+    ("evolve", {"initial.spin": "xy"}),
+    ("evolve", {"initial": {"kind": "snapshot", "path": "missing.lls"}}),
+    ("evolve", {"potentials": {"snapshot": "missing.lls"}}),
+    ("symmetry-check", {"element": DROP, "element_path": "missing.json"}),
+    ("evolve", {"potentials": {"preset": "taubnut", "a": "x"}}),
+    ("ground-state", {"relax.dtau": "x"}),
+    ("ground-state", {"checks.energy_window": [1]}),
+    ("ground-state", {"checks.energy_window": ["a", "b"]}),
+    ("symmetry-check", {"checks.tol": "x"}),
+])
+def test_malformed_value_is_config_error(command, edits, solver_calls, capsys):
+    _assert_config_error(command, edits, solver_calls, capsys)
+
+
+def test_charge_tols_need_the_monitor(solver_calls, capsys):
+    _assert_config_error("evolve", {"checks.charge_tols": {"M": 1e-8}}, solver_calls, capsys)
+    _assert_config_error("evolve", {"outputs.charges_every": 0,
+                                    "checks.charge_tols": {"M": 1e-8}}, solver_calls, capsys)
+
+
+def test_negative_charges_every(solver_calls, capsys):
+    _assert_config_error("evolve", {"outputs.charges_every": -1}, solver_calls, capsys)
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("evolve", "grid.n", 8.7),
+    ("evolve", "grid.n", 16.5),
+    ("evolve", "evolver.steps", True),
+    ("evolve", "evolver.steps", 1.5),
+    ("ground-state", "relax.max_iter", True),
+    ("ground-state", "relax.max_iter", 20.5),
+    ("evolve", "outputs.charges_every", True),
+    ("evolve", "outputs.charges_every", 2.5),
+])
+def test_counts_must_be_integers(command, key, value, solver_calls, capsys):
+    _assert_config_error(command, {key: value}, solver_calls, capsys)
+
+
+@pytest.mark.parametrize("value", ["yes", 1, None])
+def test_require_converged_must_be_boolean(value, solver_calls, capsys):
+    _assert_config_error("ground-state", {"checks.require_converged": value},
+                         solver_calls, capsys)
+
+
+@pytest.mark.parametrize("command, key", [
+    ("evolve", "outputs.report"),
+    ("evolve", "outputs.snapshot"),
+    ("evolve", "outputs.charges_csv"),
+    ("ground-state", "outputs.report"),
+    ("symmetry-check", "outputs.report"),
+])
+@pytest.mark.parametrize("value", ["", 3, None, ["r.json"]])
+def test_outputs_must_be_paths(command, key, value, solver_calls, capsys):
+    _assert_config_error(command, {key: value}, solver_calls, capsys)
+
+
+@pytest.mark.parametrize("command, section, value", [
+    (command, section, value)
+    for command, section in [("evolve", "outputs"), ("evolve", "checks"),
+                             ("evolve", "physics"), ("ground-state", "outputs"),
+                             ("ground-state", "checks"), ("symmetry-check", "outputs"),
+                             ("symmetry-check", "checks")]
+    for value in ([], 0, None)
+] + [("evolve", "potentials", None)])  # [] and 0 were rejected already
+def test_sections_must_be_objects(command, section, value, solver_calls, capsys):
+    _assert_config_error(command, {section: value}, solver_calls, capsys)
+
+
+def test_relax_source_is_checked_before_compute(solver_calls, capsys):
+    _assert_config_error("ground-state", {"relax.source": "free"}, solver_calls, capsys)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_lln_threads_is_config_error(value, solver_calls, monkeypatch, capsys):
+    monkeypatch.setenv("LLN_THREADS", value)
+    _assert_config_error("evolve", {}, solver_calls, capsys)
+    monkeypatch.setenv("LLN_THREADS", value)
+    assert main(["charges", "--snapshot", "missing.lls"]) == 2
+    assert "LLN_THREADS" in capsys.readouterr().err
+
+
+# fuzz bases: together they reach every section, every outputs and checks
+# key, each potentials form and both element forms
+FUZZ_BASES = [
+    ("evolve", {
+        "grid": dict(G16),
+        "physics": {"m": 1.0, "hbar": 1.0, "G": 1.0},
+        "potentials": {"preset": "taubnut", "a": 1.0, "sign": 1, "r_cut": 2.0},
+        "initial": {"kind": "gaussian", "sigma": 1.2, "center": [0.5, 0.0, 0.0],
+                    "k0": [0.3, 0.0, 0.0], "spin": [[1.0, 0.0], 0.0], "normalize": True},
+        "evolver": {"kind": "split", "dt": 1e-3, "steps": 20, "source": "self",
+                    "poisson": "periodic"},
+        "outputs": {"charges_csv": "c.csv", "charges_every": 5, "snapshot": "f.lls",
+                    "report": "r.json"},
+        "checks": {"norm_tol": 1e-10, "charge_tols": {"M": 1e-8, "P": 1e-8}},
+    }),
+    ("ground-state", {
+        "grid": dict(G16),
+        "physics": {"G": 4.0},
+        "potentials": {"preset": "gradient", "theta": {"amplitude": 0.1, "sigma": 2.0},
+                       "U_point_mass": {"GM": 1.0, "soften": 0.5}},
+        "initial": {"kind": "snapshot", "path": "seed.lls"},
+        "relax": {"dtau": 0.05, "tol": 1e-8, "max_iter": 20, "source": "self",
+                  "poisson": "isolated"},
+        "outputs": {"snapshot": "gs.lls", "report": "gs.json"},
+        "checks": {"require_converged": True, "energy_window": [-5.0, 5.0]},
+    }),
+    ("symmetry-check", {
+        "grid": dict(G16),
+        "physics": {"G": 1.0},
+        "potentials": {"snapshot": "pot.lls"},
+        "initial": {"kind": "gaussian", "sigma": 0.8},
+        "evolver": {"dt": 1e-3, "steps": 2, "source": "external"},
+        "element": sngroup.element_to_dict(sngroup.SnGroupElement.dilation(1.1)),
+        "checks": {"tol": 1e-3},
+        "outputs": {"report": "sym.json"},
+    }),
+    ("symmetry-check", {
+        "grid": dict(G16),
+        "potentials": {"preset": "uniform", "Omega0": 0.5, "U_point_mass": {"GM": 1.0}},
+        "initial": {"kind": "gaussian"},
+        "evolver": {"dt": 1e-3, "steps": 2},
+        "element_path": "elem.json",
+    }),
+]
+
+_letters = st.text(string.ascii_letters, min_size=1, max_size=8)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-64, 64),
+    st.floats(-64.0, 64.0), st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    _letters,
+)
+_values = st.one_of(_scalars, st.lists(_scalars, max_size=4),
+                    st.dictionaries(_letters, _scalars, max_size=3))
+
+
+def _nodes(node, path=()):
+    """Paths of every key or list item below node."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    return [p for k, v in items for p in [path + (k,)] + _nodes(v, path + (k,))]
+
+
+@st.composite
+def _mutated_configs(draw):
+    command, base = draw(st.sampled_from(FUZZ_BASES))
+    cfg = copy.deepcopy(base)
+    path = draw(st.sampled_from(_nodes(cfg)))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    action = draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "delete" and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif action == "add":
+        target = draw(st.sampled_from([d for d in [cfg, parent] if isinstance(d, dict)]))
+        target["x" + draw(_letters)] = draw(_values)
+    else:
+        parent[path[-1]] = draw(_values)
+    return command, cfg
+
+
+@pytest.fixture
+def fuzz_files(solver_calls):
+    grid = fields.GridSpec(16, 16.0)
+    fields.save_snapshot("seed.lls", fields.gaussian_packet(grid, sigma=1.2))
+    X = grid.mesh()
+    fields.save_potentials("pot.lls", grid, U=-np.exp(-np.sum(X**2, axis=0) / 8.0),
+                           varpi=np.zeros((3,) + grid.shape))
+    sngroup.save_element("elem.json", sngroup.SnGroupElement.dilation(1.1))
+    return solver_calls
+
+
+def test_fuzz_bases_are_valid(fuzz_files, capsys):
+    for command, cfg in FUZZ_BASES:
+        assert _run_config(command, cfg) == 0, capsys.readouterr().err
+    assert len(fuzz_files) == len(FUZZ_BASES)
+
+
+@settings(database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_mutated_configs())
+def test_config_fuzz_exits_cleanly(case, fuzz_files):
+    # a malformed config exits 2 before any solver runs, never with a traceback
+    command, cfg = case
+    fuzz_files.clear()
+    rc = _run_config(command, cfg)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert fuzz_files == []
 
 
 def test_entry_point_subprocess():

@@ -21,6 +21,14 @@ G32 = GridSpec(n=32, length=16.0)
 G16 = GridSpec(n=16, length=16.0)
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_lln_threads_must_be_a_positive_integer(value, monkeypatch):
+    # no silent clamp to one thread and no late failure inside an FFT
+    monkeypatch.setenv("LLN_THREADS", value)
+    with pytest.raises(ValueError, match="LLN_THREADS"):
+        fields._workers()
+
+
 def test_gridspec_validation():
     with pytest.raises(ValueError):
         GridSpec(n=7, length=16.0)
