@@ -10,13 +10,25 @@ virial drift dD/dt = -11 <T>, which makes a useful diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .evolve import RunConfig, apply_hamiltonian, run
-from .fields import PAULI, BispinorField, GridSpec, gradient, integrate
+from .evolve import RunConfig, energy_expectation, run
+from .fields import (
+    PAULI,
+    BispinorField,
+    GridSpec,
+    axial_vector,
+    canonical_current,
+    density,
+    first_moments,
+    gradient,
+    integrate,
+    norm2,
+    spin_density,
+)
 from .geometry import GridPotential
 from .sngroup import SnGroupElement, represent, transform_potentials
 
@@ -32,48 +44,33 @@ __all__ = [
     "covariance_test",
 ]
 
-CSV_COLUMNS = (
-    "t",
-    "E_paper",
-    "E_sn",
-    "Px",
-    "Py",
-    "Pz",
-    "Jx",
-    "Jy",
-    "Jz",
-    "M",
-    "Gx",
-    "Gy",
-    "Gz",
-    "D",
-    "T_kin",
-    "W_pot",
-)
-
 
 @dataclass
 class ChargeRecord:
-    t: float
+    """One row of the charge CSV, fields in column order. A "vector" field is
+    written as the columns name + x, y, z; drift_stats skips "drift": False."""
+
+    t: float = dc_field(metadata={"drift": False})
     E_paper: float
     E_sn: float
-    P: np.ndarray
-    J: np.ndarray
+    P: np.ndarray = dc_field(metadata={"vector": "P"})
+    J: np.ndarray = dc_field(metadata={"vector": "J"})
     M: float
-    Gb: np.ndarray  # boost (center of mass) charge
-    D: float
+    Gb: np.ndarray = dc_field(metadata={"vector": "G"})  # boost (center of mass) charge
+    D: float = dc_field(metadata={"drift": False})  # expansion charge, not conserved
     T_kin: float
-    W_pot: float
+    W_pot: float = dc_field(metadata={"drift": False})
 
     def row(self):
-        return (
-            [self.t, self.E_paper, self.E_sn]
-            + list(self.P)
-            + list(self.J)
-            + [self.M]
-            + list(self.Gb)
-            + [self.D, self.T_kin, self.W_pot]
-        )
+        return [float(v) for fld in fields(self) for v in np.atleast_1d(getattr(self, fld.name))]
+
+
+def _columns(fld):
+    name = fld.metadata.get("vector")
+    return (fld.name,) if name is None else tuple(name + a for a in "xyz")
+
+
+CSV_COLUMNS = tuple(c for fld in fields(ChargeRecord) for c in _columns(fld))
 
 
 def momentum_density(phi, p: Optional[GridPotential], grid: GridSpec, m: float, hbar: float):
@@ -83,28 +80,12 @@ def momentum_density(phi, p: Optional[GridPotential], grid: GridSpec, m: float, 
 
 
 def _momentum_density(phi, gphi, p: Optional[GridPotential], m: float, hbar: float):
-    cphi = np.conj(phi)
-    dens = np.empty((3,) + phi.shape[1:])
-    for j in range(3):
-        np.sum((cphi * gphi[j]).imag, axis=0, out=dens[j])
-    dens *= hbar
+    dens = hbar * canonical_current(phi, gphi)
     if p is not None and np.any(p.varpi):
-        sdens = np.einsum("a...,jab,b...->j...", cphi, PAULI, phi).real
         dens = dens + 0.5 * hbar * m * np.cross(
-            np.moveaxis(p.varpi, 0, -1), np.moveaxis(sdens, 0, -1)
+            np.moveaxis(p.varpi, 0, -1), np.moveaxis(spin_density(phi), 0, -1)
         ).transpose(3, 0, 1, 2)
     return dens
-
-
-def _first_moments(f, grid: GridSpec):
-    """int x_a f dV for a = 1, 2, 3 from the 1-D marginals of f.
-
-    Leading component axes of f are carried along: shape (3,) + f.shape[:-3].
-    """
-    x = grid.axis()
-    s12 = np.sum(f, axis=-1)
-    marginals = (np.sum(s12, axis=-1), np.sum(s12, axis=-2), np.sum(f, axis=(-3, -2)))
-    return np.stack([mg @ x for mg in marginals]) * grid.dv
 
 
 def compute_charges(
@@ -120,32 +101,30 @@ def compute_charges(
     One spectral gradient serves both the momentum density and the kinetic
     energy T = (hbar^2/2m) sum_j |d_j phi|^2 dV, which equals -<phi, Delta phi>
     because spectral derivatives are anti-Hermitian. Position moments come
-    from 1-D marginals; E_paper = <phi, H phi> goes through apply_hamiltonian.
+    from 1-D marginals; E_paper = <phi, H phi> is energy_expectation.
     """
     grid, m, hbar = f.grid, f.m, f.hbar
     phi = f.data
-    rho = np.sum(np.abs(phi) ** 2, axis=0)
+    rho = density(phi)
 
     gphi = gradient(phi, grid)
-    T_kin = hbar**2 / (2 * m) * float(np.vdot(gphi, gphi).real) * grid.dv
+    T_kin = hbar**2 / (2 * m) * sum(norm2(g, grid) for g in gphi)
     pdens = _momentum_density(phi, gphi, p, m, hbar)
     del gphi  # free 3 x 2 n^3 complex before apply_hamiltonian allocates
     P = integrate(pdens, grid)
-    xp = _first_moments(pdens, grid)  # [a, c] = int x_a p_c
+    xp = first_moments(pdens, grid)  # [a, c] = int x_a p_c
     # int phi+ sigma_j phi from the 2x2 Gram matrix of the components
-    gram = np.array([[np.vdot(phi[a], phi[b]) for b in range(2)] for a in range(2)])
+    cphi = np.conj(phi)
+    gram = np.array([[np.sum(cphi[a] * phi[b]) for b in range(2)] for a in range(2)])
     spin = np.einsum("jab,ab->j", PAULI, gram).real * grid.dv
-    J = np.array(
-        [xp[1, 2] - xp[2, 1], xp[2, 0] - xp[0, 2], xp[0, 1] - xp[1, 0]]
-    ) + 0.5 * hbar * spin
+    J = axial_vector(xp) + 0.5 * hbar * spin
     Mq = m * float(integrate(rho, grid))
 
-    U = p.U if p is not None else np.zeros(grid.shape)
-    W_pot = m * float(integrate(U * rho, grid))
-    E_paper = float(np.vdot(phi, apply_hamiltonian(phi, p, grid, m, hbar)).real) * grid.dv
+    W_pot = 0.0 if p is None else m * float(integrate(p.U * rho, grid))
+    E_paper = energy_expectation(phi, p, grid, m, hbar)
     E_sn = T_kin + 0.5 * W_pot if mode == "self" else float("nan")
 
-    Gb = f.time * P - m * _first_moments(rho, grid)
+    Gb = f.time * P - m * first_moments(rho, grid)
     D = -5.0 * f.time * E_paper - 3.0 * float(np.trace(xp))
     return ChargeRecord(
         t=f.time,
@@ -171,32 +150,24 @@ def charge_monitor(mode: str = "free"):
 
 
 def drift_stats(records) -> dict:
-    """Relative drift of every charge across a record sequence.
+    """Relative drift of every conserved charge across a record sequence.
 
     max_t |Q(t) - Q(0)| / max(1, |Q(0)|), with vector charges measured in
-    the sup norm. E_sn is skipped when it is NaN (non-self-consistent runs).
+    the sup norm. A charge that is NaN at the start is skipped: E_sn outside
+    self-consistent runs.
     """
     if not records:
         return {}
-    r0 = records[0]
     out = {}
-
-    def rel(name, vals0, vals):
-        v0 = np.atleast_1d(np.asarray(vals0, dtype=float))
-        dev = max(
-            float(np.max(np.abs(np.atleast_1d(np.asarray(v, dtype=float)) - v0)))
-            for v in vals
-        )
-        out[name] = dev / max(1.0, float(np.max(np.abs(v0))))
-
-    rel("E_paper", r0.E_paper, [r.E_paper for r in records])
-    if not np.isnan(r0.E_sn):
-        rel("E_sn", r0.E_sn, [r.E_sn for r in records])
-    rel("P", r0.P, [r.P for r in records])
-    rel("J", r0.J, [r.J for r in records])
-    rel("M", r0.M, [r.M for r in records])
-    rel("G", r0.Gb, [r.Gb for r in records])
-    rel("T_kin", r0.T_kin, [r.T_kin for r in records])
+    for fld in fields(ChargeRecord):
+        if not fld.metadata.get("drift", True):
+            continue
+        vals = np.array([np.atleast_1d(getattr(r, fld.name)) for r in records], dtype=float)
+        v0 = vals[0]
+        if np.any(np.isnan(v0)):
+            continue
+        dev = float(np.max(np.abs(vals - v0)))
+        out[fld.metadata.get("vector", fld.name)] = dev / max(1.0, float(np.max(np.abs(v0))))
     return out
 
 
@@ -205,7 +176,7 @@ def write_csv(records, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for r in records:
-            fh.write(",".join(format(float(v), ".17g") for v in r.row()) + "\n")
+            fh.write(",".join(format(v, ".17g") for v in r.row()) + "\n")
 
 
 def read_csv(path):
@@ -215,23 +186,18 @@ def read_csv(path):
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"{path}: unexpected charge CSV columns")
         out = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             vals = [float(tok) for tok in line.strip().split(",")]
-            rec = dict(zip(CSV_COLUMNS, vals))
-            out.append(
-                ChargeRecord(
-                    t=rec["t"],
-                    E_paper=rec["E_paper"],
-                    E_sn=rec["E_sn"],
-                    P=np.array([rec["Px"], rec["Py"], rec["Pz"]]),
-                    J=np.array([rec["Jx"], rec["Jy"], rec["Jz"]]),
-                    M=rec["M"],
-                    Gb=np.array([rec["Gx"], rec["Gy"], rec["Gz"]]),
-                    D=rec["D"],
-                    T_kin=rec["T_kin"],
-                    W_pot=rec["W_pot"],
+            if len(vals) != len(CSV_COLUMNS):
+                raise ValueError(
+                    f"{path}:{lineno}: {len(vals)} values for {len(CSV_COLUMNS)} columns"
                 )
-            )
+            rec, i = {}, 0
+            for fld in fields(ChargeRecord):
+                k = len(_columns(fld))
+                rec[fld.name] = np.array(vals[i : i + k]) if k > 1 else vals[i]
+                i += k
+            out.append(ChargeRecord(**rec))
     return out
 
 
@@ -262,10 +228,9 @@ def covariance_test(
     res_b = run(f0_hat, cfg_hat, p_hat)
     legB = res_b.field
 
-    diff = float(np.sqrt(np.sum(np.abs(legA.data - legB.data) ** 2) * f0.grid.dv))
-    ref = float(np.sqrt(np.sum(np.abs(legA.data) ** 2) * f0.grid.dv))
+    diff = np.sqrt(norm2(legA.data - legB.data, f0.grid))
     return {
-        "rel_l2": diff / ref,
+        "rel_l2": float(diff / np.sqrt(norm2(legA.data, f0.grid))),
         "legA": legA,
         "legB": legB,
         "final_time_A": legA.time,

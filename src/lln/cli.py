@@ -2,8 +2,9 @@
 
 Subcommands: verify-geometry, evolve, ground-state, charges, symmetry-check.
 Run configs are single JSON documents validated fail-closed: unknown keys,
-wrongly typed values (booleans or fractions as counts, NaN, non-string paths)
-and settings that could not take effect are errors. Each subcommand reads and
+wrongly typed values (booleans or fractions as counts, NaN or infinite
+numbers, non-string paths), output paths in a missing directory and
+settings that could not take effect are errors. Each subcommand reads and
 checks every setting, LLN_THREADS included, before it computes anything.
 Exit codes: 0 all checks pass, 1 a check or computation failed (including
 non-finite snapshot data), 2 usage or configuration errors.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -42,7 +44,7 @@ def _config_phase(source):
         yield
     except fields.SnapshotDataError:
         raise
-    except (TypeError, ValueError, KeyError, IndexError, OSError) as exc:
+    except (TypeError, ValueError, KeyError, IndexError, OSError, OverflowError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
 
@@ -79,11 +81,11 @@ def _expect(ok, value, where, what):
 
 
 def _num(value, where, integral=False):
-    """A JSON number as float, or as int where integral; booleans, NaN and
-    fractional counts are rejected rather than coerced."""
+    """A finite JSON number as float, or as int where integral; booleans,
+    NaN, infinities and fractional counts are rejected rather than coerced."""
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
-            and value == value and (not integral or float(value).is_integer()),
-            value, where, "an integer" if integral else "a number")
+            and math.isfinite(value) and (not integral or float(value).is_integer()),
+            value, where, "an integer" if integral else "a finite number")
     return int(value) if integral else float(value)
 
 
@@ -97,7 +99,11 @@ def _path(value, where) -> str:
 
 
 def _out_paths(outputs) -> dict:
-    return {k: _out_path(_path(v, f"outputs.{k}")) for k, v in outputs.items()}
+    paths = {k: _out_path(_path(v, f"outputs.{k}")) for k, v in outputs.items()}
+    for k, p in paths.items():
+        _expect(os.path.isdir(os.path.dirname(p) or "."), p, f"outputs.{k}",
+                "a path in an existing directory")
+    return paths
 
 
 def _load_config(path, *sections) -> dict:
@@ -322,8 +328,9 @@ def cmd_evolve(args) -> int:
         tols = checks.get("charge_tols", {})
         _expect(isinstance(tols, dict), tols, "checks.charge_tols", "an object")
         tols = {k: _num(v, f"checks.charge_tols.{k}") for k, v in tols.items()}
-        if tols and not every:
-            raise ConfigError("checks.charge_tols: needs outputs.charges_every > 0")
+        if (tols or "charges_csv" in paths) and not every:
+            raise ConfigError("checks.charge_tols and outputs.charges_csv need "
+                              "outputs.charges_every > 0")
         norm_tol = _num(checks["norm_tol"], "checks.norm_tol") if "norm_tol" in checks else None
         rcfg = _build_runconfig(cfg, phys["G"], monitor_every=every)
     if every:
@@ -446,7 +453,7 @@ def cmd_charges(args) -> int:
     rec = charges_mod.compute_charges(f, pot, mode=args.mode)
     if out:
         charges_mod.write_csv([rec], out)
-    payload = dict(zip(charges_mod.CSV_COLUMNS, [float(v) for v in rec.row()]))
+    payload = dict(zip(charges_mod.CSV_COLUMNS, rec.row()))
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 

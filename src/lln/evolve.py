@@ -21,7 +21,9 @@ from .fields import (
     PAULI,
     BispinorField,
     GridSpec,
+    canonical_current,
     curl,
+    density,
     divergence,
     fftn,
     gradient,
@@ -29,6 +31,7 @@ from .fields import (
     laplacian,
     sigma_dot,
     sigma_grad,
+    spin_density,
 )
 from .geometry import GridPotential, flat_potential
 from .gravity import mass_density, poisson_isolated, poisson_periodic
@@ -337,8 +340,7 @@ def ground_state(
 
 def _sn_energy(f: BispinorField, pot: GridPotential, e_total: float) -> float:
     # <H> double counts the pair interaction; the particle energy is T + W/2
-    dens = np.sum(np.abs(f.data) ** 2, axis=0)
-    W = float(np.sum(pot.U * dens) * f.grid.dv) * f.m
+    W = float(np.sum(pot.U * density(f.data)) * f.grid.dv) * f.m
     return e_total - 0.5 * W
 
 
@@ -370,17 +372,12 @@ def current_and_continuity(
     residual measures operator consistency, not integrator error.
     """
     phi = np.asarray(phi, dtype=complex)
-    pau = PAULI
-    rho = np.sum(np.abs(phi) ** 2, axis=0)
+    rho = density(phi)
     chi = chi_from_phi(phi, p, grid, m, hbar)
-    z = np.einsum("a...,jab,b...->j...", np.conj(phi), pau, chi)
+    z = np.einsum("a...,jab,b...->j...", np.conj(phi), PAULI, chi)
     J_pair = -2.0 * np.imag(z)
-    gphi = gradient(phi, grid)
-    J_phi = (hbar / m) * np.imag(
-        np.einsum("a...,ja...->j...", np.conj(phi), gphi)
-    )
-    spin_dens = np.einsum("a...,jab,b...->j...", np.conj(phi), pau, phi).real
-    J_phi = J_phi + (hbar / (2.0 * m)) * curl(spin_dens, grid)
+    J_phi = (hbar / m) * canonical_current(phi, gradient(phi, grid))
+    J_phi = J_phi + (hbar / (2.0 * m)) * curl(spin_density(phi), grid)
     if p is not None and np.any(p.varpi):
         J_phi = J_phi - p.varpi * rho
     h = apply_hamiltonian(phi, p, grid, m, hbar)

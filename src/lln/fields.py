@@ -27,9 +27,15 @@ __all__ = [
     "gradient",
     "laplacian",
     "divergence",
+    "jacobian",
+    "axial_vector",
     "curl",
     "integrate",
     "norm2",
+    "density",
+    "spin_density",
+    "canonical_current",
+    "first_moments",
     "gaussian_packet",
     "band_limited_noise",
     "observables",
@@ -151,57 +157,49 @@ def sigma_grad(phi, grid: GridSpec):
     return np.einsum("jab,jb...->a...", PAULI, gradient(phi, grid))
 
 
-def _spectral(f, grid, mult):
-    F = fftn(np.asarray(f))
-    F *= mult
-    out = ifftn(F, overwrite_x=True)
-    if np.isrealobj(f):
-        return out.real
-    return out
+def _partial(f, grid: GridSpec, j: int):
+    """d_j f: the multiplier i k_j depends on axis j alone, so it is a 1-D
+    transform pair along that axis; the other two axes would cancel."""
+    axis = (j - 3,)
+    F = fftn(f, axes=axis)
+    F *= 1j * grid.kvec[j]
+    out = ifftn(F, axes=axis, overwrite_x=True)
+    return out.real if np.isrealobj(f) else out
 
 
 def gradient(f, grid: GridSpec):
-    """Spectral gradient; returns shape (3,) + f.shape.
-
-    The multiplier i k_j depends on axis j alone, so component j is a 1-D
-    transform pair along that axis; the other two axes would cancel.
-    """
+    """Spectral gradient; returns shape (3,) + f.shape."""
     f = np.asarray(f)
-    real = np.isrealobj(f)
-    out = np.empty((3,) + f.shape, dtype=float if real else complex)
-    for j, k in enumerate(grid.kvec):
-        axis = (j - 3,)
-        F = fftn(f, axes=axis)
-        F *= 1j * k
-        F = ifftn(F, axes=axis, overwrite_x=True)
-        out[j] = F.real if real else F
+    out = np.empty((3,) + f.shape, dtype=float if np.isrealobj(f) else complex)
+    for j in range(3):
+        out[j] = _partial(f, grid, j)
     return out
 
 
 def laplacian(f, grid: GridSpec):
-    return _spectral(f, grid, -grid.k2)
+    F = fftn(np.asarray(f))
+    F *= -grid.k2
+    out = ifftn(F, overwrite_x=True)
+    return out.real if np.isrealobj(f) else out
 
 
 def divergence(v, grid: GridSpec):
-    out = sum(ifftn(1j * k * fftn(v[j])) for j, k in enumerate(grid.kvec))
-    if np.isrealobj(v):
-        return out.real
-    return out
+    return sum(_partial(v[j], grid, j) for j in range(3))
+
+
+def jacobian(v, grid: GridSpec):
+    """[i, j] = d_i v_j of a vector field v of shape (3,) + grid shape."""
+    return np.stack([gradient(v[j], grid) for j in range(3)], axis=1)
+
+
+def axial_vector(t):
+    """eps_ijk t[j, k] over the two leading axes of t: curl v from the
+    Jacobian t[j, k] = d_j v_k, x cross p from the moments int x_j p_k."""
+    return np.stack([t[1, 2] - t[2, 1], t[2, 0] - t[0, 2], t[0, 1] - t[1, 0]])
 
 
 def curl(v, grid: GridSpec):
-    k1, k2, k3 = grid.kvec
-    F = [fftn(v[j]) for j in range(3)]
-    out = np.stack(
-        [
-            ifftn(1j * (k2 * F[2] - k3 * F[1])),
-            ifftn(1j * (k3 * F[0] - k1 * F[2])),
-            ifftn(1j * (k1 * F[1] - k2 * F[0])),
-        ]
-    )
-    if np.isrealobj(v):
-        return out.real
-    return out
+    return axial_vector(jacobian(v, grid))
 
 
 def integrate(f, grid: GridSpec):
@@ -211,6 +209,36 @@ def integrate(f, grid: GridSpec):
 
 def norm2(a, grid: GridSpec) -> float:
     return float(np.sum(np.abs(a) ** 2) * grid.dv)
+
+
+def density(phi):
+    """|phi|^2 summed over the leading component axis."""
+    return np.sum(np.abs(phi) ** 2, axis=0)
+
+
+def spin_density(phi):
+    """phi+ sigma_j phi of a Pauli pair, shape (3,) + grid shape."""
+    return np.einsum("a...,jab,b...->j...", np.conj(phi), PAULI, phi).real
+
+
+def canonical_current(phi, gphi):
+    """Im(phi+ d_j phi) summed over components, from gphi = gradient of phi."""
+    cphi = np.conj(phi)
+    out = np.empty((3,) + phi.shape[1:])
+    for j in range(3):
+        np.sum((cphi * gphi[j]).imag, axis=0, out=out[j])
+    return out
+
+
+def first_moments(f, grid: GridSpec):
+    """int x_a f dV for a = 1, 2, 3 from the 1-D marginals of f.
+
+    Leading component axes of f are carried along: shape (3,) + f.shape[:-3].
+    """
+    x = grid.axis()
+    s12 = np.sum(f, axis=-1)
+    marginals = (np.sum(s12, axis=-1), np.sum(s12, axis=-2), np.sum(f, axis=(-3, -2)))
+    return np.stack([mg @ x for mg in marginals]) * grid.dv
 
 
 ############################################################
@@ -248,7 +276,10 @@ class BispinorField:
         return norm2(self.data, self.grid)
 
     def normalized(self) -> "BispinorField":
-        return replace(self, data=self.data / np.sqrt(self.norm2))
+        n2 = self.norm2
+        if not 0.0 < n2 < np.inf:
+            raise ValueError(f"cannot normalize a field of norm^2 {n2}")
+        return replace(self, data=self.data / np.sqrt(n2))
 
 
 def gaussian_packet(
@@ -266,6 +297,8 @@ def gaussian_packet(
 
     Envelope exp(-|x - c|^2 / (4 sigma^2)) times plane phase exp(i k0.(x - c)).
     """
+    if not sigma > 0:
+        raise ValueError(f"packet width sigma must be positive, got {sigma}")
     X = grid.mesh()
     c = np.asarray(center, dtype=float)
     k0 = np.asarray(k0, dtype=float)
@@ -311,18 +344,12 @@ class Observables:
 
 def observables(f: BispinorField) -> Observables:
     g = f.grid
-    rho = np.sum(np.abs(f.data) ** 2, axis=0)
+    rho = density(f.data)
     total = float(integrate(rho, g))
-    X = g.mesh()
-    cen = integrate(X * rho, g) / total
-    gphi = gradient(f.data, g)  # (3, 2, n, n, n)
-    pm = f.hbar * np.imag(
-        np.einsum("a...,ja...->j...", np.conj(f.data), gphi)
-    )
-    mom = integrate(pm, g) / total
-    sdens = np.einsum("a...,jab,b...->j...", np.conj(f.data), PAULI, f.data).real
-    spin = 0.5 * f.hbar * integrate(sdens, g) / total
-    edge = np.max(np.abs(X), axis=0) > 0.45 * g.length
+    cen = first_moments(rho, g) / total
+    mom = f.hbar * integrate(canonical_current(f.data, gradient(f.data, g)), g) / total
+    spin = 0.5 * f.hbar * integrate(spin_density(f.data), g) / total
+    edge = np.max(np.abs(g.mesh()), axis=0) > 0.45 * g.length
     frac = float(integrate(rho * edge, g) / total)
     return Observables(
         norm2=total,
@@ -372,11 +399,12 @@ def resample_separable(f, grid: GridSpec, axes_pts) -> np.ndarray:
     return out.real if np.isrealobj(f) else out
 
 
-def sample_points(f, grid: GridSpec, pts, chunk: int = 8192) -> np.ndarray:
+def sample_points(f, grid: GridSpec, pts) -> np.ndarray:
     """Interpolant values at an arbitrary point cloud pts (P, 3).
 
     Dense O(P n^3) evaluation, chunked; meant for modest P or small grids.
     """
+    chunk = 8192
     pts = np.asarray(pts, dtype=float)
     F = fftn(np.asarray(f))
     lead = F.shape[:-3]

@@ -15,6 +15,7 @@ over arbitrary leading axes; field-level operators act on grids from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Callable, Optional
 
@@ -23,9 +24,11 @@ import numpy as np
 from .fields import (
     PAULI,
     GridSpec,
+    axial_vector,
     curl,
-    divergence,
+    density,
     gradient,
+    jacobian,
     laplacian,
     sample_points,
     sigma_dot,
@@ -147,7 +150,7 @@ class GridPotential:
     Off-lattice samples come from the trigonometric interpolant.
     """
 
-    def __init__(self, grid: GridSpec, U=None, varpi=None, dU=None, dvarpi=None):
+    def __init__(self, grid: GridSpec, U=None, varpi=None, dvarpi=None):
         self.grid = grid
         self.U = np.zeros(grid.shape) if U is None else np.asarray(U, dtype=float)
         self.varpi = (
@@ -157,60 +160,36 @@ class GridPotential:
         )
         if self.U.shape != grid.shape or self.varpi.shape != (3,) + grid.shape:
             raise ValueError("potential arrays do not match the grid")
-        self._cache = {}
-        # exact derivatives may be supplied for fields that are not periodic
+        # exact derivatives may be supplied for a varpi that is not periodic
         # (a rigid rotation's varpi is linear in x, so its spectral gradient
-        # would ring at the seam); downstream curls and divergences then
-        # derive from these instead of FFTs
-        if dU is not None:
-            dU = np.asarray(dU, dtype=float)
-            if dU.shape != (3,) + grid.shape:
-                raise ValueError("dU override must have shape (3,) + grid shape")
-            self._cache["dU"] = dU
+        # would ring at the seam); curl and divergence then derive from them
         if dvarpi is not None:
             dvarpi = np.asarray(dvarpi, dtype=float)
             if dvarpi.shape != (3, 3) + grid.shape:
                 raise ValueError("dvarpi override must have shape (3, 3) + grid shape")
-            self._cache["dvarpi"] = dvarpi
-            dw = dvarpi
-            self._cache["curl"] = np.stack(
-                [
-                    dw[1, 2] - dw[2, 1],
-                    dw[2, 0] - dw[0, 2],
-                    dw[0, 1] - dw[1, 0],
-                ]
-            )
-            self._cache["div"] = dw[0, 0] + dw[1, 1] + dw[2, 2]
+            self.dvarpi = dvarpi
 
-    def _get(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def dU(self):
-        return self._get("dU", lambda: gradient(self.U, self.grid))
+        return gradient(self.U, self.grid)
 
-    @property
+    @cached_property
     def dvarpi(self):
         # [i, j] = d_i varpi_j
-        return self._get(
-            "dvarpi",
-            lambda: np.stack([gradient(self.varpi[j], self.grid) for j in range(3)], axis=1),
-        )
+        return jacobian(self.varpi, self.grid)
 
-    @property
+    @cached_property
     def curl_varpi(self):
-        return self._get("curl", lambda: curl(self.varpi, self.grid))
+        return axial_vector(self.dvarpi)
 
-    @property
+    @cached_property
     def div_varpi(self):
-        return self._get("div", lambda: divergence(self.varpi, self.grid))
+        return np.trace(self.dvarpi)
 
-    @property
+    @cached_property
     def omega2(self):
         """|Omega|^2 = (1/2) Omega_ij Omega_ij = |curl varpi|^2."""
-        return self._get("omega2", lambda: np.sum(self.curl_varpi**2, axis=0))
+        return np.sum(self.curl_varpi**2, axis=0)
 
     def sample(self, x, t=0.0, derivatives: bool = False) -> PotentialSample:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -236,18 +215,9 @@ def flat_potential(grid: GridSpec) -> GridPotential:
 ############################################################
 
 
-def _values(sample_or_U, varpi=None):
-    if varpi is None:
-        return np.asarray(sample_or_U.U), np.asarray(sample_or_U.varpi)
-    return np.asarray(sample_or_U), np.asarray(varpi)
-
-
-def brinkmann_metric(sample, varpi=None) -> np.ndarray:
-    """Metric components g_{mu nu}, shape (..., 5, 5).
-
-    Accepts a PotentialSample or a pair (U, varpi) with varpi indexed last.
-    """
-    U, w = _values(sample, varpi)
+def brinkmann_metric(U, varpi) -> np.ndarray:
+    """Metric components g_{mu nu}, shape (..., 5, 5); varpi is indexed last."""
+    U, w = np.asarray(U), np.asarray(varpi)
     base = np.broadcast_shapes(U.shape, w.shape[:-1])
     g = np.zeros(base + (5, 5))
     for i in range(3):
@@ -260,9 +230,9 @@ def brinkmann_metric(sample, varpi=None) -> np.ndarray:
     return g
 
 
-def brinkmann_metric_inverse(sample, varpi=None) -> np.ndarray:
+def brinkmann_metric_inverse(U, varpi) -> np.ndarray:
     """Inverse metric g^{mu nu}; closed form, det g = -1 identically."""
-    U, w = _values(sample, varpi)
+    U, w = np.asarray(U), np.asarray(varpi)
     base = np.broadcast_shapes(U.shape, w.shape[:-1])
     gi = np.zeros(base + (5, 5))
     for i in range(3):
@@ -286,14 +256,14 @@ class GammaSet:
     lower: np.ndarray  # (..., 5, 4, 4), gamma_mu = g_{mu nu} gamma^nu
 
 
-def gamma_set(sample, varpi=None) -> GammaSet:
+def gamma_set(U, varpi) -> GammaSet:
     """Curved-space gamma matrices adapted to the Brinkmann frame.
 
     The spatial gamma^j are block diagonal (-i sigma_j, +i sigma_j); gamma^t
     has the identity in the lower-left Pauli block; gamma^s carries the
     potentials. Lowered matrices are produced with the metric numerically.
     """
-    U, w = _values(sample, varpi)
+    U, w = np.asarray(U), np.asarray(varpi)
     base = np.broadcast_shapes(U.shape, w.shape[:-1])
     up = np.zeros(base + (5, 4, 4), dtype=complex)
     for j in range(3):
@@ -732,14 +702,13 @@ def lie_derivative_spinor_density(
     hbar: float,
     dt_psi=None,
     t0: float = 0.0,
-    weight: float = DENSITY_WEIGHT,
 ) -> np.ndarray:
     """Spinor-density Lie derivative along a conformal generator, on the s=0 slice.
 
     X is any object :func:`generator_matrix` accepts. Implements
-    L_X = X^mu nabla_mu - (1/4) d_[mu X_nu] gamma^mu gamma^nu + weight (div X);
-    indices are lowered with the full Brinkmann metric, so potential terms
-    are included. The s-linear part of X^s acts through (im/hbar) s and drops
+    L_X = X^mu nabla_mu - (1/4) d_[mu X_nu] gamma^mu gamma^nu + w (div X),
+    w = DENSITY_WEIGHT; indices are lowered with the full Brinkmann metric,
+    so potential terms are included. The s-linear part of X^s acts through (im/hbar) s and drops
     on the s = 0 slice; its trace survives in div X. dt_psi is required
     whenever X^t is not identically zero at the field's time slice (pass the
     PDE right-hand side or a finite-difference stamp).
@@ -791,7 +760,7 @@ def lie_derivative_spinor_density(
             kos += -0.25 * a * block
 
     divX = np.trace(L[:5, :5])
-    return transport + kos + weight * divX * psi
+    return transport + kos + DENSITY_WEIGHT * divX * psi
 
 
 def dirac_residual(
@@ -825,7 +794,5 @@ def dirac_residual(
         line1 = line1 - 1j * m * sigma_dot(p.varpi, phi)
         line2 = line2 + 1j * m * sigma_dot(p.varpi, chi)
         line2 = line2 - 0.25 * hbar * sigma_dot(p.curl_varpi, phi)
-    node = np.sqrt(
-        np.sum(np.abs(line1) ** 2, axis=0) + np.sum(np.abs(line2) ** 2, axis=0)
-    )
+    node = np.sqrt(density(line1) + density(line2))
     return node, line1, line2

@@ -6,7 +6,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import fft as sfft
 
-from .fields import GridSpec, _workers, fftn, gradient, ifftn
+from .fields import GridSpec, _workers, density, fftn, gradient, ifftn
 from .geometry import GridPotential
 
 __all__ = [
@@ -22,40 +22,29 @@ __all__ = [
 ]
 
 
-def mass_density(phi, grid: GridSpec, m: float, normalized: bool = True):
-    """Gravitating density m |phi|^2, by default per unit total norm.
+def mass_density(phi, grid: GridSpec, m: float):
+    """Gravitating density m |phi|^2 per unit total norm.
 
     The self-consistent coupling is written for a unit-norm spinor; dividing
     by the actual norm keeps the source physical for any amplitude and is
     what the anisotropic dilation covariance requires.
     """
-    dens = np.sum(np.abs(np.asarray(phi)) ** 2, axis=0)
-    if normalized:
-        total = dens.sum() * grid.dv
-        if total <= 0:
-            raise ValueError("cannot normalize a zero field")
-        dens = dens / total
-    return m * dens
+    dens = density(phi)
+    total = dens.sum() * grid.dv
+    if total <= 0:
+        raise ValueError("cannot normalize a zero field")
+    return m * (dens / total)
 
 
 def inverse_laplacian(f, grid: GridSpec):
-    """Mean-free spectral inverse: Delta(out) = f - mean(f).
+    """Mean-free spectral inverse of a real field: Delta(out) = f - mean(f).
 
-    Real input goes through rfftn/irfftn with the cached half-spectrum
-    multiplier of the grid; complex input through the full fftn pair.
+    Runs rfftn/irfftn with the cached half-spectrum multiplier of the grid.
     """
-    f = np.asarray(f)
     axes = (-3, -2, -1)
-    if np.isrealobj(f):
-        F = sfft.rfftn(f, axes=axes, workers=_workers())
-        F *= grid.inv_laplacian_rfft
-        return sfft.irfftn(F, s=grid.shape, axes=axes, workers=_workers())
-    F = fftn(f)
-    k2 = grid.k2.copy()
-    k2.flat[0] = 1.0
-    F = -F / k2
-    F.flat[0] = 0.0
-    return ifftn(F)
+    F = sfft.rfftn(f, axes=axes, workers=_workers())
+    F *= grid.inv_laplacian_rfft
+    return sfft.irfftn(F, s=grid.shape, axes=axes, workers=_workers())
 
 
 def poisson_periodic(rho, grid: GridSpec, G: float = 1.0):

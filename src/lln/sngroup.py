@@ -35,7 +35,7 @@ from .fields import (
     shift_field,
     resample_separable,
 )
-from .geometry import GridPotential, TimeMap, generator_field, generator_matrix
+from .geometry import DENSITY_WEIGHT, GridPotential, TimeMap, generator_field, generator_matrix
 
 __all__ = [
     "SnGroupElement",
@@ -164,6 +164,9 @@ class SnGroupElement:
         self.h = float(self.h)
         if self.A.shape != (3, 3):
             raise ValueError("rotation block must be a 3x3 matrix")
+        params = (self.A, self.b, self.c, self.d, self.e, self.g, self.h)
+        if not all(np.isfinite(v).all() for v in params):
+            raise ValueError("group element entries must be finite")
         if np.max(np.abs(self.A.T @ self.A - np.eye(3))) > 1e-8:
             raise ValueError("rotation block must be orthogonal (A^T A = 1)")
         if np.linalg.det(self.A) < 0:
@@ -360,7 +363,6 @@ def infinitesimal_action(
     hbar: float,
     dt_psi=None,
     t0: float = 0.0,
-    weight: float = 0.4,
 ) -> np.ndarray:
     """Group-side Lie derivative of a 4-spinor density on flat space.
 
@@ -392,7 +394,7 @@ def infinitesimal_action(
     block[2:, :2] = 0.5j * sb
     out = out + np.einsum("ab,b...->a...", block, psi)
 
-    out = out + weight * np.trace(L[:5, :5]) * psi
+    out = out + DENSITY_WEIGHT * np.trace(L[:5, :5]) * psi
     return out
 
 

@@ -3,6 +3,7 @@ evolution, the charge CSV format, and evolve-then-map consistency."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lln.fields import PAULI, GridSpec, band_limited_noise, fftn, gaussian_packet, ifftn
 from lln.evolve import RunConfig, apply_hamiltonian, run
@@ -210,6 +211,42 @@ def test_read_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,energy\n0.0,1.0\n")
     with pytest.raises(ValueError, match="columns"):
+        read_csv(path)
+
+
+def _record(vals):
+    return ChargeRecord(t=vals[0], E_paper=vals[1], E_sn=vals[2], P=np.array(vals[3:6]),
+                        J=np.array(vals[6:9]), M=vals[9], Gb=np.array(vals[10:13]),
+                        D=vals[13], T_kin=vals[14], W_pot=vals[15])
+
+
+_row = st.lists(st.floats(allow_nan=False), min_size=16, max_size=16)
+_CSV_PROPERTY = settings(database=None, deadline=None, max_examples=60,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_CSV_PROPERTY
+@given(rows=st.lists(_row, max_size=5), nan_e_sn=st.booleans())
+def test_charge_csv_round_trip(tmp_path, rows, nan_e_sn):
+    if nan_e_sn:
+        rows = [r[:2] + [float("nan")] + r[3:] for r in rows]
+    records = [_record(r) for r in rows]
+    write_csv(records, tmp_path / "c.csv")
+    back = read_csv(tmp_path / "c.csv")
+    assert len(back) == len(records)
+    for a, b in zip(records, back):
+        assert np.array_equal(a.row(), b.row(), equal_nan=True)
+        assert b.P.shape == b.J.shape == b.Gb.shape == (3,)
+    write_csv(back, tmp_path / "d.csv")
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+
+
+@_CSV_PROPERTY
+@given(k=st.integers(1, 24).filter(lambda k: k != len(CSV_COLUMNS)))
+def test_read_csv_rejects_a_row_of_the_wrong_length(tmp_path, k):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(["1.5"] * k) + "\n")
+    with pytest.raises(ValueError, match="values"):
         read_csv(path)
 
 

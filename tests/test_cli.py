@@ -438,6 +438,25 @@ def test_malformed_value_is_config_error(command, edits, solver_calls, capsys):
     _assert_config_error(command, edits, solver_calls, capsys)
 
 
+_NAN_ELEMENT = dict(BASES["symmetry-check"]["element"], d=float("nan"), g=float("nan"))
+
+
+@pytest.mark.parametrize("command, edits", [
+    ("evolve", {"grid.length": float("inf")}),
+    ("evolve", {"grid.length": 10**400}),
+    ("evolve", {"evolver.dt": float("inf")}),
+    ("evolve", {"initial.sigma": 0}),
+    ("evolve", {"initial.sigma": -1}),
+    ("evolve", {"initial.spin": [0, 0]}),
+    ("symmetry-check", {"element": _NAN_ELEMENT}),
+    ("evolve", {"outputs.report": "nodir/r.json"}),
+    ("ground-state", {"outputs.snapshot": "nodir/gs.lls"}),
+    ("evolve", {"outputs.charges_csv": "c.csv"}),
+])
+def test_value_that_cannot_run_is_config_error(command, edits, solver_calls, capsys):
+    _assert_config_error(command, edits, solver_calls, capsys)
+
+
 def test_charge_tols_need_the_monitor(solver_calls, capsys):
     _assert_config_error("evolve", {"checks.charge_tols": {"M": 1e-8}}, solver_calls, capsys)
     _assert_config_error("evolve", {"outputs.charges_every": 0,

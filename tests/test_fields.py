@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lln import fields
 from lln.fields import (
@@ -235,6 +236,38 @@ def test_potential_snapshot_roundtrip(tmp_path):
         snap.to_field()  # wrong kind
 
 
+_finite = st.floats(-1e6, 1e6)
+_positive = st.floats(1e-3, 1e3)
+
+
+@settings(database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.sampled_from([4, 6, 8]), length=_positive, seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-100, 1e100), m=_positive, hbar=_positive, G=_finite,
+       time=_finite, mass_tag=_positive, poisson=st.sampled_from([None, "periodic", "isolated"]))
+def test_snapshot_files_round_trip(tmp_path, n, length, seed, scale, m, hbar, G, time,
+                                   mass_tag, poisson):
+    grid = GridSpec(n, length)
+    rng = np.random.default_rng(seed)
+    data = scale * (rng.standard_normal((2,) + grid.shape)
+                    + 1j * rng.standard_normal((2,) + grid.shape))
+    f = BispinorField(grid=grid, data=data, m=m, hbar=hbar, time=time, mass_tag=mass_tag)
+    save_snapshot(tmp_path / "s.lls", f, G=G, poisson=poisson)
+    snap = load_snapshot(tmp_path / "s.lls")
+    assert (snap.kind, snap.grid, snap.G, snap.poisson) == ("bispinor", grid, G, poisson)
+    g = snap.to_field()
+    assert np.array_equal(g.data, f.data)
+    assert (g.m, g.hbar, g.time, g.mass_tag) == (m, hbar, time, mass_tag)
+
+    U, w = data[0].real, data.imag[[0, 1, 0]]
+    save_potentials(tmp_path / "p.lls", grid, U, w, m=m, hbar=hbar, G=G, time=time)
+    snap = load_snapshot(tmp_path / "p.lls")
+    assert (snap.kind, snap.grid, snap.m, snap.hbar, snap.G, snap.time) == (
+        "potential", grid, m, hbar, G, time)
+    U2, w2 = snap.to_potentials()
+    assert np.array_equal(U2, U) and np.array_equal(w2, w)
+
+
 def test_snapshot_rejects_nan(tmp_path):
     f = gaussian_packet(G16, sigma=1.0)
     path = tmp_path / "bad.lls"
@@ -281,6 +314,12 @@ def test_snapshot_rejects_truncated_payload(tmp_path):
 
 
 def test_field_validation():
+    with pytest.raises(ValueError, match="sigma"):
+        gaussian_packet(G16, sigma=0.0)
+    with pytest.raises(ValueError, match="sigma"):
+        gaussian_packet(G16, sigma=-1.0)
+    with pytest.raises(ValueError, match="normalize"):
+        gaussian_packet(G16, spin=(0.0, 0.0))
     with pytest.raises(ValueError):
         BispinorField(grid=G16, data=np.zeros((3,) + G16.shape, dtype=complex), m=1.0, hbar=1.0)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from lln.fields import (
     PAULI,
@@ -97,7 +98,50 @@ def test_associativity_and_identity():
     assert params_close(compose(u1, e), u1, 1e-15)
 
 
+_unit = st.floats(-1.0, 1.0)
+_vec = st.tuples(_unit, _unit, _unit)
+PROPERTY = settings(database=None, deadline=None, max_examples=60)
+
+
+@st.composite
+def elements(draw):
+    q = np.array(draw(st.tuples(_unit, _unit, _unit, _unit)))
+    assume(np.linalg.norm(q) > 0.1)
+    nu = float(np.exp(draw(st.floats(-0.5, 0.5))))
+    return SnGroupElement(A=matrix_from_quat(q / np.linalg.norm(q)), b=draw(_vec),
+                          c=draw(_vec), d=nu**-2, e=draw(_unit), g=nu**3, h=draw(_unit))
+
+
+generators = st.builds(LieParams, omega=_vec, beta=_vec, gamma=_vec, delta=_unit,
+                       eps=_unit, eta=_unit)
+
+
+@PROPERTY
+@given(u1=elements(), u2=elements(), u3=elements())
+def test_compose_is_associative(u1, u2, u3):
+    assert params_close(compose(compose(u1, u2), u3), compose(u1, compose(u2, u3)), 1e-11)
+
+
+@PROPERTY
+@given(u=elements())
+def test_inverse_on_both_sides(u):
+    e = SnGroupElement.identity()
+    assert params_close(compose(u, inverse(u)), e, 1e-11)
+    assert params_close(compose(inverse(u), u), e, 1e-11)
+
+
+@PROPERTY
+@given(X=generators, s=_unit, t=_unit)
+def test_exp_map_is_a_one_parameter_subgroup(X, s, t):
+    assert params_close(compose(exp_element(X, s), exp_element(X, t)),
+                        exp_element(X, s + t), 1e-10)
+
+
 def test_element_validation():
+    with pytest.raises(ValueError, match="finite"):
+        SnGroupElement(d=float("nan"), g=float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        SnGroupElement(b=[0.0, float("inf"), 0.0])
     with pytest.raises(ValueError):
         SnGroupElement(A=np.eye(3) + 0.01)
     with pytest.raises(ValueError):
@@ -222,6 +266,15 @@ def test_element_json_roundtrip(tmp_path):
     assert params_close(u, v, 1e-12)
     d = element_to_dict(u)
     assert abs(d["nu"] - u.nu) < 1e-14
+
+
+@settings(database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(u=elements())
+def test_element_json_round_trip_property(tmp_path, u):
+    save_element(tmp_path / "el.json", u)
+    assert params_close(load_element(tmp_path / "el.json"), u, 1e-12)
+    assert params_close(element_from_dict(json.loads(json.dumps(element_to_dict(u)))), u, 1e-12)
 
 
 def test_element_dict_validation():
