@@ -415,6 +415,7 @@ def cmd_ground_state(args) -> int:
         "energy": res.energy,
         "iterations": res.iterations,
         "converged": res.converged,
+        "residual": res.residual,
     }
     rc = 0
     if require and not res.converged:

@@ -29,6 +29,7 @@ from .fields import (
     gradient,
     ifftn,
     laplacian,
+    norm2,
     sigma_dot,
     sigma_grad,
     spin_density,
@@ -280,6 +281,7 @@ class GroundStateResult:
     iterations: int
     converged: bool
     potential: GridPotential
+    residual: float  # ||H phi - energy phi|| / ||phi|| at the returned state
     energy_sn: Optional[float] = None  # T + W/2, self-sourced mode only
 
 
@@ -298,7 +300,8 @@ def ground_state(
     Self-consistent mode refreshes U from the renormalized density every
     sweep, with the "periodic" or "isolated" Poisson solver. Convergence is
     declared when the energy settles to within tol between consecutive
-    sweeps.
+    sweeps. The residual is taken once, after the last sweep; the sweep's
+    fixed point is O(dtau^2) off the eigenstate, so it does not fall with tol.
     """
     if source not in ("self", "external"):
         raise ValueError("ground_state supports 'self' or 'external' sources")
@@ -311,9 +314,10 @@ def ground_state(
     f = f0.copy().normalized()
     grid, m, hbar = f.grid, f.m, f.hbar
     decay = np.exp(-hbar * grid.k2 * dtau / (2.0 * m))
-    E_prev = np.inf
+    E = np.inf
     pot = p
     it = 0
+    converged = False
     for it in range(1, max_iter + 1):
         if source == "self":
             pot = self_potential(f.data, grid, m, G, poisson, p)
@@ -325,16 +329,15 @@ def ground_state(
         f.data = ifftn(F, overwrite_x=True)
         f.data *= half_kick
         f = f.normalized()
-        E = energy_expectation(f.data, pot, grid, m, hbar)
+        E_prev, E = E, energy_expectation(f.data, pot, grid, m, hbar)
         if abs(E - E_prev) < tol:
-            return GroundStateResult(
-                field=f, energy=E, iterations=it, converged=True, potential=pot,
-                energy_sn=_sn_energy(f, pot, E) if source == "self" else None,
-            )
-        E_prev = E
+            converged = True
+            break
+    h = apply_hamiltonian(f.data, pot, grid, m, hbar)
     return GroundStateResult(
-        field=f, energy=E_prev, iterations=it, converged=False, potential=pot,
-        energy_sn=_sn_energy(f, pot, E_prev) if source == "self" else None,
+        field=f, energy=E, iterations=it, converged=converged, potential=pot,
+        residual=float(np.sqrt(norm2(h - E * f.data, grid) / f.norm2)),
+        energy_sn=_sn_energy(f, pot, E) if source == "self" else None,
     )
 
 

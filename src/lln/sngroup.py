@@ -437,18 +437,27 @@ def _pullback_points_map(u: SnGroupElement, tau: float):
 def _resample_linear(data, grid: GridSpec, M, v):
     """Interpolant of data evaluated at M x + v over the node mesh x.
 
-    Exact fast paths: pure shift (spectral), axis-aligned M (separable).
-    A general rotation falls back to dense chunked evaluation; keep those
-    to small grids.
+    Three paths, each exact for the interpolant:
+
+    - M = 1: spectral shift by -v.
+    - M with one nonzero per row and column (quarter and half turns about
+      axes or face diagonals, times dilations): input coordinate i depends
+      on output coordinate perm[i] alone, y_i = M[i, perm[i]] x_perm[i] + v_i.
+      The interpolant is evaluated on that 1-D lattice per axis (O(n^4),
+      separable) and result axis i is moved to output axis perm[i].
+    - any other M (a generic rotation): dense evaluation at every node,
+      O(n^6); keep those to small grids.
     """
-    offdiag = M - np.diag(np.diag(M))
     if np.max(np.abs(M - np.eye(3))) < 1e-13:
         out = np.stack([shift_field(comp, grid, -v) for comp in data])
         return out
-    if np.max(np.abs(offdiag)) < 1e-13:
+    perm = np.argmax(np.abs(M), axis=1)
+    scale = M[np.arange(3), perm]
+    if len(set(perm)) == 3 and np.max(np.abs(M[:, perm] - np.diag(scale))) < 1e-13:
         ax = grid.axis()
-        pts = [np.diag(M)[i] * ax + v[i] for i in range(3)]
-        return resample_separable(data, grid, pts)
+        out = resample_separable(data, grid, [scale[i] * ax + v[i] for i in range(3)])
+        lead = data.ndim - 3
+        return np.ascontiguousarray(np.moveaxis(out, lead + np.arange(3), lead + perm))
     mesh = np.moveaxis(grid.mesh(), 0, -1).reshape(-1, 3)
     pts = mesh @ M.T + v
     vals = sample_points(data, grid, pts)

@@ -171,6 +171,7 @@ def test_ground_state_window(tmp_path, capsys):
     rep = json.loads(report.read_text())
     assert rep["converged"] is True
     assert -5.0 <= rep["energy"] <= -3.5
+    assert 0.0 < rep["residual"] < 0.1  # 1.2e-2: O(dtau^2) at dtau = 0.05
 
     cfg["checks"]["energy_window"] = [0.0, 1.0]
     rc = main(["ground-state", "--config", write_config(tmp_path, cfg, "g2.json")])
@@ -343,7 +344,8 @@ def solver_calls(tmp_path, monkeypatch):
 
     def ground_state(f0, **kw):
         calls.append("ground_state")
-        return SimpleNamespace(field=f0, energy=-1.0, iterations=1, converged=True)
+        return SimpleNamespace(field=f0, energy=-1.0, iterations=1, converged=True,
+                               residual=0.0)
 
     def covariance_test(f0, u, cfg, p=None):
         calls.append("covariance_test")

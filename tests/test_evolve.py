@@ -547,6 +547,22 @@ def test_ground_state_self_gravity_oracle():
     assert res.energy_sn > mu  # E = mu - W/2 and W < 0
     # virial: E/mu = 1/3 for the scale-free self-coupled cloud
     assert abs(res.energy_sn / mu - 1.0 / 3.0) < 0.01
+    # the sweep's fixed point is O(dtau^2) off the eigenstate: 3.3e-4 here
+    assert 1e-4 < res.residual < 1e-3
+
+
+@pytest.mark.parametrize("source", ["self", "external"])
+def test_ground_state_residual_matches_hamiltonian(source):
+    X = G16.mesh()
+    p = GridPotential(G16, U=0.5 * np.sum(X**2, axis=0)) if source == "external" else None
+    f0 = gaussian_packet(G16, sigma=1.2, center=(0.3, -0.2, 0.1), m=1.3, hbar=0.9)
+    res = ground_state(f0, G=4.0, dtau=0.02, tol=0.0, max_iter=25, source=source, p=p,
+                       poisson="isolated")
+    f = res.field
+    h = apply_hamiltonian(f.data, res.potential, G16, f.m, f.hbar)
+    r = np.linalg.norm(h - res.energy * f.data) / np.linalg.norm(f.data)
+    assert res.residual == pytest.approx(r, rel=1e-12)
+    assert 0.0 < res.residual < 1.0
 
 
 ############################################################

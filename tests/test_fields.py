@@ -184,6 +184,28 @@ def test_sample_points_on_lattice_exact():
     assert np.max(np.abs(vals - ref)) < 1e-12
 
 
+def _sample_points_einsum(f, grid, pts):
+    # the one-contraction form sample_points replaced, kept as its oracle
+    F = fields.fftn(np.asarray(f))
+    E1, E2, E3 = (fields._phase_matrix(grid, pts[:, i]) for i in range(3))
+    out = np.einsum("pa,pb,pc,...abc->...p", E1, E2, E3, F, optimize=True)
+    return out.real if np.isrealobj(f) else out
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (9,)])
+@pytest.mark.parametrize("count", [1, 37, 5000])  # 5000 spans several chunks
+def test_sample_points_matches_one_contraction(lead, count):
+    rng = np.random.default_rng(count + len(lead))
+    pts = rng.uniform(-8.0, 8.0, size=(count, 3))
+    real = rng.standard_normal(lead + G16.shape)
+    for f in (real, real + 1j * rng.standard_normal(lead + G16.shape)):
+        vals = sample_points(f, G16, pts)
+        ref = _sample_points_einsum(f, G16, pts)
+        assert vals.shape == lead + (count,)
+        assert np.isrealobj(vals) == np.isrealobj(f)
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_upsample_band_limited_exact():
     g48 = GridSpec(n=48, length=16.0)
     bl = band_limited_noise(G32, modes=5, seed=77, comps=(2,)).astype(complex)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 
@@ -5,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from lln import sngroup
+from lln.evolve import chi_from_phi
 from lln.fields import (
     PAULI,
     GridSpec,
     band_limited_noise,
     gaussian_packet,
     observables,
+    sample_points,
 )
 from lln.geometry import GridPotential, flat_potential, lie_derivative_spinor_density
 from lln.sngroup import (
@@ -576,3 +580,105 @@ def test_transform_potentials_dilation_scaling():
     ax = G16.axis()
     ref = nu**4 * resample_separable(U, G16, (nu**3 * ax,) * 3)
     assert np.max(np.abs(out.U - ref)) < 1e-12
+
+
+############################################################
+# resampling paths: lattice-exact turns against the dense interpolant
+############################################################
+
+
+def _signed_permutations():
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            P = np.zeros((3, 3))
+            P[np.arange(3), perm] = signs
+            yield P
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_permuted_lattice_matches_dense(n):
+    # every signed permutation, with and without a diagonal scale and a
+    # non-lattice shift, against the dense interpolant at a spread of nodes
+    grid = GridSpec(n=n, length=16.0)
+    rng = np.random.default_rng(n)
+    mesh = np.moveaxis(grid.mesh(), 0, -1).reshape(-1, 3)
+    nodes = np.unique(np.r_[0, grid.n**3 - 1, rng.integers(0, grid.n**3, 60)])
+    for P in _signed_permutations():
+        for D in (np.eye(3), np.diag([1.07, 0.93, 1.0])):
+            M = D @ P
+            for v in (np.zeros(3), np.array([0.31, -0.77, 0.123])):
+                for lead in ((1,), (2,), (3,)):
+                    shape = lead + grid.shape
+                    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    out = sngroup._resample_linear(data, grid, M, v).reshape(lead + (-1,))
+                    out = out[..., nodes]
+                    ref = sample_points(data, grid, mesh[nodes] @ M.T + v)
+                    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _dense_transform_potentials(u, p, t_hat):
+    # transform_potentials with every resampling through the dense interpolant
+    grid = p.grid
+    M, v = sngroup._pullback_points_map(u, sngroup._time_in(u, t_hat))
+    pts = np.moveaxis(grid.mesh(), 0, -1).reshape(-1, 3) @ M.T + v
+    U_p = sample_points(p.U, grid, pts).reshape(grid.shape)
+    w_p = sample_points(p.varpi, grid, pts).reshape((3,) + grid.shape)
+    U_hat = u.nu**4 * (U_p + np.einsum("j...,j->...", w_p, u.A.T @ u.b))
+    return U_hat, u.nu**2 * np.einsum("ij,j...->i...", u.A, w_p)
+
+
+def test_transform_potentials_quarter_turn_boost_matches_dense():
+    U = 0.3 * band_limited_noise(G16, modes=3, seed=81)
+    w = 0.2 * band_limited_noise(G16, modes=3, seed=82, comps=(3,))
+    p = GridPotential(G16, U=U, varpi=w)
+    b = 2 * np.pi / G16.length * np.array([1.0, 0.0, -2.0])
+    u = compose(SnGroupElement.rotation([1, 0, 0], -np.pi / 2), SnGroupElement.boost(b))
+    out = transform_potentials(u, p, t_hat=0.4)
+    U_ref, w_ref = _dense_transform_potentials(u, p, 0.4)
+    assert np.max(np.abs(out.U - U_ref)) <= 1e-13 * np.max(np.abs(U_ref))
+    assert np.max(np.abs(out.varpi - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
+
+
+def _lattice_elements():
+    k1 = 2 * np.pi / G16.length
+    quarter = SnGroupElement.rotation([0, 1, 0], np.pi / 2)
+    nu = 1.07
+    mixed = compose(
+        compose(quarter, SnGroupElement.dilation(nu)),
+        compose(SnGroupElement.translation(c=[0.31, -0.2, 0.05]),
+                SnGroupElement.boost(k1 / nu**3 * np.array([1.0, -1.0, 0.0]))),
+    )
+    return {
+        "quarter_x": SnGroupElement.rotation([1, 0, 0], np.pi / 2),
+        "quarter_z_minus": SnGroupElement.rotation([0, 0, 1], -np.pi / 2),
+        "half_y": SnGroupElement.rotation([0, 1, 0], np.pi),
+        "half_face_diagonal": SnGroupElement.rotation([1, 1, 0], np.pi),
+        "quarter_dilation_translation_boost": mixed,
+    }
+
+
+@pytest.fixture
+def dense_forbidden(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense sample_points reached")
+
+    monkeypatch.setattr(sngroup, "sample_points", refuse)
+
+
+@pytest.mark.parametrize("name", sorted(_lattice_elements()))
+def test_lattice_elements_avoid_the_dense_path(name, dense_forbidden):
+    u = _lattice_elements()[name]
+    f = gaussian_packet(G16, sigma=1.2, center=(0.4, -0.3, 0.2), time=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the boosts here are lattice modes
+        represent(u, f)
+        represent_pair(u, f, chi_from_phi(f.data, None, G16, f.m, f.hbar))
+    p = GridPotential(G16, U=0.3 * band_limited_noise(G16, modes=3, seed=83),
+                      varpi=0.2 * band_limited_noise(G16, modes=3, seed=84, comps=(3,)))
+    transform_potentials(u, p)
+
+
+def test_generic_rotation_takes_the_dense_path(dense_forbidden):
+    f = gaussian_packet(G16, sigma=1.2)
+    with pytest.raises(AssertionError, match="dense sample_points reached"):
+        represent(SnGroupElement.rotation([1.0, 2.0, -0.5], 0.9), f)
