@@ -7,7 +7,8 @@ numbers, non-string paths), output paths in a missing directory and
 settings that could not take effect are errors. Each subcommand reads and
 checks every setting, LLN_THREADS included, before it computes anything.
 Exit codes: 0 all checks pass, 1 a check or computation failed (including
-non-finite snapshot data), 2 usage or configuration errors.
+non-finite snapshot data; a failed computation prints one `<subcommand>
+failed:` line), 2 usage or configuration errors.
 
 Environment: LLN_THREADS (a positive integer) caps FFT worker threads,
 LLN_OUTDIR prefixes relative output paths.
@@ -225,6 +226,18 @@ def _write_report(path, payload):
         fh.write("\n")
 
 
+def _finish(report, failures, path) -> int:
+    """The result phase of a run subcommand: the report file at `path`, the
+    report's scalar entries as the one stdout JSON line and each failed check
+    as one stderr line. Exit 1 if any check failed."""
+    if path:
+        _write_report(path, report)
+    print(json.dumps({k: v for k, v in report.items() if not isinstance(v, dict)}))
+    for message in failures:
+        print(message, file=sys.stderr)
+    return 1 if failures else 0
+
+
 ############################################################
 # subcommands
 ############################################################
@@ -336,15 +349,10 @@ def cmd_evolve(args) -> int:
     if every:
         rcfg.monitor = charges_mod.charge_monitor(mode=rcfg.source)
 
-    try:
-        result = evolve_mod.run(f0, rcfg, pot)
-    except (evolve_mod.StabilityError, ValueError) as exc:
-        print(f"evolve failed: {exc}", file=sys.stderr)
-        return 1
-
+    result = evolve_mod.run(f0, rcfg, pot)
     report = {"steps": rcfg.steps, "dt": rcfg.dt, "final_time": result.field.time,
               "final_norm2": result.field.norm2}
-    rc = 0
+    failures = []
     if result.records:
         drifts = charges_mod.drift_stats(result.records)
         report["charge_drift"] = drifts
@@ -352,29 +360,20 @@ def cmd_evolve(args) -> int:
         # checked here rather than in the config phase
         for name, tol in tols.items():
             if name not in drifts:
-                print(f"check on unknown charge {name!r}", file=sys.stderr)
-                return 2
+                raise ConfigError(f"check on unknown charge {name!r}")
             if drifts[name] > tol:
-                print(
-                    f"charge drift {name} = {drifts[name]:.3e} exceeds {tol}",
-                    file=sys.stderr,
-                )
-                rc = 1
+                failures.append(f"charge drift {name} = {drifts[name]:.3e} exceeds {tol}")
         if "charges_csv" in paths:
             charges_mod.write_csv(result.records, paths["charges_csv"])
     if norm_tol is not None:
         drift = abs(result.field.norm2 - f0.norm2)
         report["norm_drift"] = drift
         if drift > norm_tol:
-            print(f"norm drift {drift:.3e} exceeds {norm_tol}", file=sys.stderr)
-            rc = 1
+            failures.append(f"norm drift {drift:.3e} exceeds {norm_tol}")
     if "snapshot" in paths:
         fields.save_snapshot(paths["snapshot"], result.field, G=phys["G"],
                              poisson=rcfg.poisson)
-    if "report" in paths:
-        _write_report(paths["report"], report)
-    print(json.dumps({k: v for k, v in report.items() if not isinstance(v, dict)}))
-    return rc
+    return _finish(report, failures, paths.get("report"))
 
 
 def cmd_ground_state(args) -> int:
@@ -396,6 +395,9 @@ def cmd_ground_state(args) -> int:
             p=pot,
             poisson=poisson,
         )
+        _expect(solve["dtau"] > 0, solve["dtau"], "relax.dtau", "a step > 0")
+        _expect(solve["tol"] >= 0, solve["tol"], "relax.tol", "a tolerance >= 0")
+        _expect(solve["max_iter"] >= 1, solve["max_iter"], "relax.max_iter", "a count >= 1")
         paths = _out_paths(_section(cfg, "outputs", {"snapshot", "report"}))
         checks = _section(cfg, "checks", {"require_converged", "energy_window"})
         require = _flag(checks.get("require_converged", True), "checks.require_converged")
@@ -405,36 +407,15 @@ def cmd_ground_state(args) -> int:
                     "checks.energy_window", "[lo, hi]")
             window = [_num(v, "checks.energy_window") for v in window]
 
-    try:
-        res = evolve_mod.ground_state(f0, **solve)
-    except ValueError as exc:
-        print(f"ground-state failed: {exc}", file=sys.stderr)
-        return 1
-
-    report = {
-        "energy": res.energy,
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "residual": res.residual,
-    }
-    rc = 0
-    if require and not res.converged:
-        print("relaxation did not converge", file=sys.stderr)
-        rc = 1
-    if window is not None:
-        lo, hi = window
-        if not (lo <= res.energy <= hi):
-            print(
-                f"energy {res.energy:.6g} outside window [{lo}, {hi}]",
-                file=sys.stderr,
-            )
-            rc = 1
+    res = evolve_mod.ground_state(f0, **solve)
+    failures = ["relaxation did not converge"] if require and not res.converged else []
+    if window is not None and not (window[0] <= res.energy <= window[1]):
+        failures.append(f"energy {res.energy:.6g} outside window [{window[0]}, {window[1]}]")
     if "snapshot" in paths:
         fields.save_snapshot(paths["snapshot"], res.field, G=phys["G"], poisson=poisson)
-    if "report" in paths:
-        _write_report(paths["report"], report)
-    print(json.dumps(report))
-    return rc
+    report = {"energy": res.energy, "iterations": res.iterations,
+              "converged": res.converged, "residual": res.residual}
+    return _finish(report, failures, paths.get("report"))
 
 
 def cmd_charges(args) -> int:
@@ -473,23 +454,11 @@ def cmd_symmetry_check(args) -> int:
         tol = _num(_section(cfg, "checks", {"tol"}).get("tol", 1e-3), "checks.tol")
         paths = _out_paths(_section(cfg, "outputs", {"report"}))
 
-    try:
-        res = charges_mod.covariance_test(f0, u, rcfg, pot)
-    except (evolve_mod.StabilityError, ValueError) as exc:
-        print(f"symmetry check failed to run: {exc}", file=sys.stderr)
-        return 1
-    report = {
-        "rel_l2": res["rel_l2"],
-        "final_time": res["final_time_A"],
-        "nu": u.nu,
-    }
-    if "report" in paths:
-        _write_report(paths["report"], report)
-    print(json.dumps(report))
-    if res["rel_l2"] > tol:
-        print(f"covariance discrepancy {res['rel_l2']:.3e} exceeds {tol}", file=sys.stderr)
-        return 1
-    return 0
+    res = charges_mod.covariance_test(f0, u, rcfg, pot)
+    failures = ([f"covariance discrepancy {res['rel_l2']:.3e} exceeds {tol}"]
+                if res["rel_l2"] > tol else [])
+    report = {"rel_l2": res["rel_l2"], "final_time": res["final_time_A"], "nu": u.nu}
+    return _finish(report, failures, paths.get("report"))
 
 
 ############################################################
@@ -551,4 +520,8 @@ def main(argv=None) -> int:
         return 2
     except fields.SnapshotDataError as exc:
         print(f"bad data: {exc}", file=sys.stderr)
+        return 1
+    except (evolve_mod.StabilityError, ValueError) as exc:
+        # after SnapshotDataError, a ValueError subclass
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 1

@@ -311,6 +311,8 @@ def ground_state(
         raise ValueError(f"unknown poisson mode {poisson!r}")
     if p is not None and np.any(p.varpi):
         raise ValueError("imaginary-time split-step requires vanishing varpi")
+    if not (dtau > 0 and tol >= 0 and max_iter >= 1):
+        raise ValueError("ground_state needs dtau > 0, tol >= 0 and max_iter >= 1")
     f = f0.copy().normalized()
     grid, m, hbar = f.grid, f.m, f.hbar
     decay = np.exp(-hbar * grid.k2 * dtau / (2.0 * m))

@@ -671,7 +671,6 @@ def covariant_spinor_derivative(
     m: float,
     hbar: float,
     dt_psi=None,
-    connection=None,
 ) -> np.ndarray:
     """nabla_mu psi for a 4-spinor grid field, shape (5, 4, grid).
 
@@ -689,8 +688,7 @@ def covariant_spinor_derivative(
         raise ValueError("covariant t-derivative needs dt_psi")
     out[3] = np.asarray(dt_psi, dtype=complex)
     out[4] = (1j * m / hbar) * psi
-    om = spin_connection(p) if connection is None else connection
-    out += np.einsum("mab...,b...->ma...", om, psi)
+    out += np.einsum("mab...,b...->ma...", spin_connection(p), psi)
     return out
 
 

@@ -212,19 +212,19 @@ class SnGroupElement:
         return cls(d=nu**-2, g=nu**3)
 
     @classmethod
-    def random(cls, seed: int = 0, scale: float = 0.5) -> "SnGroupElement":
+    def random(cls, seed: int = 0) -> "SnGroupElement":
         rng = np.random.default_rng(seed)
         q = rng.standard_normal(4)
         q /= np.linalg.norm(q)
-        nu = float(np.exp(scale * rng.uniform(-1, 1)))
+        nu = float(np.exp(0.5 * rng.uniform(-1, 1)))
         return cls(
             A=matrix_from_quat(quat_sign_fix(q)),
-            b=scale * rng.standard_normal(3),
-            c=scale * rng.standard_normal(3),
+            b=0.5 * rng.standard_normal(3),
+            c=0.5 * rng.standard_normal(3),
             d=nu**-2,
-            e=scale * rng.standard_normal(),
+            e=0.5 * rng.standard_normal(),
             g=nu**3,
-            h=scale * rng.standard_normal(),
+            h=0.5 * rng.standard_normal(),
         )
 
     def time_map(self) -> TimeMap:
@@ -449,8 +449,7 @@ def _resample_linear(data, grid: GridSpec, M, v):
       O(n^6); keep those to small grids.
     """
     if np.max(np.abs(M - np.eye(3))) < 1e-13:
-        out = np.stack([shift_field(comp, grid, -v) for comp in data])
-        return out
+        return shift_field(data, grid, -v)
     perm = np.argmax(np.abs(M), axis=1)
     scale = M[np.arange(3), perm]
     if len(set(perm)) == 3 and np.max(np.abs(M[:, perm] - np.diag(scale))) < 1e-13:

@@ -454,9 +454,51 @@ _NAN_ELEMENT = dict(BASES["symmetry-check"]["element"], d=float("nan"), g=float(
     ("evolve", {"outputs.report": "nodir/r.json"}),
     ("ground-state", {"outputs.snapshot": "nodir/gs.lls"}),
     ("evolve", {"outputs.charges_csv": "c.csv"}),
+    ("ground-state", {"relax.max_iter": 0}),
+    ("ground-state", {"relax.max_iter": -3}),
+    ("ground-state", {"relax.dtau": 0}),
+    ("ground-state", {"relax.dtau": -0.05}),
+    ("ground-state", {"relax.tol": -1e-9}),
 ])
 def test_value_that_cannot_run_is_config_error(command, edits, solver_calls, capsys):
     _assert_config_error(command, edits, solver_calls, capsys)
+
+
+# the first section a config has names its subcommand (symmetry checks evolve too)
+COMMANDS = {"element": "symmetry-check", "relax": "ground-state", "evolver": "evolve"}
+STUBS = {"evolve": "run", "ground-state": "ground_state",
+         "symmetry-check": "covariance_test"}
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1]
+                                         / "configs").glob("*.json")), ids=lambda p: p.name)
+def test_shipped_configs_reach_their_solver(path, solver_calls, capsys):
+    # the stubs' made-up results may fail a check (exit 1), never the config
+    command = next(c for section, c in COMMANDS.items()
+                   if section in json.loads(path.read_text()))
+    rc = main([command, "--config", str(path)])
+    assert rc in (0, 1), capsys.readouterr().err
+    assert solver_calls == [STUBS[command]]
+
+
+@pytest.mark.parametrize("command, edits", [
+    ("evolve", {"potentials": {"preset": "uniform"}}),  # split needs varpi = 0
+    ("evolve", {"evolver": {"kind": "rk4", "dt": 1.0, "steps": 1}}),  # unstable
+    ("ground-state", {"potentials": {"preset": "uniform"}}),
+    ("symmetry-check", {"potentials": {"preset": "uniform"}}),
+])
+def test_compute_failure_exits_1_with_one_line(command, edits, tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LLN_OUTDIR", raising=False)
+    outputs = {"report": "r.json"} if command == "symmetry-check" else {
+        "report": "r.json", "snapshot": "s.lls"}
+    assert _run_config(command, _with(BASES[command], dict(edits, outputs=outputs))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{command} failed: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert sorted(os.listdir(tmp_path)) == ["run.json"]
 
 
 def test_charge_tols_need_the_monitor(solver_calls, capsys):

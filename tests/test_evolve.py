@@ -494,6 +494,11 @@ def test_ground_state_guards():
     # a misspelt mode used to fall through to the isolated solver
     with pytest.raises(ValueError, match="unknown poisson mode 'perodic'"):
         ground_state(f, poisson="perodic")
+    # without the guard, max_iter = 0 ends in an AttributeError and dtau = 0
+    # returns the untouched packet as "converged"
+    for bad in ({"max_iter": 0}, {"dtau": 0.0}, {"dtau": -0.05}, {"tol": -1e-9}):
+        with pytest.raises(ValueError, match="ground_state needs"):
+            ground_state(f, **bad)
 
 
 def test_ground_state_harmonic_trap():
