@@ -31,7 +31,6 @@ from .geometry import (
     christoffels_fd,
     clifford_residual,
     dirac_residual,
-    flat_potential,
     gamma_set,
     lie_derivative_spinor_density,
     ricci_constraint_residual,
@@ -40,7 +39,6 @@ from .geometry import (
 )
 from .gravity import (
     constraint_potential,
-    coriolis_preset,
     mass_density,
     poisson_isolated,
     poisson_periodic,

@@ -131,33 +131,43 @@ def _build_potentials(cfg, grid):
     preset = cfg.get("preset", "none")
     U, varpi, kw = None, None, {}
     if preset == "uniform":
-        pot = gravity.uniform_rotation_potential(grid, cfg.get("Omega0", 1.0))
+        om = cfg.get("Omega0", 1.0)
+        if isinstance(om, list):
+            _expect(len(om) == 3, om, "potentials.Omega0", "a number or a list of three")
+            om = [_num(v, "potentials.Omega0") for v in om]
+        else:
+            om = _num(om, "potentials.Omega0")
+        pot = gravity.uniform_rotation_potential(grid, om)
         varpi, kw = pot.varpi, {"dvarpi": pot.dvarpi}
     elif preset == "taubnut":
-        varpi, _ = gravity.coriolis_preset("taubnut", grid, **{
+        varpi, _ = gravity.taub_nut_grid(grid, **{
             k: _num(cfg[k], f"potentials.{k}", integral=k == "sign")
             for k in ("a", "sign", "r_cut") if k in cfg})
     elif preset == "gradient":
         th = cfg.get("theta")
         _check_keys(th or {}, {"amplitude", "sigma"}, {"amplitude", "sigma"},
                     "potentials.theta")
-        X = grid.mesh()
-        r2 = np.sum(X**2, axis=0)
         amp = _num(th["amplitude"], "potentials.theta.amplitude")
-        theta = amp * np.exp(-r2 / (2.0 * _num(th["sigma"], "potentials.theta.sigma") ** 2))
-        varpi, _ = gravity.coriolis_preset("gradient", grid, theta=theta)
+        sigma = _num(th["sigma"], "potentials.theta.sigma")
+        _expect(sigma > 0, sigma, "potentials.theta.sigma", "a width > 0")
+        r2 = np.sum(grid.mesh()**2, axis=0)
+        varpi = fields.gradient(amp * np.exp(-r2 / (2.0 * sigma**2)), grid)
     elif preset != "none":
         raise ConfigError(f"potentials: unknown preset {preset!r}")
     if "U_point_mass" in cfg:
         pm = cfg["U_point_mass"]
         _check_keys(pm, {"GM", "soften"}, {"GM"}, "potentials.U_point_mass")
-        X = grid.mesh()
         soften = _num(pm.get("soften", grid.dx), "potentials.U_point_mass.soften")
-        r = np.sqrt(np.sum(X**2, axis=0) + soften**2)
+        _expect(soften > 0, soften, "potentials.U_point_mass.soften", "a length > 0")
+        r = np.sqrt(np.sum(grid.mesh()**2, axis=0) + soften**2)
         U = -_num(pm["GM"], "potentials.U_point_mass.GM") / r
     if U is None and varpi is None:
         return None
-    return geometry.GridPotential(grid, U=U, varpi=varpi, **kw)
+    pot = geometry.GridPotential(grid, U=U, varpi=varpi, **kw)
+    # a width in range can still underflow: sigma**2 or soften**2 == 0
+    if not (np.isfinite(pot.U).all() and np.isfinite(pot.varpi).all()):
+        raise ConfigError("potentials: these preset values give a non-finite potential")
+    return pot
 
 
 def _build_initial(cfg, grid, phys) -> fields.BispinorField:
@@ -198,8 +208,10 @@ def _setup(cfg):
     phys = {k: _num(phys_cfg.get(k, 1.0), f"physics.{k}") for k in ("m", "hbar", "G")}
     if phys["m"] <= 0 or phys["hbar"] <= 0:
         raise ConfigError("physics: m and hbar must be positive")
-    pot = _build_potentials(_section(cfg, "potentials", {
-        "preset", "Omega0", "a", "sign", "r_cut", "theta", "snapshot", "U_point_mass"}), grid)
+    # a non-finite potential is reported once, as a config error, not as warnings
+    with np.errstate(all="ignore"):
+        pot = _build_potentials(_section(cfg, "potentials", {
+            "preset", "Omega0", "a", "sign", "r_cut", "theta", "snapshot", "U_point_mass"}), grid)
     initial = _section(cfg, "initial",
                        {"kind", "sigma", "center", "k0", "spin", "path", "normalize"},
                        {"kind"})
@@ -244,6 +256,11 @@ def _finish(report, failures, path) -> int:
 
 
 def cmd_verify_geometry(args) -> int:
+    with _config_phase("verify-geometry"):
+        _expect(math.isfinite(args.h) and args.h > 0, args.h, "--h", "a finite step > 0")
+        _expect(args.samples >= 1, args.samples, "--samples", "a count >= 1")
+        _expect(args.points >= 1, args.points, "--points", "a count >= 1")
+        grid = fields.GridSpec(n=args.n, length=args.length)
     rng = np.random.default_rng(args.seed)
     report = {}
 
@@ -263,7 +280,6 @@ def cmd_verify_geometry(args) -> int:
     )
 
     # closed-form Christoffels vs finite differences of the metric
-    grid = fields.GridSpec(n=args.n, length=args.length)
     pot = geometry.GridPotential(
         grid,
         U=fields.band_limited_noise(grid, modes=3, seed=int(rng.integers(1 << 30))),
@@ -277,11 +293,12 @@ def cmd_verify_geometry(args) -> int:
         samp = pot.sample(x, derivatives=True)
         closed = geometry.christoffels(samp)[0]
         fd = geometry.christoffels_fd(pot, x, h=args.h)
-        worst_pat = max(worst_pat, float(np.max(np.abs(closed - fd))))
+        # np.maximum, unlike max, carries a NaN through to the verdict
+        worst_pat = np.maximum(worst_pat, np.max(np.abs(closed - fd)))
         mask = np.abs(closed) < 1e-14
-        worst_zero = max(worst_zero, float(np.max(np.abs(fd[mask]))))
-    report["christoffel_fd"] = worst_pat
-    report["christoffel_offpattern"] = worst_zero
+        worst_zero = np.maximum(worst_zero, np.max(np.abs(fd[mask])))
+    report["christoffel_fd"] = float(worst_pat)
+    report["christoffel_offpattern"] = float(worst_zero)
 
     # curvature constraint on a solved configuration
     rho = fields.band_limited_noise(grid, modes=3, seed=7)
@@ -314,7 +331,8 @@ def cmd_verify_geometry(args) -> int:
         "constraint_vector_uniform": args.tol_constraint,
         "schwarzian_affine": args.tol_clifford,
     }
-    failures = {k: v for k, v in report.items() if v > tols[k]}
+    # every verdict is written `not (v <= tol)`, so that NaN fails
+    failures = {k: v for k, v in report.items() if not (v <= tols[k])}
     report["pass"] = not failures
     if args.json:
         _write_report(_out_path(args.json), report)
@@ -361,14 +379,14 @@ def cmd_evolve(args) -> int:
         for name, tol in tols.items():
             if name not in drifts:
                 raise ConfigError(f"check on unknown charge {name!r}")
-            if drifts[name] > tol:
+            if not (drifts[name] <= tol):
                 failures.append(f"charge drift {name} = {drifts[name]:.3e} exceeds {tol}")
         if "charges_csv" in paths:
             charges_mod.write_csv(result.records, paths["charges_csv"])
     if norm_tol is not None:
         drift = abs(result.field.norm2 - f0.norm2)
         report["norm_drift"] = drift
-        if drift > norm_tol:
+        if not (drift <= norm_tol):
             failures.append(f"norm drift {drift:.3e} exceeds {norm_tol}")
     if "snapshot" in paths:
         fields.save_snapshot(paths["snapshot"], result.field, G=phys["G"],
@@ -456,7 +474,7 @@ def cmd_symmetry_check(args) -> int:
 
     res = charges_mod.covariance_test(f0, u, rcfg, pot)
     failures = ([f"covariance discrepancy {res['rel_l2']:.3e} exceeds {tol}"]
-                if res["rel_l2"] > tol else [])
+                if not (res["rel_l2"] <= tol) else [])
     report = {"rel_l2": res["rel_l2"], "final_time": res["final_time_A"], "nu": u.nu}
     return _finish(report, failures, paths.get("report"))
 

@@ -34,7 +34,7 @@ from .fields import (
     sigma_grad,
     spin_density,
 )
-from .geometry import GridPotential, flat_potential
+from .geometry import GridPotential
 from .gravity import mass_density, poisson_isolated, poisson_periodic
 
 __all__ = [
@@ -77,10 +77,10 @@ def apply_hamiltonian(
     Hermitian on the grid: spectral derivatives are exactly antisymmetric.
     """
     phi = np.asarray(phi, dtype=complex)
-    if p is None:
-        p = flat_potential(grid)
-    w = p.varpi
     out = -(hbar**2 / (2.0 * m)) * laplacian(phi, grid)
+    if p is None:
+        return out
+    w = p.varpi
     if np.any(w):
         gphi = gradient(phi, grid)
         wgrad = np.einsum("j...,ja...->a...", w, gphi)
@@ -404,12 +404,11 @@ def gauge_transform(f: BispinorField, p: Optional[GridPotential], theta, dt_thet
     U' = U - dt_theta. All densities and currents are invariant."""
     grid = f.grid
     theta = np.asarray(theta, dtype=float)
-    if p is None:
-        p = flat_potential(grid)
+    U, varpi = (np.zeros(grid.shape), 0.0) if p is None else (p.U, p.varpi)
     f2 = f.copy()
     f2.data = np.exp(1j * f.m / f.hbar * theta) * f.data
-    U2 = p.U - (0.0 if dt_theta is None else np.asarray(dt_theta))
-    p2 = GridPotential(grid, U=U2, varpi=p.varpi + gradient(theta, grid))
+    U2 = U - (0.0 if dt_theta is None else np.asarray(dt_theta))
+    p2 = GridPotential(grid, U=U2, varpi=varpi + gradient(theta, grid))
     return f2, p2
 
 

@@ -89,8 +89,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 4 or self.n % 2:
             raise ValueError("grid size must be even and >= 4")
-        if not (self.length > 0):
-            raise ValueError("box length must be positive")
+        if not (0 < self.length < np.inf):
+            raise ValueError("box length must be finite and positive")
 
     @property
     def shape(self):

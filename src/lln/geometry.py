@@ -40,7 +40,6 @@ __all__ = [
     "PotentialSample",
     "AnalyticPotential",
     "GridPotential",
-    "flat_potential",
     "brinkmann_metric",
     "brinkmann_metric_inverse",
     "volume_density",
@@ -204,10 +203,6 @@ class GridPotential:
             s.dtU = np.zeros_like(s.U)
             s.dtvarpi = np.zeros_like(s.varpi)
         return s
-
-
-def flat_potential(grid: GridSpec) -> GridPotential:
-    return GridPotential(grid)
 
 
 ############################################################

@@ -6,7 +6,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import fft as sfft
 
-from .fields import GridSpec, _workers, density, fftn, gradient, ifftn
+from .fields import GridSpec, _workers, density, fftn, ifftn
 from .geometry import GridPotential
 
 __all__ = [
@@ -15,9 +15,9 @@ __all__ = [
     "inverse_laplacian",
     "constraint_potential",
     "mass_density",
-    "coriolis_preset",
     "uniform_rotation_potential",
     "taub_nut_varpi",
+    "taub_nut_grid",
     "self_cell_coefficient",
 ]
 
@@ -171,60 +171,42 @@ def taub_nut_varpi(x, a: float = 1.0, sign: int = +1):
     return out
 
 
-def _vorticity(Omega0) -> np.ndarray:
-    """Omega0 as a 3-vector; a scalar is taken along the z axis."""
-    om = np.asarray(Omega0, dtype=float)
-    return np.array([0.0, 0.0, float(om)]) if om.ndim == 0 else om
+def taub_nut_grid(grid: GridSpec, a: float = 1.0, sign: int = +1, r_cut=None):
+    """The Taub-NUT varpi on a grid; returns (varpi, valid_mask).
 
-
-def coriolis_preset(name: str, grid: GridSpec, **kw):
-    """Named Coriolis fields on a grid; returns (varpi, valid_mask).
-
-    uniform: constant vorticity Omega0 (3-vector or scalar => z axis),
-             varpi = (1/2) Omega0 x x, curl varpi = Omega0.
-    taubnut: parameters a, sign (+1 puts the string on the negative axis),
-             r_cut (default 2 cells) masks the axis tube and the origin.
-             Periodic derivatives of this preset are untrustworthy near the
-             masked region; use the analytic callable for pointwise work.
-    gradient: pure gauge varpi = grad(theta) for a given theta array
-             (zero vorticity; removable by a phase redefinition).
+    sign = +1 puts the string on the negative z axis; r_cut (default 2 cells)
+    masks the axis tube and the origin, where varpi is set to zero. Periodic
+    derivatives of this field are untrustworthy near the masked region; use
+    `taub_nut_varpi` for pointwise work.
     """
-    X = grid.mesh()
-    mask = np.ones(grid.shape, dtype=bool)
-    if name == "uniform":
-        om = _vorticity(kw.get("Omega0", 1.0))
-        varpi = 0.5 * np.cross(om, np.moveaxis(X, 0, -1)).transpose(3, 0, 1, 2)
-        return varpi, mask
-    if name == "taubnut":
-        a = kw.get("a", 1.0)
-        sign = int(kw.get("sign", +1))
-        r_cut = kw.get("r_cut", 2.0 * grid.dx)
-        pts = np.moveaxis(X, 0, -1)
-        r = np.sqrt(np.sum(pts**2, axis=-1))
-        axis_dist = np.sqrt(pts[..., 0] ** 2 + pts[..., 1] ** 2)
-        on_string = (sign * pts[..., 2] < 0) & (axis_dist < r_cut)
-        mask = (r > r_cut) & ~on_string
-        safe = np.where(mask[..., None], pts, np.array([1.0, 1.0, 1.0]))
-        varpi = np.moveaxis(taub_nut_varpi(safe, a=a, sign=sign), -1, 0)
-        varpi = np.where(mask[None], varpi, 0.0)
-        return varpi, mask
-    if name == "gradient":
-        theta = np.asarray(kw["theta"], dtype=float)
-        if theta.shape != grid.shape:
-            raise ValueError("theta array must live on the grid")
-        return gradient(theta, grid), mask
-    raise ValueError(f"unknown coriolis preset {name!r}")
+    r_cut = 2.0 * grid.dx if r_cut is None else r_cut
+    if sign not in (1, -1):
+        raise ValueError(f"taub-NUT sign must be +1 or -1, got {sign!r}")
+    if not r_cut > 0:
+        raise ValueError(f"taub-NUT r_cut must be > 0, got {r_cut!r}")
+    pts = np.moveaxis(grid.mesh(), 0, -1)
+    r = np.sqrt(np.sum(pts**2, axis=-1))
+    axis_dist = np.sqrt(pts[..., 0] ** 2 + pts[..., 1] ** 2)
+    on_string = (sign * pts[..., 2] < 0) & (axis_dist < r_cut)
+    mask = (r > r_cut) & ~on_string
+    safe = np.where(mask[..., None], pts, np.array([1.0, 1.0, 1.0]))
+    varpi = np.moveaxis(taub_nut_varpi(safe, a=a, sign=sign), -1, 0)
+    return np.where(mask[None], varpi, 0.0), mask
 
 
 def uniform_rotation_potential(grid: GridSpec, Omega0) -> GridPotential:
-    """Rigid-rotation frame with exact (constant) varpi derivatives.
+    """Rigid-rotation frame: constant vorticity Omega0 (a 3-vector; a scalar
+    is taken along the z axis), varpi = (1/2) Omega0 x x.
 
     The linear-in-x varpi is not periodic, so its spectral gradient would
     ring at the seam; the constant d_i varpi_j = (1/2) eps_ijk Omega_k is
     passed through instead.
     """
-    varpi, _ = coriolis_preset("uniform", grid, Omega0=Omega0)
-    dw = 0.5 * np.cross(_vorticity(Omega0), np.eye(3))  # d_i varpi_j = (Omega x e_i)_j / 2
+    om = np.asarray(Omega0, dtype=float)
+    if om.ndim == 0:
+        om = np.array([0.0, 0.0, float(om)])
+    varpi = 0.5 * np.cross(om, np.moveaxis(grid.mesh(), 0, -1)).transpose(3, 0, 1, 2)
+    dw = 0.5 * np.cross(om, np.eye(3))  # d_i varpi_j = (Omega x e_i)_j / 2
     dvarpi = np.broadcast_to(
         dw[:, :, None, None, None], (3, 3) + grid.shape
     ).copy()

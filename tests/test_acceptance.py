@@ -26,7 +26,6 @@ from lln.geometry import (
     christoffels_fd,
     clifford_residual,
     dirac_residual,
-    flat_potential,
     gamma_set,
     ricci_constraint_residual,
 )
@@ -217,7 +216,7 @@ def test_algebraic_pair_closes_by_construction():
 def test_plane_wave_solves_both_lines():
     rng = np.random.default_rng(510)
     X = G32.mesh()
-    flat = flat_potential(G32)
+    flat = GridPotential(G32)
     for _ in range(3):
         m = float(rng.uniform(0.5, 2.0))
         hbar = float(rng.uniform(0.5, 1.5))

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import lln
 from lln import charges as charges_mod
 from lln import evolve as evolve_mod
-from lln import fields, gravity, sngroup
+from lln import fields, geometry, gravity, sngroup
 from lln.cli import main
 
 G16 = {"n": 16, "length": 16.0}
@@ -41,6 +41,23 @@ def evolve_config(tmp_path, **over):
     }
     cfg.update(over)
     return write_config(tmp_path, cfg)
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("--h", "0"), ("--samples", "0"), ("--points", "0"), ("--n", "0"), ("--length", "inf"),
+])
+def test_verify_geometry_usage_error_exits_2(arg, value, capsys):
+    assert main(["verify-geometry", arg, value]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_verify_geometry_nan_christoffels_fail(monkeypatch, capsys):
+    fd = geometry.christoffels_fd
+    monkeypatch.setattr(geometry, "christoffels_fd", lambda *a, **kw: fd(*a, **kw) * np.nan)
+    assert main(["verify-geometry", "--samples", "10", "--points", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "christoffel_fd               nan" in captured.out
+    assert captured.err == "FAIL: ['christoffel_fd', 'christoffel_offpattern']\n"
 
 
 def test_verify_geometry(tmp_path, capsys):
@@ -143,6 +160,18 @@ def test_evolve_charge_tolerance_violation(tmp_path, capsys):
     )
     assert main(["evolve", "--config", path]) == 1
     assert "charge drift E_paper" in capsys.readouterr().err
+
+
+def test_nan_charge_drift_fails_the_check(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(charges_mod, "drift_stats", lambda records: {"M": float("nan")})
+    path = evolve_config(
+        tmp_path,
+        evolver={"kind": "split", "dt": 1e-3, "steps": 2},
+        outputs={"charges_every": 1},
+        checks={"charge_tols": {"M": 1e-8}},
+    )
+    assert main(["evolve", "--config", path]) == 1
+    assert capsys.readouterr().err == "charge drift M = nan exceeds 1e-08\n"
 
 
 def test_evolve_unknown_charge_name(tmp_path, capsys):
@@ -299,6 +328,24 @@ def test_symmetry_check_tol_violation(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_nan_covariance_discrepancy_fails_the_check(solver_calls, monkeypatch, capsys):
+    monkeypatch.setattr(charges_mod, "covariance_test",
+                        lambda *a, **kw: {"rel_l2": float("nan"), "final_time_A": 0.0})
+    assert _run_config("symmetry-check", BASES["symmetry-check"]) == 1
+    assert capsys.readouterr().err == "covariance discrepancy nan exceeds 0.001\n"
+
+
+def test_nan_norm_drift_fails_the_check(solver_calls, monkeypatch, capsys):
+    def run(f0, cfg, p=None):
+        f = f0.copy()
+        f.data = f.data * np.nan
+        return evolve_mod.RunResult(field=f, times=[f.time], records=[])
+
+    monkeypatch.setattr(evolve_mod, "run", run)
+    assert _run_config("evolve", _with(BASES["evolve"], {"checks.norm_tol": 1e-10})) == 1
+    assert capsys.readouterr().err == "norm drift nan exceeds 1e-10\n"
+
+
 def test_symmetry_check_element_exclusivity(tmp_path, capsys):
     u = sngroup.SnGroupElement.rotation((0, 0, 1), np.pi / 2)
     elem = tmp_path / "elem.json"
@@ -334,20 +381,28 @@ def test_outdir_redirection(tmp_path, monkeypatch, capsys):
 
 @pytest.fixture
 def solver_calls(tmp_path, monkeypatch):
-    """Stub out the three solvers, recording each call; the working
-    directory is tmp_path and outputs go to tmp_path/out."""
+    """Stub out the three solvers, recording each call; each stub asserts
+    that the config phase handed it a finite field and potential. The
+    working directory is tmp_path and outputs go to tmp_path/out."""
     calls = []
 
+    def finite(f0, p):
+        assert np.isfinite(f0.data).all()
+        assert p is None or (np.isfinite(p.U).all() and np.isfinite(p.varpi).all())
+
     def run(f0, cfg, p=None):
+        finite(f0, p)
         calls.append("run")
         return evolve_mod.RunResult(field=f0, times=[f0.time], records=[])
 
     def ground_state(f0, **kw):
+        finite(f0, kw["p"])
         calls.append("ground_state")
         return SimpleNamespace(field=f0, energy=-1.0, iterations=1, converged=True,
                                residual=0.0)
 
     def covariance_test(f0, u, cfg, p=None):
+        finite(f0, p)
         calls.append("covariance_test")
         return {"rel_l2": 0.0, "final_time_A": 0.0}
 
@@ -435,6 +490,9 @@ def test_config_bases_reach_the_solvers(solver_calls, capsys):
     ("ground-state", {"checks.energy_window": [1]}),
     ("ground-state", {"checks.energy_window": ["a", "b"]}),
     ("symmetry-check", {"checks.tol": "x"}),
+    ("evolve", {"potentials": {"preset": "vortex"}}),
+    ("evolve", {"potentials": {"preset": "uniform", "Omega0": True}}),
+    ("evolve", {"potentials": {"preset": "uniform", "Omega0": [1.0, 2.0]}}),
 ])
 def test_malformed_value_is_config_error(command, edits, solver_calls, capsys):
     _assert_config_error(command, edits, solver_calls, capsys)
@@ -459,6 +517,15 @@ _NAN_ELEMENT = dict(BASES["symmetry-check"]["element"], d=float("nan"), g=float(
     ("ground-state", {"relax.dtau": 0}),
     ("ground-state", {"relax.dtau": -0.05}),
     ("ground-state", {"relax.tol": -1e-9}),
+    ("evolve", {"potentials": {"preset": "taubnut", "sign": 0}}),
+    ("evolve", {"potentials": {"preset": "taubnut", "r_cut": -1}}),
+    ("evolve", {"potentials": {"preset": "gradient",
+                               "theta": {"amplitude": 0.1, "sigma": 0}}}),
+    ("evolve", {"potentials": {"U_point_mass": {"GM": 1.0, "soften": 0}}}),
+    # in range, but sigma**2 and soften**2 underflow to zero
+    ("evolve", {"potentials": {"preset": "gradient",
+                               "theta": {"amplitude": 0.1, "sigma": 1e-200}}}),
+    ("evolve", {"potentials": {"U_point_mass": {"GM": 1.0, "soften": 1e-200}}}),
 ])
 def test_value_that_cannot_run_is_config_error(command, edits, solver_calls, capsys):
     _assert_config_error(command, edits, solver_calls, capsys)

@@ -22,7 +22,7 @@ from lln.fields import (
     sigma_dot,
     sigma_grad,
 )
-from lln.geometry import GridPotential, dirac_residual, flat_potential
+from lln.geometry import GridPotential, dirac_residual
 from lln.gravity import mass_density, poisson_isolated, uniform_rotation_potential
 from lln.evolve import (
     RunConfig,
@@ -72,7 +72,7 @@ def _developed_hamiltonian(phi, p, grid, m, hbar):
     """
     phi = np.asarray(phi, dtype=complex)
     if p is None:
-        p = flat_potential(grid)
+        p = GridPotential(grid)
     w = p.varpi
     out = -(hbar**2 / (2.0 * m)) * laplacian(phi, grid)
     if np.any(w):
@@ -346,7 +346,7 @@ def test_dirac_residual_plane_wave():
     E = hbar**2 * np.dot(k, k) / (2 * m)
     dt_phi = (-1j * E / hbar) * phi
     chi = chi_from_phi(phi, None, G16, m, hbar)
-    node, line1, line2 = dirac_residual(phi, chi, dt_phi, flat_potential(G16), m, hbar)
+    node, line1, line2 = dirac_residual(phi, chi, dt_phi, GridPotential(G16), m, hbar)
     assert np.max(np.abs(line1)) < 1e-12
     assert np.max(np.abs(line2)) < 1e-12
     assert np.max(node) < 1e-12
@@ -587,7 +587,7 @@ def test_chi_transforms_with_the_group():
         SnGroupElement.boost(b),
     )
     f_out, chi_out = represent_pair(u, f, chi)
-    p_hat = transform_potentials(u, flat_potential(G32), t_hat=f_out.time)
+    p_hat = transform_potentials(u, GridPotential(G32), t_hat=f_out.time)
     assert np.max(np.abs(p_hat.U)) < 1e-14
     chi_direct = chi_from_phi(f_out.data, None, G32, f_out.m, hbar)
     # wrap ghosts of the sigma=0.8 envelope set the floor

@@ -16,7 +16,6 @@ from lln.geometry import (
     christoffels_fd,
     clifford_residual,
     covariant_spinor_derivative,
-    flat_potential,
     gamma_set,
     lie_derivative_spinor_density,
     ricci_constraint_residual,
@@ -351,7 +350,7 @@ def four_spinor(seed=0):
 
 
 def test_covariant_derivative_vertical_slot():
-    p = flat_potential(G32)
+    p = GridPotential(G32)
     psi = four_spinor(1)
     out = covariant_spinor_derivative(psi, p, m=1.4, hbar=0.9, dt_psi=np.zeros_like(psi))
     assert np.max(np.abs(out[4] - (1j * 1.4 / 0.9) * psi)) < 1e-14
@@ -360,7 +359,7 @@ def test_covariant_derivative_vertical_slot():
 
 
 def test_spin_connection_flat_and_vertical():
-    assert np.max(np.abs(spin_connection(flat_potential(G16)))) == 0.0
+    assert np.max(np.abs(spin_connection(GridPotential(G16)))) == 0.0
     U = 0.2 * band_limited_noise(G16, modes=2, seed=11)
     w = 0.1 * band_limited_noise(G16, modes=2, seed=12, comps=(3,))
     p = GridPotential(G16, U=U, varpi=w)
@@ -383,7 +382,7 @@ def test_spin_connection_contraction_closed_form():
 
 
 def test_lie_derivative_vertical_generator():
-    p = flat_potential(G32)
+    p = GridPotential(G32)
     psi = four_spinor(5)
     X = SimpleNamespace(omega=np.zeros(3), beta=np.zeros(3), gamma=np.zeros(3),
                         delta=0.0, eps=0.0, eta=0.7)
@@ -393,7 +392,7 @@ def test_lie_derivative_vertical_generator():
 
 def test_lie_derivative_rotation_closed_form():
     # L_X for a rotation = orbital transport + spin term (i w/2) diag(s3, s3)
-    p = flat_potential(G32)
+    p = GridPotential(G32)
     psi = four_spinor(6)
     w0 = 0.9
     X = SimpleNamespace(omega=np.array([0.0, 0.0, w0]), beta=np.zeros(3),
@@ -423,7 +422,7 @@ def test_lie_derivative_static_time_translation_is_dt():
 
 
 def test_lie_derivative_needs_dt_psi_when_time_moves():
-    p = flat_potential(G16)
+    p = GridPotential(G16)
     psi = np.zeros((4,) + G16.shape, dtype=complex)
     X = SimpleNamespace(omega=np.zeros(3), beta=np.zeros(3), gamma=np.zeros(3),
                         delta=0.0, eps=1.0, eta=0.0)
@@ -435,7 +434,7 @@ def test_lie_derivative_dilation_weight():
     # pure dilation on a flat background at t = 0: orbital transport, the
     # chiral rotation from the antisymmetrized (t, s) derivative pair, and
     # the density weight times div X = -15 delta
-    p = flat_potential(G32)
+    p = GridPotential(G32)
     psi = four_spinor(7)
     d = 0.05
     X = SimpleNamespace(omega=np.zeros(3), beta=np.zeros(3), gamma=np.zeros(3),

@@ -7,12 +7,12 @@ from lln.fields import GridSpec, band_limited_noise, gaussian_packet
 from lln.geometry import GridPotential
 from lln.gravity import (
     constraint_potential,
-    coriolis_preset,
     inverse_laplacian,
     mass_density,
     poisson_isolated,
     poisson_periodic,
     self_cell_coefficient,
+    taub_nut_grid,
     taub_nut_varpi,
     uniform_rotation_potential,
 )
@@ -205,13 +205,12 @@ def _fd_jacobian(fn, x, h=1e-4):
 
 def test_uniform_preset():
     om = np.array([0.4, -0.1, 0.9])
-    varpi, mask = coriolis_preset("uniform", G32, Omega0=om)
-    assert mask.all()
+    varpi = uniform_rotation_potential(G32, om).varpi
     X = G32.mesh()
     ref = 0.5 * np.cross(om, np.moveaxis(X, 0, -1)).transpose(3, 0, 1, 2)
     assert np.max(np.abs(varpi - ref)) == 0.0
     # scalar shorthand puts the axis on z
-    v2, _ = coriolis_preset("uniform", G32, Omega0=2.0)
+    v2 = uniform_rotation_potential(G32, 2.0).varpi
     r2 = np.cross([0, 0, 2.0], np.moveaxis(X, 0, -1)).transpose(3, 0, 1, 2) * 0.5
     assert np.max(np.abs(v2 - r2)) == 0.0
 
@@ -254,7 +253,7 @@ def test_taub_nut_string_position():
 
 
 def test_taub_nut_preset_mask():
-    varpi, mask = coriolis_preset("taubnut", G32, a=1.0, sign=+1, r_cut=1.0)
+    varpi, mask = taub_nut_grid(G32, a=1.0, sign=+1, r_cut=1.0)
     assert not mask.all()
     assert np.all(varpi[:, ~mask] == 0.0)
     assert np.all(np.isfinite(varpi))
@@ -268,17 +267,8 @@ def test_taub_nut_preset_mask():
 
 def test_gradient_preset_is_curl_free():
     theta = band_limited_noise(G32, modes=3, seed=25)
-    varpi, mask = coriolis_preset("gradient", G32, theta=theta)
-    assert mask.all()
-    p = GridPotential(G32, varpi=varpi)
+    p = GridPotential(G32, varpi=fields.gradient(theta, G32))
     assert np.max(np.abs(p.curl_varpi)) < 1e-11
-    with pytest.raises(ValueError):
-        coriolis_preset("gradient", G32, theta=np.zeros((4, 4, 4)))
-
-
-def test_unknown_preset_raises():
-    with pytest.raises(ValueError):
-        coriolis_preset("vortex", G32)
 
 
 def test_inverse_laplacian_real_half_spectrum_matches_full():

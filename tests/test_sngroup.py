@@ -16,7 +16,7 @@ from lln.fields import (
     observables,
     sample_points,
 )
-from lln.geometry import GridPotential, flat_potential, lie_derivative_spinor_density
+from lln.geometry import GridPotential, lie_derivative_spinor_density
 from lln.sngroup import (
     LieParams,
     SnGroupElement,
@@ -501,7 +501,7 @@ def test_infinitesimal_matches_geometry_side():
     dt_psi = four_spinor_field(G32, 63)
     X = LieParams(omega=[0.2, -0.1, 0.3], beta=[0.1, 0.05, -0.2],
                   gamma=[0.4, -0.3, 0.1], delta=0.12, eps=0.6, eta=-0.25)
-    p = flat_potential(G32)
+    p = GridPotential(G32)
     a = infinitesimal_action(X, psi, G32, m=1.3, hbar=0.8, dt_psi=dt_psi, t0=0.45)
     b = lie_derivative_spinor_density(psi, p, X, m=1.3, hbar=0.8, dt_psi=dt_psi, t0=0.45)
     assert np.max(np.abs(a - b)) < 1e-13
