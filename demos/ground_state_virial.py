@@ -9,13 +9,13 @@ E = -0.87698, so E/mu = 1/3 exactly for the scale-free interaction.
 import numpy as np
 
 from lln.fields import GridSpec, gaussian_packet, integrate
-from lln.evolve import ground_state
+from lln.evolve import RelaxConfig, ground_state
 
 
 def main():
     grid = GridSpec(32, 16.0)
     f0 = gaussian_packet(grid, sigma=1.2)
-    res = ground_state(f0, G=4.0, dtau=0.02, tol=1e-9, poisson="isolated")
+    res = ground_state(f0, RelaxConfig(G=4.0, dtau=0.02, tol=1e-9, poisson="isolated"))
     print(f"converged: {res.converged} after {res.iterations} sweeps")
     print(f"chemical potential mu = {res.energy:.6f}   (radial oracle -2.60436)")
     print(f"particle energy  E  = {res.energy_sn:.6f}   (radial oracle -0.87698)")

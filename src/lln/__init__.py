@@ -63,6 +63,7 @@ from .sngroup import (
 )
 from .evolve import (
     GroundStateResult,
+    RelaxConfig,
     RunConfig,
     RunResult,
     StabilityError,

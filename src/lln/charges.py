@@ -2,10 +2,12 @@
 
 Charge records always carry two energies: E_paper = <phi, H phi> with the
 potential in force (conserved for static external potentials and free
-motion), and E_sn = T + W/2, the conserved functional of the self-sourced
-nonlinear flow (NaN in other modes, where it is not a charge). The expansion
-charge D is reported but never asserted: for free packets it obeys the
-virial drift dD/dt = -11 <T>, which makes a useful diagnostic.
+motion), and E_sn = E_paper - W_self/2, the conserved functional of the
+self-sourced nonlinear flow, which counts the self-sourced part W_self of
+W_pot at half weight and an external U in full (NaN in other modes, where
+it is not a charge). The expansion charge D is not conserved: for free
+packets it obeys the virial drift dD/dt = -11 <T>, which
+tests/test_acceptance.py::test_dilation_charge_diagnostic_archive asserts.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .evolve import RunConfig, energy_expectation, run
+from .evolve import RunConfig, energy_expectation, run, sn_energy
 from .fields import (
     PAULI,
     BispinorField,
@@ -122,7 +124,7 @@ def compute_charges(
 
     W_pot = 0.0 if p is None else m * float(integrate(p.U * rho, grid))
     E_paper = energy_expectation(phi, p, grid, m, hbar)
-    E_sn = T_kin + 0.5 * W_pot if mode == "self" else float("nan")
+    E_sn = sn_energy(phi, p, grid, m, E_paper) if mode == "self" else float("nan")
 
     Gb = f.time * P - m * first_moments(rho, grid)
     D = -5.0 * f.time * E_paper - 3.0 * float(np.trace(xp))

@@ -173,14 +173,14 @@ def _build_potentials(cfg, grid):
 def _build_initial(cfg, grid, phys) -> fields.BispinorField:
     kind = cfg["kind"]
     if kind == "gaussian":
-        spin = cfg.get("spin", [1.0, 0.0])
-        spin_c = [complex(s[0], s[1]) if isinstance(s, list) else complex(s) for s in spin]
         return fields.gaussian_packet(
             grid,
             sigma=_num(cfg.get("sigma", 1.0), "initial.sigma"),
-            center=cfg.get("center", (0.0, 0.0, 0.0)),
-            k0=cfg.get("k0", (0.0, 0.0, 0.0)),
-            spin=spin_c,
+            center=[_num(v, "initial.center") for v in cfg.get("center", (0.0, 0.0, 0.0))],
+            k0=[_num(v, "initial.k0") for v in cfg.get("k0", (0.0, 0.0, 0.0))],
+            spin=[_num(s[0], "initial.spin") + 1j * _num(s[1], "initial.spin")
+                  if isinstance(s, list) else _num(s, "initial.spin")
+                  for s in cfg.get("spin", [1.0, 0.0])],
             m=phys["m"],
             hbar=phys["hbar"],
             normalize=_flag(cfg.get("normalize", True), "initial.normalize"),
@@ -218,18 +218,18 @@ def _setup(cfg):
     return phys, pot, _build_initial(initial, grid, phys)
 
 
+def _solver_settings(cfg, name, allowed, count, required=()) -> dict:
+    """A solver section as keyword values: numbers are read here, `count` as
+    an integer; names pass as given, for RunConfig or RelaxConfig to check."""
+    return {k: v if k in ("kind", "source", "poisson") else _num(v, f"{name}.{k}", k == count)
+            for k, v in _section(cfg, name, allowed, required).items()}
+
+
 def _build_runconfig(cfg, G, monitor_every=0) -> evolve_mod.RunConfig:
-    evolver = _section(cfg, "evolver", {"kind", "dt", "steps", "source", "poisson"},
-                       {"dt", "steps"})
-    return evolve_mod.RunConfig(
-        dt=_num(evolver["dt"], "evolver.dt"),
-        steps=_num(evolver["steps"], "evolver.steps", integral=True),
-        evolver=evolver.get("kind", "split"),
-        source=evolver.get("source", "free"),
-        G=G,
-        poisson=evolver.get("poisson", "periodic"),
-        monitor_every=monitor_every,
-    )
+    kw = _solver_settings(cfg, "evolver", {"kind", "dt", "steps", "source", "poisson"},
+                          "steps", {"dt", "steps"})
+    return evolve_mod.RunConfig(evolver=kw.pop("kind", "split"), G=G,
+                                monitor_every=monitor_every, **kw)
 
 
 def _write_report(path, payload):
@@ -398,24 +398,8 @@ def cmd_ground_state(args) -> int:
     with _config_phase(args.config):
         cfg = _load_config(args.config, "relax")
         phys, pot, f0 = _setup(cfg)
-        relax = _section(cfg, "relax", {"dtau", "tol", "max_iter", "source", "poisson"})
-        poisson = relax.get("poisson", "periodic")
-        if poisson not in ("periodic", "isolated"):
-            raise ConfigError(f"relax: unknown poisson mode {poisson!r}")
-        source = relax.get("source", "self")
-        _expect(source in ("self", "external"), source, "relax.source", "self or external")
-        solve = dict(
-            G=phys["G"],
-            dtau=_num(relax.get("dtau", 0.05), "relax.dtau"),
-            tol=_num(relax.get("tol", 1e-10), "relax.tol"),
-            max_iter=_num(relax.get("max_iter", 20000), "relax.max_iter", integral=True),
-            source=source,
-            p=pot,
-            poisson=poisson,
-        )
-        _expect(solve["dtau"] > 0, solve["dtau"], "relax.dtau", "a step > 0")
-        _expect(solve["tol"] >= 0, solve["tol"], "relax.tol", "a tolerance >= 0")
-        _expect(solve["max_iter"] >= 1, solve["max_iter"], "relax.max_iter", "a count >= 1")
+        rcfg = evolve_mod.RelaxConfig(G=phys["G"], **_solver_settings(
+            cfg, "relax", {"dtau", "tol", "max_iter", "source", "poisson"}, "max_iter"))
         paths = _out_paths(_section(cfg, "outputs", {"snapshot", "report"}))
         checks = _section(cfg, "checks", {"require_converged", "energy_window"})
         require = _flag(checks.get("require_converged", True), "checks.require_converged")
@@ -425,12 +409,12 @@ def cmd_ground_state(args) -> int:
                     "checks.energy_window", "[lo, hi]")
             window = [_num(v, "checks.energy_window") for v in window]
 
-    res = evolve_mod.ground_state(f0, **solve)
+    res = evolve_mod.ground_state(f0, rcfg, pot)
     failures = ["relaxation did not converge"] if require and not res.converged else []
     if window is not None and not (window[0] <= res.energy <= window[1]):
         failures.append(f"energy {res.energy:.6g} outside window [{window[0]}, {window[1]}]")
     if "snapshot" in paths:
-        fields.save_snapshot(paths["snapshot"], res.field, G=phys["G"], poisson=poisson)
+        fields.save_snapshot(paths["snapshot"], res.field, G=phys["G"], poisson=rcfg.poisson)
     report = {"energy": res.energy, "iterations": res.iterations,
               "converged": res.converged, "residual": res.residual}
     return _finish(report, failures, paths.get("report"))
@@ -445,11 +429,12 @@ def cmd_charges(args) -> int:
     if args.potentials:
         with _config_phase(f"--potentials {args.potentials}"):
             pot = _snapshot_potential(args.potentials, f.grid)
-    if args.mode == "self" and pot is None:
+    if args.mode == "self":
         # the solver the run used, as recorded in the header; files written
-        # before the header carried it were periodic
+        # before the header carried it were periodic. The self-consistent U
+        # goes on top of any external potential, as in the run
         poisson = args.poisson or snap.poisson or "periodic"
-        pot = evolve_mod.self_potential(f.data, f.grid, f.m, snap.G, poisson)
+        pot = evolve_mod.self_potential(f.data, f.grid, f.m, snap.G, poisson, pot)
     rec = charges_mod.compute_charges(f, pot, mode=args.mode)
     if out:
         charges_mod.write_csv([rec], out)

@@ -47,6 +47,8 @@ __all__ = [
     "RunResult",
     "run",
     "self_potential",
+    "sn_energy",
+    "RelaxConfig",
     "ground_state",
     "GroundStateResult",
     "CurrentCheck",
@@ -122,6 +124,14 @@ def max_frequency(p: Optional[GridPotential], grid: GridSpec, m: float, hbar: fl
 ############################################################
 
 
+def _check_modes(cfg, sources):
+    """The source and Poisson names of a RunConfig or RelaxConfig."""
+    if cfg.source not in sources:
+        raise ValueError(f"unknown source mode {cfg.source!r}")
+    if cfg.poisson not in ("periodic", "isolated"):
+        raise ValueError(f"unknown poisson mode {cfg.poisson!r}")
+
+
 @dataclass
 class RunConfig:
     dt: float
@@ -136,10 +146,7 @@ class RunConfig:
     def __post_init__(self):
         if self.evolver not in ("split", "rk4"):
             raise ValueError(f"unknown evolver {self.evolver!r}")
-        if self.source not in ("free", "external", "self"):
-            raise ValueError(f"unknown source mode {self.source!r}")
-        if self.poisson not in ("periodic", "isolated"):
-            raise ValueError(f"unknown poisson mode {self.poisson!r}")
+        _check_modes(self, ("free", "external", "self"))
         if not (self.dt > 0) or self.steps < 0:
             raise ValueError("dt must be positive and steps nonnegative")
 
@@ -158,7 +165,7 @@ def self_potential(
 ) -> GridPotential:
     """Self-consistent potential of phi: U solves Delta U = 4 pi G m |phi|^2
     (per unit norm) with the "periodic" or "isolated" solver; a base
-    potential is added on top when given."""
+    potential is added on top when given, with U_self the part phi sources."""
     rho = mass_density(phi, grid, m)
     if poisson == "periodic":
         U = poisson_periodic(rho, grid, G)
@@ -166,19 +173,29 @@ def self_potential(
         U = poisson_isolated(rho, grid, G)
     else:
         raise ValueError(f"unknown poisson mode {poisson!r}")
-    if base is not None:
-        return GridPotential(grid, U=U + base.U, varpi=base.varpi)
-    return GridPotential(grid, U=U)
+    if base is None:
+        return GridPotential(grid, U=U)
+    # the base's exact varpi derivatives carry over (see GridPotential); a
+    # Jacobian the base has not computed is not computed here
+    pot = GridPotential(grid, U=U + base.U, varpi=base.varpi, dvarpi=vars(base).get("dvarpi"))
+    pot.U_self = U
+    return pot
 
 
-def _potential_for(phi, cfg: RunConfig, grid, m, p: Optional[GridPotential]):
-    if cfg.source == "free":
-        return p
-    if cfg.source == "external":
-        if p is None:
-            raise ValueError("external source mode needs a potential")
-        return p
-    return self_potential(phi, grid, m, cfg.G, cfg.poisson, p)
+def sn_energy(phi, pot: GridPotential, grid: GridSpec, m: float, e_paper: float) -> float:
+    """E_sn = E_paper - W_self/2, the conserved energy of the self-sourced
+    flow: <H> counts the pair interaction W_self twice, an external U once."""
+    U_self = pot.U if pot.U_self is None else pot.U_self
+    return e_paper - 0.5 * (float(np.sum(U_self * density(phi)) * grid.dv) * m)
+
+
+def _potential_for(phi, cfg, grid, m, p: Optional[GridPotential]):
+    """The potential in force on phi under a RunConfig or RelaxConfig."""
+    if cfg.source == "self":
+        return self_potential(phi, grid, m, cfg.G, cfg.poisson, p)
+    if cfg.source == "external" and p is None:
+        raise ValueError("external source mode needs a potential")
+    return p
 
 
 def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> RunResult:
@@ -230,7 +247,7 @@ def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> 
             np.multiply(drift, F, out=F)
             f.data = ifftn(F, overwrite_x=True)
             if cfg.source == "self":
-                pot = self_potential(f.data, grid, m, cfg.G, cfg.poisson, p)
+                pot = _potential_for(f.data, cfg, grid, m, p)
                 kick = half_kick(pot)
             if kick is not None:
                 f.data *= kick
@@ -275,6 +292,21 @@ def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> 
 
 
 @dataclass
+class RelaxConfig:
+    dtau: float = 0.05
+    tol: float = 1e-10
+    max_iter: int = 20000
+    source: str = "self"  # "self" | "external"
+    G: float = 1.0
+    poisson: str = "periodic"  # self-consistent solve: "periodic" | "isolated"
+
+    def __post_init__(self):
+        _check_modes(self, ("self", "external"))
+        if not (self.dtau > 0 and self.tol >= 0 and self.max_iter >= 1):
+            raise ValueError("ground_state needs dtau > 0, tol >= 0 and max_iter >= 1")
+
+
+@dataclass
 class GroundStateResult:
     field: BispinorField
     energy: float  # <H>, the chemical potential in self-sourced mode
@@ -282,19 +314,11 @@ class GroundStateResult:
     converged: bool
     potential: GridPotential
     residual: float  # ||H phi - energy phi|| / ||phi|| at the returned state
-    energy_sn: Optional[float] = None  # T + W/2, self-sourced mode only
+    energy_sn: Optional[float] = None  # sn_energy, self-sourced mode only
 
 
-def ground_state(
-    f0: BispinorField,
-    G: float = 1.0,
-    dtau: float = 0.05,
-    tol: float = 1e-10,
-    max_iter: int = 20000,
-    source: str = "self",
-    p: Optional[GridPotential] = None,
-    poisson: str = "periodic",
-) -> GroundStateResult:
+def ground_state(f0: BispinorField, cfg: RelaxConfig,
+                 p: Optional[GridPotential] = None) -> GroundStateResult:
     """Imaginary-time split-step relaxation to the lowest state.
 
     Self-consistent mode refreshes U from the renormalized density every
@@ -303,27 +327,16 @@ def ground_state(
     sweeps. The residual is taken once, after the last sweep; the sweep's
     fixed point is O(dtau^2) off the eigenstate, so it does not fall with tol.
     """
-    if source not in ("self", "external"):
-        raise ValueError("ground_state supports 'self' or 'external' sources")
-    if source == "external" and p is None:
-        raise ValueError("external source needs a potential")
-    if poisson not in ("periodic", "isolated"):
-        raise ValueError(f"unknown poisson mode {poisson!r}")
     if p is not None and np.any(p.varpi):
         raise ValueError("imaginary-time split-step requires vanishing varpi")
-    if not (dtau > 0 and tol >= 0 and max_iter >= 1):
-        raise ValueError("ground_state needs dtau > 0, tol >= 0 and max_iter >= 1")
     f = f0.copy().normalized()
     grid, m, hbar = f.grid, f.m, f.hbar
-    decay = np.exp(-hbar * grid.k2 * dtau / (2.0 * m))
+    decay = np.exp(-hbar * grid.k2 * cfg.dtau / (2.0 * m))
     E = np.inf
-    pot = p
-    it = 0
-    converged = False
-    for it in range(1, max_iter + 1):
-        if source == "self":
-            pot = self_potential(f.data, grid, m, G, poisson, p)
-        half_kick = np.exp(-(m / hbar) * pot.U * (dtau / 2.0))
+    # max_iter >= 1, so the sweep binds pot, it and E_prev
+    for it in range(1, cfg.max_iter + 1):
+        pot = _potential_for(f.data, cfg, grid, m, p)
+        half_kick = np.exp(-(m / hbar) * pot.U * (cfg.dtau / 2.0))
         f.data *= half_kick
         # in place, with the operand order of decay * F (as in run)
         F = fftn(f.data, overwrite_x=True)
@@ -332,21 +345,15 @@ def ground_state(
         f.data *= half_kick
         f = f.normalized()
         E_prev, E = E, energy_expectation(f.data, pot, grid, m, hbar)
-        if abs(E - E_prev) < tol:
-            converged = True
+        if abs(E - E_prev) < cfg.tol:
             break
+    converged = abs(E - E_prev) < cfg.tol
     h = apply_hamiltonian(f.data, pot, grid, m, hbar)
     return GroundStateResult(
         field=f, energy=E, iterations=it, converged=converged, potential=pot,
         residual=float(np.sqrt(norm2(h - E * f.data, grid) / f.norm2)),
-        energy_sn=_sn_energy(f, pot, E) if source == "self" else None,
+        energy_sn=sn_energy(f.data, pot, grid, m, E) if cfg.source == "self" else None,
     )
-
-
-def _sn_energy(f: BispinorField, pot: GridPotential, e_total: float) -> float:
-    # <H> double counts the pair interaction; the particle energy is T + W/2
-    W = float(np.sum(pot.U * density(f.data)) * f.grid.dv) * f.m
-    return e_total - 0.5 * W
 
 
 ############################################################

@@ -149,6 +149,10 @@ class GridPotential:
     Off-lattice samples come from the trigonometric interpolant.
     """
 
+    # the part of U its state sources, set by evolve.self_potential; None
+    # counts all of U as self-sourced where E_sn asks (evolve.sn_energy)
+    U_self = None
+
     def __init__(self, grid: GridSpec, U=None, varpi=None, dvarpi=None):
         self.grid = grid
         self.U = np.zeros(grid.shape) if U is None else np.asarray(U, dtype=float)

@@ -137,6 +137,23 @@ def test_self_consistent_conservation():
     assert drifts["E_paper"] > 10 * drifts["E_sn"]
 
 
+def test_e_sn_is_conserved_on_top_of_an_external_potential():
+    # E_sn = E_paper - W_self/2 counts the external energy once; halving all
+    # of W_pot, the external part included, drifted by 5.6e-4 on this run
+    G16 = GridSpec(16, 16.0)
+    p = GridPotential(G16, U=0.0125 * np.sum(G16.mesh() ** 2, axis=0))
+    f = gaussian_packet(G16, sigma=1.0, k0=(0.4, 0, 0))
+    cfg = RunConfig(dt=2e-3, steps=200, evolver="split", source="self", G=1.0,
+                    poisson="isolated", monitor_every=20, monitor=charge_monitor("self"))
+    records = run(f, cfg, p).records
+    assert drift_stats(records)["E_sn"] <= 1e-8  # measured 4.7e-10
+    # at t = 0 the field is f: E_sn = T + W_self/2 + W_ext
+    rec = records[0]
+    W_ext = f.m * float(np.sum(p.U * np.sum(np.abs(f.data) ** 2, axis=0)) * G16.dv)
+    expected = rec.T_kin + 0.5 * (rec.W_pot - W_ext) + W_ext
+    assert rec.E_sn == pytest.approx(expected, rel=1e-12)
+
+
 def test_torus_seam_sets_the_g_j_drift_floor():
     # The sawtooth moment int x rho behind G and J jumps by L at the seam.
     # With sigma = 1.5 the packet's tail reaches x = +-8 at L = 16 and the

@@ -262,6 +262,32 @@ def test_charges_readback_uses_recorded_poisson(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["W_pot"] == pytest.approx(w_per, rel=1e-12)
 
 
+def test_charges_readback_on_top_of_external_potentials(tmp_path, capsys):
+    # --mode self with --potentials solves the self-consistent U on top of
+    # the external one, as the run did; it used to take the external U alone
+    # (W_pot -0.606 against the run's -0.903 here)
+    grid = fields.GridSpec(16, 16.0)
+    pot = tmp_path / "pot.lls"
+    r = np.sqrt(np.sum(grid.mesh() ** 2, axis=0) + 0.5**2)
+    fields.save_potentials(str(pot), grid, U=-1.0 / r, varpi=np.zeros((3,) + grid.shape))
+    csv, snap = tmp_path / "run.csv", tmp_path / "final.lls"
+    path = evolve_config(
+        tmp_path,
+        potentials={"snapshot": str(pot)},
+        evolver={"kind": "split", "dt": 1e-3, "steps": 10, "source": "self"},
+        outputs={"charges_csv": str(csv), "charges_every": 5, "snapshot": str(snap)},
+    )
+    assert main(["evolve", "--config", path]) == 0
+    last = charges_mod.read_csv(csv)[-1]
+    capsys.readouterr()
+    rc = main(["charges", "--snapshot", str(snap), "--mode", "self",
+               "--potentials", str(pot)])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    for name in ("E_paper", "E_sn", "W_pot"):
+        assert payload[name] == pytest.approx(getattr(last, name), rel=1e-9), name
+
+
 def test_snapshot_poisson_key_written_and_checked(tmp_path, capsys):
     snap = tmp_path / "final.lls"
     path = evolve_config(
@@ -395,8 +421,8 @@ def solver_calls(tmp_path, monkeypatch):
         calls.append("run")
         return evolve_mod.RunResult(field=f0, times=[f0.time], records=[])
 
-    def ground_state(f0, **kw):
-        finite(f0, kw["p"])
+    def ground_state(f0, cfg, p=None):
+        finite(f0, p)
         calls.append("ground_state")
         return SimpleNamespace(field=f0, energy=-1.0, iterations=1, converged=True,
                                residual=0.0)
@@ -493,6 +519,9 @@ def test_config_bases_reach_the_solvers(solver_calls, capsys):
     ("evolve", {"potentials": {"preset": "vortex"}}),
     ("evolve", {"potentials": {"preset": "uniform", "Omega0": True}}),
     ("evolve", {"potentials": {"preset": "uniform", "Omega0": [1.0, 2.0]}}),
+    ("evolve", {"initial.spin": ["j", "1"]}),
+    ("evolve", {"initial.k0": ["0.5", 0, 0]}),
+    ("evolve", {"initial.center": ["nan", 0, 0], "initial.normalize": False}),
 ])
 def test_malformed_value_is_config_error(command, edits, solver_calls, capsys):
     _assert_config_error(command, edits, solver_calls, capsys)

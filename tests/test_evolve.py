@@ -25,6 +25,7 @@ from lln.fields import (
 from lln.geometry import GridPotential, dirac_residual
 from lln.gravity import mass_density, poisson_isolated, uniform_rotation_potential
 from lln.evolve import (
+    RelaxConfig,
     RunConfig,
     StabilityError,
     apply_hamiltonian,
@@ -301,6 +302,29 @@ def test_monitor_plumbing():
     assert all(abs(r - 1.0) < 1e-12 for r in res.records)
 
 
+def test_potential_in_force_keeps_the_base_derivatives():
+    # a rigid rotation's varpi is linear in x, so a spectral Jacobian of it
+    # rings at the seam (curl 3.0 against 0.3 here); the self-consistent
+    # potential must carry the base's exact derivatives over
+    base = uniform_rotation_potential(G16, 0.3)
+    f = gaussian_packet(G16, sigma=1.0)
+    seen = []
+    cfg = RunConfig(dt=1e-3, steps=0, evolver="rk4", source="self", monitor_every=1,
+                    monitor=lambda field, pot: seen.append(pot))
+    run(f, cfg, base)
+    pot = seen[0]
+    assert np.array_equal(pot.dvarpi, base.dvarpi)
+    assert np.array_equal(pot.curl_varpi, base.curl_varpi)
+    exact = GridPotential(G16, U=pot.U, varpi=base.varpi, dvarpi=base.dvarpi)
+    h, h_exact = (apply_hamiltonian(f.data, q, G16, f.m, f.hbar) for q in (pot, exact))
+    assert np.linalg.norm(h - h_exact) <= 1e-12 * np.linalg.norm(h_exact)
+    assert max_frequency(pot, G16, f.m, f.hbar) == max_frequency(exact, G16, f.m, f.hbar)
+    # a base without a Jacobian of its own gets none computed
+    plain = bandlimited_potential(G16, 5)
+    self_potential(f.data, G16, f.m, 1.0, "periodic", plain)
+    assert "dvarpi" not in vars(plain)
+
+
 def test_strang_self_consistent_second_order():
     # split endpoint error against an rk4 reference falls by ~4 per dt halving
     f = gaussian_packet(G32, sigma=1.5)
@@ -485,20 +509,20 @@ def test_spin_precession_evolved():
 def test_ground_state_guards():
     f = gaussian_packet(G16, sigma=1.2)
     with pytest.raises(ValueError):
-        ground_state(f, source="free")
+        ground_state(f, RelaxConfig(source="free"))
     with pytest.raises(ValueError):
-        ground_state(f, source="external")
+        ground_state(f, RelaxConfig(source="external"))
     with pytest.raises(ValueError):
-        ground_state(f, source="external",
+        ground_state(f, RelaxConfig(source="external"),
                      p=uniform_rotation_potential(G16, (0, 0, 0.1)))
     # a misspelt mode used to fall through to the isolated solver
     with pytest.raises(ValueError, match="unknown poisson mode 'perodic'"):
-        ground_state(f, poisson="perodic")
+        ground_state(f, RelaxConfig(poisson="perodic"))
     # without the guard, max_iter = 0 ends in an AttributeError and dtau = 0
     # returns the untouched packet as "converged"
     for bad in ({"max_iter": 0}, {"dtau": 0.0}, {"dtau": -0.05}, {"tol": -1e-9}):
         with pytest.raises(ValueError, match="ground_state needs"):
-            ground_state(f, **bad)
+            ground_state(f, RelaxConfig(**bad))
 
 
 def test_ground_state_harmonic_trap():
@@ -508,7 +532,7 @@ def test_ground_state_harmonic_trap():
     w = 1.0
     p = GridPotential(G32, U=0.5 * w**2 * np.sum(X**2, axis=0))
     f0 = gaussian_packet(G32, sigma=1.0)
-    res = ground_state(f0, source="external", p=p, dtau=0.02, tol=1e-12)
+    res = ground_state(f0, RelaxConfig(source="external", dtau=0.02, tol=1e-12), p)
     assert res.converged
     assert res.energy_sn is None
     assert abs(res.energy - 1.5) < 2e-3
@@ -533,7 +557,8 @@ def test_ground_state_in_place_drift_is_bit_identical(poisson):
         f.data *= half_kick
         f = f.normalized()
         E = energy_expectation(f.data, pot, grid, m, hbar)
-    res = ground_state(f0, G=G, dtau=dtau, tol=0.0, max_iter=sweeps, poisson=poisson)
+    res = ground_state(f0, RelaxConfig(G=G, dtau=dtau, tol=0.0, max_iter=sweeps,
+                                       poisson=poisson))
     assert not res.converged and res.iterations == sweeps
     assert np.array_equal(res.field.data, f.data)
     assert res.energy == E
@@ -543,7 +568,7 @@ def test_ground_state_self_gravity_oracle():
     # radial shooting oracle (scaled to M = hbar = 1, isolated boundary):
     # G = 4 gives chemical potential -2.60436, particle energy -0.87698
     f0 = gaussian_packet(G32, sigma=1.2)
-    res = ground_state(f0, G=4.0, dtau=0.02, tol=1e-9, poisson="isolated")
+    res = ground_state(f0, RelaxConfig(G=4.0, dtau=0.02, tol=1e-9, poisson="isolated"))
     assert res.converged
     assert res.iterations > 10
     mu = res.energy
@@ -561,8 +586,8 @@ def test_ground_state_residual_matches_hamiltonian(source):
     X = G16.mesh()
     p = GridPotential(G16, U=0.5 * np.sum(X**2, axis=0)) if source == "external" else None
     f0 = gaussian_packet(G16, sigma=1.2, center=(0.3, -0.2, 0.1), m=1.3, hbar=0.9)
-    res = ground_state(f0, G=4.0, dtau=0.02, tol=0.0, max_iter=25, source=source, p=p,
-                       poisson="isolated")
+    res = ground_state(f0, RelaxConfig(G=4.0, dtau=0.02, tol=0.0, max_iter=25,
+                                       source=source, poisson="isolated"), p)
     f = res.field
     h = apply_hamiltonian(f.data, res.potential, G16, f.m, f.hbar)
     r = np.linalg.norm(h - res.energy * f.data) / np.linalg.norm(f.data)
