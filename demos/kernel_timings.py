@@ -1,0 +1,79 @@
+"""Process-CPU milliseconds per call of the kernels a step is built from.
+
+    PYTHONPATH=src python demos/kernel_timings.py [--repeats R] [n ...]
+
+Grids default to n = 32 and 64 (box side 16), with a spin-up Gaussian packet
+under its own periodic potential. Each figure is the median over R calls
+(default 7) after a warm-up call. A split step (self/periodic `run`) and a
+sweep (isolated `ground_state`) are the difference of two runs, so set-up is
+not counted. LLN_THREADS caps the FFT worker threads.
+"""
+
+import argparse
+import time
+
+import numpy as np
+
+from lln.charges import compute_charges
+from lln.evolve import RelaxConfig, RunConfig, apply_hamiltonian, ground_state, run, self_potential
+from lln.fields import GridSpec, fftn, gaussian_packet, ifftn
+from lln.gravity import mass_density, poisson_isolated, poisson_periodic
+
+
+def cpu_ms(fn, repeats):
+    """Median process-CPU milliseconds of fn() over repeats calls."""
+    fn()
+    times = []
+    for _ in range(repeats):
+        t0 = time.process_time()
+        fn()
+        times.append(time.process_time() - t0)
+    return 1e3 * float(np.median(times))
+
+
+def kernels(n):
+    """(name, callable, callable to subtract or None, calls) on an n^3 grid."""
+    grid = GridSpec(n, 16.0)
+    f = gaussian_packet(grid, sigma=1.5)
+    rho = mass_density(f.data, grid, f.m)
+    pot = self_potential(f.data, grid, f.m, 1.0, "periodic")
+    k = 4  # steps or sweeps beyond the shorter run's one
+
+    def steps(s):
+        return lambda: run(f, RunConfig(dt=1e-3, steps=s, source="self", poisson="periodic"))
+
+    def sweeps(s):
+        return lambda: ground_state(f, RelaxConfig(dtau=0.02, tol=0.0, max_iter=s,
+                                                   poisson="isolated"))
+
+    return [
+        ("fft pair, 2 components", lambda: ifftn(fftn(f.data)), None, 1),
+        ("fft pair, 1 component", lambda: ifftn(fftn(f.data[:1])), None, 1),
+        ("poisson_periodic", lambda: poisson_periodic(rho, grid), None, 1),
+        ("poisson_isolated", lambda: poisson_isolated(rho, grid), None, 1),
+        ("kick phase", lambda: np.exp(-0.5e-3j * pot.U), None, 1),
+        ("apply_hamiltonian", lambda: apply_hamiltonian(f.data, pot, grid, 1.0, 1.0), None, 1),
+        ("compute_charges", lambda: compute_charges(f, pot, mode="self"), None, 1),
+        ("split step (run)", steps(1 + k), steps(1), k),
+        ("sweep (ground_state)", sweeps(1 + k), sweeps(1), k),
+    ]
+
+
+def main(ns=(32, 64), repeats=7):
+    table = {}
+    for n in ns:
+        for name, fn, base, calls in kernels(n):
+            ms = cpu_ms(fn, repeats) - (cpu_ms(base, repeats) if base else 0.0)
+            table.setdefault(name, []).append(ms / calls)
+    print(f"{'kernel (CPU ms per call)':<26}" + "".join(f"{f'n={n}':>10}" for n in ns))
+    for name, row in table.items():
+        print(f"{name:<26}" + "".join(f"{v:>10.2f}" for v in row))
+    return table
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("n", type=int, nargs="*", default=[32, 64], help="grid sizes")
+    ap.add_argument("--repeats", type=int, default=7)
+    args = ap.parse_args()
+    main(args.n, args.repeats)

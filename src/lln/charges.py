@@ -26,9 +26,9 @@ from .fields import (
     canonical_current,
     density,
     first_moments,
-    gradient,
     integrate,
     norm2,
+    partials,
     spin_density,
 )
 from .geometry import GridPotential
@@ -78,7 +78,7 @@ CSV_COLUMNS = tuple(c for fld in fields(ChargeRecord) for c in _columns(fld))
 def momentum_density(phi, p: Optional[GridPotential], grid: GridSpec, m: float, hbar: float):
     """Canonical momentum density hbar Im(phi+ grad phi) (+ Coriolis spin term)."""
     phi = np.asarray(phi, dtype=complex)
-    return _momentum_density(phi, gradient(phi, grid), p, m, hbar)
+    return _momentum_density(phi, partials(phi, grid), p, m, hbar)
 
 
 def _momentum_density(phi, gphi, p: Optional[GridPotential], m: float, hbar: float):
@@ -100,19 +100,26 @@ def compute_charges(
     p must be the potential actually in force at this instant (for the
     self-sourced flow, the solved U; the run monitor hands it over).
 
-    One spectral gradient serves both the momentum density and the kinetic
-    energy T = (hbar^2/2m) sum_j |d_j phi|^2 dV, which equals -<phi, Delta phi>
-    because spectral derivatives are anti-Hermitian. Position moments come
-    from 1-D marginals; E_paper = <phi, H phi> is energy_expectation.
+    Each spectral partial d_j phi serves both its momentum-density row and
+    its share of the kinetic energy T = (hbar^2/2m) sum_j |d_j phi|^2 dV,
+    which equals -<phi, Delta phi> because spectral derivatives are
+    anti-Hermitian. The partials are folded in one at a time, so the
+    3 x 2 n^3 gradient is never held. Position moments come from 1-D
+    marginals; E_paper = <phi, H phi> is energy_expectation.
     """
     grid, m, hbar = f.grid, f.m, f.hbar
     phi = f.data
     rho = density(phi)
 
-    gphi = gradient(phi, grid)
-    T_kin = hbar**2 / (2 * m) * sum(norm2(g, grid) for g in gphi)
-    pdens = _momentum_density(phi, gphi, p, m, hbar)
-    del gphi  # free 3 x 2 n^3 complex before apply_hamiltonian allocates
+    sq_norms = []
+
+    def tallied_partials():
+        for dphi in partials(phi, grid):
+            sq_norms.append(norm2(dphi, grid))
+            yield dphi
+
+    pdens = _momentum_density(phi, tallied_partials(), p, m, hbar)
+    T_kin = hbar**2 / (2 * m) * sum(sq_norms)
     P = integrate(pdens, grid)
     xp = first_moments(pdens, grid)  # [a, c] = int x_a p_c
     # int phi+ sigma_j phi from the 2x2 Gram matrix of the components

@@ -421,6 +421,9 @@ def cmd_ground_state(args) -> int:
 
 
 def cmd_charges(args) -> int:
+    if args.mode == "external" and not args.potentials:
+        raise ConfigError("--mode external: external source mode needs a potential "
+                          "(--potentials)")
     with _config_phase(f"--snapshot {args.snapshot}"):
         snap = fields.load_snapshot(args.snapshot)
         f = snap.to_field()
@@ -438,8 +441,11 @@ def cmd_charges(args) -> int:
     rec = charges_mod.compute_charges(f, pot, mode=args.mode)
     if out:
         charges_mod.write_csv([rec], out)
-    payload = dict(zip(charges_mod.CSV_COLUMNS, rec.row()))
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    # strict JSON: a charge that is not defined in this mode (E_sn outside
+    # self mode) is null, where the CSV writes nan
+    payload = {k: v if math.isfinite(v) else None
+               for k, v in zip(charges_mod.CSV_COLUMNS, rec.row())}
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

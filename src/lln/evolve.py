@@ -7,7 +7,10 @@ ordinary Schrodinger problem i hbar dphi/dt = H phi with
 
 P = -i hbar grad, applied in this canonical form only. Split-step
 integration covers the varpi = 0 case (exactly unitary); a spectral RK4 path
-handles the rest.
+handles the rest. With varpi = 0, H acts as (T + m U) x 1 on the pair, so a
+component that starts at zero stays exactly zero: the split-step loops
+(`run` and `ground_state`) advance only the components that are not
+identically zero, as a view into the field.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .fields import (
     PAULI,
     BispinorField,
     GridSpec,
+    _norm_divisor,
     canonical_current,
     curl,
     density,
@@ -198,6 +202,28 @@ def _potential_for(phi, cfg, grid, m, p: Optional[GridPotential]):
     return p
 
 
+def _live(data):
+    """The components of data that are not identically zero, as a view.
+
+    Without Coriolis, H is (T + m U) x 1: a zero component stays exactly
+    zero under kicks, drifts and normalization, and adds exact zeros to the
+    density and the energy sums, so advancing the rest alone changes no
+    bit. A field without a nonzero component keeps both.
+    """
+    nonzero = np.flatnonzero([np.any(c) for c in data])
+    if nonzero.size == 0:
+        return data
+    return data[nonzero[0] : nonzero[-1] + 1]
+
+
+def _drift(live, multiplier):
+    """live <- ifftn(multiplier * fftn(live)) in place: no fresh buffers per
+    step, and the operand order keeps the rounding of multiplier * F."""
+    F = fftn(live, overwrite_x=True)
+    np.multiply(multiplier, F, out=F)
+    live[...] = ifftn(F, overwrite_x=True)  # a no-op when scipy wrote in place
+
+
 def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> RunResult:
     """Advance a field cfg.steps times by cfg.dt.
 
@@ -207,6 +233,9 @@ def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> 
     Poisson solve per step). The half-kick phase exp(-i m U dt / 2 hbar) is
     evaluated once per U and applied both where it closes step k and where it
     opens step k+1; a static U is evaluated once per run.
+    Kicks, drifts and the Poisson source touch only the components that are
+    not identically zero at entry (a view into f.data, so monitors and the
+    result see the full pair), with results bit-identical to advancing both.
     rk4: classical Runge-Kutta on the full H, any potentials; refuses steps
     beyond the stability bound with a suggested dt.
     """
@@ -234,23 +263,20 @@ def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> 
             z *= cfg.dt / 2.0
             return np.exp(z, out=z)
 
-        pot = _potential_for(f.data, cfg, grid, m, p)
+        live = _live(f.data)
+        pot = _potential_for(live, cfg, grid, m, p)
         kick = half_kick(pot)
         if cfg.monitor_every:
             note(f, pot)
         for step in range(cfg.steps):
             if kick is not None:
-                f.data *= kick
-            # in place: no fresh 2 n^3 buffers per step; the operand order
-            # keeps the rounding of drift * F
-            F = fftn(f.data, overwrite_x=True)
-            np.multiply(drift, F, out=F)
-            f.data = ifftn(F, overwrite_x=True)
+                live *= kick
+            _drift(live, drift)
             if cfg.source == "self":
-                pot = _potential_for(f.data, cfg, grid, m, p)
+                pot = _potential_for(live, cfg, grid, m, p)
                 kick = half_kick(pot)
             if kick is not None:
-                f.data *= kick
+                live *= kick
             f.time += cfg.dt
             if cfg.monitor_every and (step + 1) % cfg.monitor_every == 0:
                 note(f, pot)
@@ -326,33 +352,33 @@ def ground_state(f0: BispinorField, cfg: RelaxConfig,
     declared when the energy settles to within tol between consecutive
     sweeps. The residual is taken once, after the last sweep; the sweep's
     fixed point is O(dtau^2) off the eigenstate, so it does not fall with tol.
+    As in run, a sweep (kicks, drift, Poisson source, normalization and
+    energy) touches only the components that are not identically zero.
     """
     if p is not None and np.any(p.varpi):
         raise ValueError("imaginary-time split-step requires vanishing varpi")
     f = f0.copy().normalized()
     grid, m, hbar = f.grid, f.m, f.hbar
+    live = _live(f.data)
     decay = np.exp(-hbar * grid.k2 * cfg.dtau / (2.0 * m))
     E = np.inf
     # max_iter >= 1, so the sweep binds pot, it and E_prev
     for it in range(1, cfg.max_iter + 1):
-        pot = _potential_for(f.data, cfg, grid, m, p)
+        pot = _potential_for(live, cfg, grid, m, p)
         half_kick = np.exp(-(m / hbar) * pot.U * (cfg.dtau / 2.0))
-        f.data *= half_kick
-        # in place, with the operand order of decay * F (as in run)
-        F = fftn(f.data, overwrite_x=True)
-        np.multiply(decay, F, out=F)
-        f.data = ifftn(F, overwrite_x=True)
-        f.data *= half_kick
-        f = f.normalized()
-        E_prev, E = E, energy_expectation(f.data, pot, grid, m, hbar)
+        live *= half_kick
+        _drift(live, decay)
+        live *= half_kick
+        live /= _norm_divisor(live, grid)
+        E_prev, E = E, energy_expectation(live, pot, grid, m, hbar)
         if abs(E - E_prev) < cfg.tol:
             break
     converged = abs(E - E_prev) < cfg.tol
-    h = apply_hamiltonian(f.data, pot, grid, m, hbar)
+    h = apply_hamiltonian(live, pot, grid, m, hbar)
     return GroundStateResult(
         field=f, energy=E, iterations=it, converged=converged, potential=pot,
-        residual=float(np.sqrt(norm2(h - E * f.data, grid) / f.norm2)),
-        energy_sn=sn_energy(f.data, pot, grid, m, E) if cfg.source == "self" else None,
+        residual=float(np.sqrt(norm2(h - E * live, grid) / norm2(live, grid))),
+        energy_sn=sn_energy(live, pot, grid, m, E) if cfg.source == "self" else None,
     )
 
 

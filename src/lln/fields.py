@@ -24,6 +24,7 @@ __all__ = [
     "Observables",
     "sigma_dot",
     "sigma_grad",
+    "partials",
     "gradient",
     "laplacian",
     "divergence",
@@ -167,12 +168,18 @@ def _partial(f, grid: GridSpec, j: int):
     return out.real if np.isrealobj(f) else out
 
 
+def partials(f, grid: GridSpec):
+    """d_1 f, d_2 f, d_3 f, each computed when it is consumed: a caller that
+    folds them away never holds the 3 x f.shape gradient."""
+    return (_partial(f, grid, j) for j in range(3))
+
+
 def gradient(f, grid: GridSpec):
     """Spectral gradient; returns shape (3,) + f.shape."""
     f = np.asarray(f)
     out = np.empty((3,) + f.shape, dtype=float if np.isrealobj(f) else complex)
-    for j in range(3):
-        out[j] = _partial(f, grid, j)
+    for j, dfj in enumerate(partials(f, grid)):
+        out[j] = dfj
     return out
 
 
@@ -222,11 +229,12 @@ def spin_density(phi):
 
 
 def canonical_current(phi, gphi):
-    """Im(phi+ d_j phi) summed over components, from gphi = gradient of phi."""
+    """Im(phi+ d_j phi) summed over components, from gphi = gradient of phi
+    or any iterable of its three partials, taken one at a time."""
     cphi = np.conj(phi)
     out = np.empty((3,) + phi.shape[1:])
-    for j in range(3):
-        np.sum((cphi * gphi[j]).imag, axis=0, out=out[j])
+    for j, dphi in enumerate(gphi):
+        np.sum((cphi * dphi).imag, axis=0, out=out[j])
     return out
 
 
@@ -276,10 +284,16 @@ class BispinorField:
         return norm2(self.data, self.grid)
 
     def normalized(self) -> "BispinorField":
-        n2 = self.norm2
-        if not 0.0 < n2 < np.inf:
-            raise ValueError(f"cannot normalize a field of norm^2 {n2}")
-        return replace(self, data=self.data / np.sqrt(n2))
+        return replace(self, data=self.data / _norm_divisor(self.data, self.grid))
+
+
+def _norm_divisor(a, grid: GridSpec) -> float:
+    """sqrt(norm2(a)), the divisor that normalizes a; a zero or non-finite
+    norm is refused."""
+    n2 = norm2(a, grid)
+    if not 0.0 < n2 < np.inf:
+        raise ValueError(f"cannot normalize a field of norm^2 {n2}")
+    return np.sqrt(n2)
 
 
 def gaussian_packet(

@@ -321,6 +321,50 @@ def test_charges_exit_codes(tmp_path, capsys):
     assert main(["charges", "--snapshot", str(snap)]) == 1
 
 
+def test_charges_external_mode_needs_potentials(tmp_path, monkeypatch, capsys):
+    # without --potentials the external mode would report a free field's
+    # charges; it is refused before the snapshot is read or any charge computed
+    def solver(*args, **kwargs):
+        raise AssertionError("charges computed for a setting that cannot take effect")
+
+    monkeypatch.setattr(charges_mod, "compute_charges", solver)
+    monkeypatch.setattr(fields, "load_snapshot", solver)
+    rc = main(["charges", "--snapshot", str(tmp_path / "state.lls"), "--mode", "external"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "external source mode needs a potential" in err[0]
+
+
+@pytest.mark.parametrize("mode", ["free", "external"])
+def test_charges_prints_strict_json(tmp_path, capsys, mode):
+    # E_sn is not a charge outside self mode: null on stdout, nan in the CSV
+    grid = fields.GridSpec(16, 16.0)
+    f = fields.gaussian_packet(grid, sigma=1.2, k0=(2 * np.pi / 16.0, 0, 0))
+    snap = tmp_path / "state.lls"
+    fields.save_snapshot(str(snap), f)
+    args = ["charges", "--snapshot", str(snap), "--mode", mode, "--out", str(tmp_path / "row.csv")]
+    if mode == "external":
+        pots = tmp_path / "pots.lls"
+        X = grid.mesh()
+        fields.save_potentials(str(pots), grid, 0.1 * np.sum(X**2, axis=0),
+                               np.zeros((3,) + grid.shape))
+        args += ["--potentials", str(pots)]
+    assert main(args) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payload["E_sn"] is None
+    assert all(isinstance(v, float) for k, v in payload.items() if k != "E_sn")
+    row = charges_mod.read_csv(tmp_path / "row.csv")[0]
+    assert np.isnan(row.E_sn)
+    assert row.M == payload["M"]
+
+
 def test_symmetry_check_rotation(tmp_path, capsys):
     u = sngroup.SnGroupElement.rotation((0, 0, 1), np.pi / 2)
     report = tmp_path / "sym.json"

@@ -39,6 +39,8 @@ from lln.evolve import (
     self_potential,
     spin_commutator_residual,
 )
+from lln import evolve
+from lln.charges import charge_monitor
 from lln.cli import main
 from lln.sngroup import SnGroupElement, compose, represent_pair, transform_potentials
 
@@ -284,6 +286,73 @@ def test_split_reuses_half_kick_phase(source, poisson, exact):
     else:
         assert np.max(np.abs(out.data - ref.data)) <= 1e-13 * np.max(np.abs(ref.data))
         assert not np.array_equal(out.data, ref.data)  # rfftn Poisson rounds differently
+
+
+SPINS = [(1, 0), (0, 1), (0.6, 0.8j)]
+
+
+def _spin_packet(grid, spin):
+    return gaussian_packet(grid, sigma=1.2, center=(0.4, -0.3, 0.2), k0=(0.4, 0, -0.2),
+                           spin=spin, m=1.3, hbar=0.9)
+
+
+@pytest.mark.parametrize("spin", SPINS[:2])
+@pytest.mark.parametrize(
+    "source, poisson", [("free", "periodic"), ("external", "periodic"), ("self", "isolated")]
+)
+def test_split_matches_the_reference_for_every_spinor(spin, source, poisson):
+    # the reference advances both components; run only the nonzero ones
+    # (the two-component spinor is test_split_reuses_half_kick_phase)
+    f = _spin_packet(G16, spin)
+    p = None
+    if source == "external":
+        p = GridPotential(G16, U=0.5 * band_limited_noise(G16, 2, 17))
+    cfg = RunConfig(dt=2e-3, steps=12, source=source, poisson=poisson, G=2.0)
+    out = run(f, cfg, p).field
+    ref = _split_reference(f, cfg, p)
+    assert np.array_equal(out.data, ref.data)
+    for a in range(2):
+        assert np.any(out.data[a]) == (spin[a] != 0)  # a zero component stays exactly zero
+
+
+@pytest.mark.parametrize("spin", SPINS)
+def test_live_components_match_the_full_pair(spin, monkeypatch):
+    # oracle: the same loops with both components advanced (the live view
+    # replaced by the whole pair); fields, charge records, energies and
+    # iteration counts must agree bit for bit
+    f = _spin_packet(G16, spin)
+    cfg = RunConfig(dt=2e-3, steps=12, source="self", poisson="periodic", G=2.0,
+                    monitor_every=4, monitor=charge_monitor("self"))
+    rcfg = RelaxConfig(G=4.0, dtau=0.02, tol=1e-9, max_iter=60, poisson="isolated")
+    live = run(f, cfg), ground_state(f, rcfg)
+    monkeypatch.setattr(evolve, "_live", lambda data: data)
+    full = run(f, cfg), ground_state(f, rcfg)
+    assert np.array_equal(live[0].field.data, full[0].field.data)
+    assert live[0].times == full[0].times
+    assert len(live[0].records) == 4
+    for a, b in zip(live[0].records, full[0].records):
+        assert np.array_equal(a.row(), b.row())
+    assert np.array_equal(live[1].field.data, full[1].field.data)
+    assert np.array_equal(live[1].potential.U, full[1].potential.U)
+    for name in ("energy", "iterations", "converged", "residual", "energy_sn"):
+        assert getattr(live[1], name) == getattr(full[1], name), name
+
+
+@pytest.mark.parametrize("spin, width", [((1, 0), 1), ((0, 1), 1), ((0.6, 0.8j), 2)])
+def test_split_loops_transform_only_the_live_components(spin, width, monkeypatch):
+    # the drift transforms run on the nonzero components alone, so the
+    # saving cannot silently disappear
+    widths = []
+
+    def spy(x, *args, **kwargs):
+        widths.append(x.shape[0])
+        return fftn(x, *args, **kwargs)
+
+    monkeypatch.setattr(evolve, "fftn", spy)
+    f = _spin_packet(G16, spin)
+    run(f, RunConfig(dt=2e-3, steps=3, source="self", poisson="periodic"))
+    ground_state(f, RelaxConfig(G=2.0, tol=0.0, max_iter=3, poisson="isolated"))
+    assert widths == [width] * 6
 
 
 def test_monitor_plumbing():
@@ -541,11 +610,9 @@ def test_ground_state_harmonic_trap():
     assert abs(var - 0.5) < 5e-3
 
 
-@pytest.mark.parametrize("poisson", ["isolated", "periodic"])
-def test_ground_state_in_place_drift_is_bit_identical(poisson):
-    # reference sweeps with the drift written out of place, decay * F
-    f0 = gaussian_packet(G16, sigma=1.2, center=(0.3, -0.2, 0.1), m=1.3, hbar=0.9)
-    G, dtau, sweeps = 4.0, 0.02, 25
+def _sweep_reference(f0, G, dtau, sweeps, poisson):
+    """Oracle: sweeps over both components, with the drift written out of
+    place, decay * F; returns the field and the last energy."""
     f = f0.copy().normalized()
     grid, m, hbar = f.grid, f.m, f.hbar
     decay = np.exp(-hbar * grid.k2 * dtau / (2.0 * m))
@@ -557,11 +624,34 @@ def test_ground_state_in_place_drift_is_bit_identical(poisson):
         f.data *= half_kick
         f = f.normalized()
         E = energy_expectation(f.data, pot, grid, m, hbar)
+    return f, E
+
+
+@pytest.mark.parametrize("poisson", ["isolated", "periodic"])
+def test_ground_state_in_place_drift_is_bit_identical(poisson):
+    # reference sweeps with the drift written out of place, decay * F
+    f0 = gaussian_packet(G16, sigma=1.2, center=(0.3, -0.2, 0.1), m=1.3, hbar=0.9)
+    G, dtau, sweeps = 4.0, 0.02, 25
+    f, E = _sweep_reference(f0, G, dtau, sweeps, poisson)
     res = ground_state(f0, RelaxConfig(G=G, dtau=dtau, tol=0.0, max_iter=sweeps,
                                        poisson=poisson))
     assert not res.converged and res.iterations == sweeps
     assert np.array_equal(res.field.data, f.data)
     assert res.energy == E
+
+
+@pytest.mark.parametrize("spin", SPINS)
+@pytest.mark.parametrize("poisson", ["isolated", "periodic"])
+def test_ground_state_sweep_reference_for_every_spinor(poisson, spin):
+    # the reference sweeps both components; ground_state only the nonzero ones
+    f0 = _spin_packet(G16, spin)
+    f, E = _sweep_reference(f0, 4.0, 0.02, 25, poisson)
+    res = ground_state(f0, RelaxConfig(G=4.0, dtau=0.02, tol=0.0, max_iter=25,
+                                       poisson=poisson))
+    assert np.array_equal(res.field.data, f.data)
+    assert res.energy == E
+    for a in range(2):
+        assert np.any(res.field.data[a]) == (spin[a] != 0)
 
 
 def test_ground_state_self_gravity_oracle():
