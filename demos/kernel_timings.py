@@ -6,7 +6,10 @@ Grids default to n = 32 and 64 (box side 16), with a spin-up Gaussian packet
 under its own periodic potential. Each figure is the median over R calls
 (default 7) after a warm-up call. A split step (self/periodic `run`) and a
 sweep (isolated `ground_state`) are the difference of two runs, so set-up is
-not counted. LLN_THREADS caps the FFT worker threads.
+not counted. The two `represent` rows time the shift path (a translation)
+and the separable path (a quarter turn after a dilation); the dense path of
+a generic rotation is O(n^6) and is left out. LLN_THREADS caps the FFT
+worker threads.
 """
 
 import argparse
@@ -18,6 +21,7 @@ from lln.charges import compute_charges
 from lln.evolve import RelaxConfig, RunConfig, apply_hamiltonian, ground_state, run, self_potential
 from lln.fields import GridSpec, fftn, gaussian_packet, ifftn
 from lln.gravity import mass_density, poisson_isolated, poisson_periodic
+from lln.sngroup import SnGroupElement, compose, represent
 
 
 def cpu_ms(fn, repeats):
@@ -38,6 +42,8 @@ def kernels(n):
     rho = mass_density(f.data, grid, f.m)
     pot = self_potential(f.data, grid, f.m, 1.0, "periodic")
     k = 4  # steps or sweeps beyond the shorter run's one
+    shift = SnGroupElement.translation(c=(0.3, -0.2, 0.1))
+    turn = compose(SnGroupElement.rotation([0, 0, 1], np.pi / 2), SnGroupElement.dilation(1.05))
 
     def steps(s):
         return lambda: run(f, RunConfig(dt=1e-3, steps=s, source="self", poisson="periodic"))
@@ -56,6 +62,8 @@ def kernels(n):
         ("compute_charges", lambda: compute_charges(f, pot, mode="self"), None, 1),
         ("split step (run)", steps(1 + k), steps(1), k),
         ("sweep (ground_state)", sweeps(1 + k), sweeps(1), k),
+        ("represent, translation", lambda: represent(shift, f), None, 1),
+        ("represent, turn+dilation", lambda: represent(turn, f), None, 1),
     ]
 
 

@@ -80,6 +80,14 @@ def ifftn(F, axes=(-3, -2, -1), overwrite_x=False):
     return sfft.ifftn(F, axes=axes, overwrite_x=overwrite_x, workers=_workers())
 
 
+def rfftn(f, s=None, axes=(-3, -2, -1)):
+    return sfft.rfftn(f, s=s, axes=axes, workers=_workers())
+
+
+def irfftn(F, s=None, axes=(-3, -2, -1)):
+    return sfft.irfftn(F, s=s, axes=axes, workers=_workers())
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Cubic periodic grid: n points per axis on a box of side length."""
@@ -554,6 +562,13 @@ def load_snapshot(path) -> Snapshot:
             raise ValueError(f"{path}: not a recognized snapshot file")
         if header.get("poisson", "periodic") not in ("periodic", "isolated"):
             raise ValueError(f"{path}: unknown poisson mode {header['poisson']!r}")
+        scalars = {key: float(header[key]) for key in ("m", "hbar", "G", "time")}
+        scalars["mass_tag"] = float(header.get("mass_tag", 1.0))
+        for key, val in scalars.items():
+            positive = key in ("m", "hbar", "mass_tag")
+            if not (np.isfinite(val) and (val > 0 or not positive)):
+                raise ValueError(f"{path}: snapshot header {key} = {val} must be finite"
+                                 + (" and > 0" if positive else ""))
         n1, n2, n3 = header["n"]
         if not (n1 == n2 == n3):
             raise ValueError(f"{path}: only cubic grids are supported")
@@ -577,10 +592,6 @@ def load_snapshot(path) -> Snapshot:
         kind=kind,
         grid=grid,
         data=data,
-        m=float(header["m"]),
-        hbar=float(header["hbar"]),
-        G=float(header["G"]),
-        time=float(header["time"]),
-        mass_tag=float(header.get("mass_tag", 1.0)),
         poisson=header.get("poisson"),
+        **scalars,
     )

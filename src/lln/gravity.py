@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import fft as sfft
 
-from .fields import GridSpec, _workers, density, fftn, ifftn
+from .fields import GridSpec, density, fftn, ifftn, irfftn, rfftn
 from .geometry import GridPotential
 
 __all__ = [
@@ -41,10 +42,9 @@ def inverse_laplacian(f, grid: GridSpec):
 
     Runs rfftn/irfftn with the cached half-spectrum multiplier of the grid.
     """
-    axes = (-3, -2, -1)
-    F = sfft.rfftn(f, axes=axes, workers=_workers())
+    F = rfftn(f)
     F *= grid.inv_laplacian_rfft
-    return sfft.irfftn(F, s=grid.shape, axes=axes, workers=_workers())
+    return irfftn(F, s=grid.shape)
 
 
 def poisson_periodic(rho, grid: GridSpec, G: float = 1.0):
@@ -71,48 +71,34 @@ def constraint_potential(grid: GridSpec, rho, varpi_curl2=0.0, G: float = 1.0, d
 # isolated (free-space) Poisson via doubled-grid convolution
 ############################################################
 
-_SELF_CELL = None
-_KERNEL_CACHE: dict = {}
-
-
+@cache
 def self_cell_coefficient() -> float:
     """Mean of 1/|x| over the unit cube [-1/2, 1/2]^3 (dimensionless).
 
     Computed once by Gauss-Legendre quadrature on the positive octant; sets
     the singular cell of the free-space kernel to its cell-averaged value.
     """
-    global _SELF_CELL
-    if _SELF_CELL is None:
-        x, w = leggauss(48)
-        xm = 0.25 * (x + 1.0)  # (0, 1/2)
-        wm = 0.25 * w
-        X, Y, Z = np.meshgrid(xm, xm, xm, indexing="ij")
-        W = (
-            wm.reshape(-1, 1, 1)
-            * wm.reshape(1, -1, 1)
-            * wm.reshape(1, 1, -1)
-        )
-        _SELF_CELL = float(8.0 * np.sum(W / np.sqrt(X**2 + Y**2 + Z**2)))
-    return _SELF_CELL
+    x, w = leggauss(48)
+    xm = 0.25 * (x + 1.0)  # (0, 1/2)
+    wm = 0.25 * w
+    X, Y, Z = np.meshgrid(xm, xm, xm, indexing="ij")
+    W = wm.reshape(-1, 1, 1) * wm.reshape(1, -1, 1) * wm.reshape(1, 1, -1)
+    return float(8.0 * np.sum(W / np.sqrt(X**2 + Y**2 + Z**2)))
 
 
+@cache
 def _isolated_kernel(grid: GridSpec):
     """(Khat, work) of the grid: the doubled-grid kernel half-spectrum and
     the complex (2n, 2n, n+1) workspace the solve transforms in."""
-    key = (grid.n, round(grid.length, 12))
-    if key not in _KERNEL_CACHE:
-        M = 2 * grid.n
-        idx = np.arange(M)
-        q = ((idx + grid.n) % M - grid.n) * grid.dx  # signed displacement
-        R = np.sqrt(
-            q.reshape(-1, 1, 1) ** 2 + q.reshape(1, -1, 1) ** 2 + q.reshape(1, 1, -1) ** 2
-        )
-        R.flat[0] = 1.0
-        K = 1.0 / R
-        K.flat[0] = self_cell_coefficient() / grid.dx
-        Khat = sfft.rfftn(K, workers=_workers())
-        _KERNEL_CACHE[key] = (Khat, np.empty_like(Khat))
-    return _KERNEL_CACHE[key]
+    M = 2 * grid.n
+    idx = np.arange(M)
+    q = ((idx + grid.n) % M - grid.n) * grid.dx  # signed displacement
+    R = np.sqrt(q.reshape(-1, 1, 1) ** 2 + q.reshape(1, -1, 1) ** 2 + q.reshape(1, 1, -1) ** 2)
+    R.flat[0] = 1.0
+    K = 1.0 / R
+    K.flat[0] = self_cell_coefficient() / grid.dx
+    Khat = rfftn(K)
+    return Khat, np.empty_like(Khat)
 
 
 def poisson_isolated(rho, grid: GridSpec, G: float = 1.0):
@@ -138,7 +124,7 @@ def poisson_isolated(rho, grid: GridSpec, G: float = 1.0):
     # overwrite_x on complex input makes scipy write the transform into its
     # argument; src is the first n slabs of work, the ones the source fills
     src = work[:n]
-    src[:, :n] = sfft.rfftn(rho, s=(M,), axes=(2,), workers=_workers())
+    src[:, :n] = rfftn(rho, s=(M,), axes=(2,))
     src[:, n:] = 0.0
     fftn(src, axes=(1,), overwrite_x=True)
     work[n:] = 0.0
@@ -146,7 +132,7 @@ def poisson_isolated(rho, grid: GridSpec, G: float = 1.0):
     np.multiply(work, Khat, out=work)
     ifftn(work, axes=(0,), overwrite_x=True)
     ifftn(src, axes=(1,), overwrite_x=True)
-    conv = sfft.irfftn(src[:, :n], s=(M,), axes=(2,), workers=_workers())
+    conv = irfftn(src[:, :n], s=(M,), axes=(2,))
     return -G * grid.dv * conv[:, :, :n]
 
 

@@ -6,11 +6,17 @@ d^3 g^2 = 1, and an s-translation h. The scale factor is nu = d g; a pure
 dilation has d = nu^-2, g = nu^3 (space stretches by nu^3, time by nu^5,
 giving the dynamical exponent z = 5/3).
 
-Action on Bargmann coordinates:
+The action on Bargmann coordinates is affine, so each element is one 6x6
+matrix E = ``u.matrix`` on (x, t, s, 1):
 
     x -> (A x + b t + c) / g
     t -> (d t + e) / g
     s -> (s - <b, A x> - |b|^2 t / 2 + h) / nu
+
+with last row (0, ..., 0, 1). The group law is the matrix product: compose,
+inverse and exp_element read their parameters back off E1 E2, E^-1 and
+expm(tau L), and the representation reads its pull-back (input point, input
+time and boost phase exponent) off the rows of the inverse matrix.
 
 The spinor representation rescales mass by nu and acts on the Pauli pair by a
 lower-triangular 2x2-block matrix; see :func:`represent`.
@@ -45,7 +51,6 @@ __all__ = [
     "matrix_from_quat",
     "su2_from_quat",
     "act",
-    "inverse_act",
     "compose",
     "inverse",
     "exp_element",
@@ -184,6 +189,24 @@ class SnGroupElement:
     def quat(self) -> np.ndarray:
         return quat_from_matrix(self.A)
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The 6x6 affine matrix E of the action on (x, t, s, 1); read-only."""
+        nu = self.nu
+        E = np.zeros((6, 6))
+        E[:3, :3] = self.A / self.g
+        E[:3, 3] = self.b / self.g
+        E[:3, 5] = self.c / self.g
+        E[3, 3] = self.d / self.g
+        E[3, 5] = self.e / self.g
+        E[4, :3] = -(self.A.T @ self.b) / nu
+        E[4, 3] = -0.5 * np.dot(self.b, self.b) / nu
+        E[4, 4] = 1.0 / nu
+        E[4, 5] = self.h / nu
+        E[5, 5] = 1.0
+        E.setflags(write=False)
+        return E
+
     # ----- constructors -----
 
     @classmethod
@@ -229,7 +252,16 @@ class SnGroupElement:
 
     def time_map(self) -> TimeMap:
         """The induced reparametrization t -> (d t + e)/g (Schwarzian-free)."""
-        return TimeMap.affine(self.d / self.g, self.e / self.g)
+        return TimeMap.affine(self.matrix[3, 3], self.matrix[3, 5])
+
+
+def _element(E) -> SnGroupElement:
+    """The element whose matrix is E, read back off its blocks."""
+    nu = 1.0 / E[4, 4]
+    d = float(np.sqrt(nu * E[3, 3]))
+    g = nu / d
+    return SnGroupElement(A=g * E[:3, :3], b=g * E[:3, 3], c=g * E[:3, 5], d=d,
+                          e=g * E[3, 5], g=g, h=nu * E[4, 5])
 
 
 ############################################################
@@ -237,67 +269,25 @@ class SnGroupElement:
 ############################################################
 
 
-def _time_out(u: SnGroupElement, t):
-    """t_hat = (d t + e)/g, the time u assigns to an event at time t."""
-    return (u.d * t + u.e) / u.g
-
-
-def _time_in(u: SnGroupElement, t_hat):
-    """The inverse of :func:`_time_out`: the input time u maps to t_hat."""
-    return (u.g * t_hat - u.e) / u.d
+def _apply(E, x, t=0.0, s=0.0):
+    """E (x, t, s, 1) for a 6x6 affine E; x is (..., 3), t and s broadcast
+    against its batch shape. Returns (x_hat (..., 3), t_hat, s_hat)."""
+    out = generator_field(E, np.moveaxis(np.asarray(x, dtype=float), -1, 0), t, s)
+    return np.moveaxis(out[:3], 0, -1), out[3], out[4]
 
 
 def act(u: SnGroupElement, x, t=0.0, s=0.0):
     """Apply u to event coordinates; x may carry leading batch axes (..., 3)."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    Ax = np.einsum("ij,...j->...i", u.A, x)
-    xh = (Ax + np.multiply.outer(t, u.b) + u.c) / u.g
-    th = _time_out(u, t)
-    sh = (
-        s
-        - np.einsum("...i,i->...", Ax, u.b)
-        - 0.5 * np.dot(u.b, u.b) * t
-        + u.h
-    ) / u.nu
-    return xh, th, sh
-
-
-def inverse_act(u: SnGroupElement, xh, th=0.0, sh=0.0):
-    return act(inverse(u), xh, th, sh)
+    return _apply(u.matrix, x, t, s)
 
 
 def compose(u1: SnGroupElement, u2: SnGroupElement) -> SnGroupElement:
     """Group product: (u1 * u2) acts as u1 after u2."""
-    nu2 = u2.nu
-    A = u1.A @ u2.A
-    b = u1.A @ u2.b + u2.d * u1.b
-    c = u1.A @ u2.c + u2.e * u1.b + u2.g * u1.c
-    d = u1.d * u2.d
-    e = u1.d * u2.e + u2.g * u1.e
-    g = u1.g * u2.g
-    h = (
-        u2.h
-        + nu2 * u1.h
-        - u2.d * np.dot(u1.b, u1.A @ u2.c)
-        - 0.5 * u2.d * u2.e * np.dot(u1.b, u1.b)
-    )
-    return SnGroupElement(A=A, b=b, c=c, d=d, e=e, g=g, h=h)
+    return _element(u1.matrix @ u2.matrix)
 
 
 def inverse(u: SnGroupElement) -> SnGroupElement:
-    nu = u.nu
-    At = u.A.T
-    return SnGroupElement(
-        A=At,
-        b=-(At @ u.b) / u.d,
-        c=At @ (u.e * u.b / nu - u.c / u.g),
-        d=1.0 / u.d,
-        e=-u.e / nu,
-        g=1.0 / u.g,
-        h=(0.5 * u.e * np.dot(u.b, u.b) / u.d - np.dot(u.b, u.c) - u.h) / nu,
-    )
+    return _element(np.linalg.inv(u.matrix))
 
 
 ############################################################
@@ -329,12 +319,7 @@ class LieParams:
 def lie_vector(X: LieParams):
     """Coordinate components of the generator as a callable (x, t, s) -> tuple."""
     L = generator_matrix(X)
-
-    def comps(x, t=0.0, s=0.0):
-        Xup = generator_field(L, np.moveaxis(np.asarray(x, dtype=float), -1, 0), t, s)
-        return np.moveaxis(Xup[:3], 0, -1), Xup[3], Xup[4]
-
-    return comps
+    return lambda x, t=0.0, s=0.0: _apply(L, x, t, s)
 
 
 def exp_element(X: LieParams, tau: float = 1.0) -> SnGroupElement:
@@ -343,16 +328,7 @@ def exp_element(X: LieParams, tau: float = 1.0) -> SnGroupElement:
     The action on (x, t, s) is affine, so the flow is a 6x6 homogeneous
     matrix exponential; the element parameters are read back off its blocks.
     """
-    E = expm(tau * generator_matrix(X))
-    nu = 1.0 / E[4, 4]
-    d = float(np.sqrt(nu * E[3, 3]))
-    g = nu / d
-    A = g * E[:3, :3]
-    b = g * E[:3, 3]
-    c = g * E[:3, 5]
-    e = g * E[3, 5]
-    h = nu * E[4, 5]
-    return SnGroupElement(A=A, b=b, c=c, d=d, e=e, g=g, h=h)
+    return _element(expm(tau * generator_matrix(X)))
 
 
 def infinitesimal_action(
@@ -403,19 +379,6 @@ def infinitesimal_action(
 ############################################################
 
 
-def _rep_phase(u: SnGroupElement, x_out, t_out, m: float, hbar: float):
-    """Boost multiplier exp(i m f / hbar) at output events; x_out indexed first."""
-    b2 = float(np.dot(u.b, u.b))
-    f_exp = (
-        u.g * np.einsum("j,j...->...", u.b, x_out)
-        - (u.g / (2.0 * u.d)) * b2 * t_out
-        + (u.e / (2.0 * u.d)) * b2
-        - float(np.dot(u.b, u.c))
-        - u.h
-    )
-    return np.exp(1j * m / hbar * f_exp)
-
-
 def _rep_blocks(u: SnGroupElement):
     """Pauli blocks (upper, lower_left, lower_right) of the block lower
     triangular representation matrix."""
@@ -427,11 +390,17 @@ def _rep_blocks(u: SnGroupElement):
     return upper, lower_left, lower_right
 
 
-def _pullback_points_map(u: SnGroupElement, tau: float):
-    """x_in = M x_out + v for the slice pulled back to input time tau."""
-    M = u.g * u.A.T
-    v = -u.A.T @ (tau * u.b + u.c)
-    return M, v
+def _pullback(u: SnGroupElement, t_out: float):
+    """The output slice at time t_out, read off the matrix of u^-1.
+
+    Returns (M, v, t_in, k, s_in): output point x pulls back to M x + v at
+    time t_in, and the output event (x, t_out, 0) to vertical coordinate
+    k . x + s_in; the boost phase of the representation is
+    exp(i m (k . x + s_in) / hbar).
+    """
+    F = np.linalg.inv(u.matrix)
+    return (F[:3, :3], F[:3, 3] * t_out + F[:3, 5], F[3, 3] * t_out + F[3, 5],
+            F[4, :3], F[4, 3] * t_out + F[4, 5])
 
 
 def _resample_linear(data, grid: GridSpec, M, v):
@@ -502,11 +471,11 @@ def represent_pair(u: SnGroupElement, f: BispinorField, chi):
 def _represent_pair(u: SnGroupElement, f: BispinorField, chi):
     grid = f.grid
     nu = u.nu
-    t_hat = _time_out(u, f.time)
-    M, v = _pullback_points_map(u, f.time)
+    t_hat = float(u.time_map()(f.time))
+    M, v, _, k, s_in = _pullback(u, t_hat)
     phi_p = _resample_linear(f.data, grid, M, v)
     upper, lower_left, lower_right = _rep_blocks(u)
-    phase = _rep_phase(u, grid.mesh(), t_hat, f.m, f.hbar)
+    phase = np.exp(1j * f.m / f.hbar * (np.einsum("j,j...->...", k, grid.mesh()) + s_in))
     out = BispinorField(
         grid=grid,
         data=phase * np.einsum("ab,b...->a...", upper, phi_p),
@@ -534,10 +503,9 @@ def represent_fn(u: SnGroupElement, fn, m: float, hbar: float):
 
     def out(x, t):
         x = np.asarray(x, dtype=float)
-        tau = _time_in(u, t)
-        M, v = _pullback_points_map(u, tau)
+        M, v, tau, k, s_in = _pullback(u, t)
         val = fn(x @ M.T + v, tau)  # (..., 2)
-        phase = _rep_phase(u, np.moveaxis(x, -1, 0), t, m, hbar)
+        phase = np.exp(1j * m / hbar * (x @ k + s_in))
         return phase[..., None] * np.einsum("ab,...b->...a", upper, val)
 
     return out, u.nu * m
@@ -560,8 +528,8 @@ def transform_potentials(u: SnGroupElement, p: GridPotential, t_hat=None) -> Gri
     grid = p.grid
     nu = u.nu
     if t_hat is None:
-        t_hat = u.e / u.g
-    M, v = _pullback_points_map(u, _time_in(u, t_hat))
+        t_hat = float(u.time_map()(0.0))
+    M, v = _pullback(u, t_hat)[:2]
     U_p = _resample_linear(p.U[None], grid, M, v)[0]
     w_p = _resample_linear(p.varpi, grid, M, v)
     Atb = u.A.T @ u.b
@@ -595,7 +563,7 @@ def element_from_dict(data: dict) -> SnGroupElement:
     q = np.asarray(data["a"], dtype=float)
     if q.shape != (4,):
         raise ValueError("field 'a' must be a quaternion [w, x, y, z]")
-    if abs(np.linalg.norm(q) - 1.0) > 1e-6:
+    if not abs(np.linalg.norm(q) - 1.0) <= 1e-6:
         raise ValueError("quaternion must have unit length")
     u = SnGroupElement(
         A=matrix_from_quat(q),
@@ -606,7 +574,7 @@ def element_from_dict(data: dict) -> SnGroupElement:
         g=float(data["g"]),
         h=float(data["h"]),
     )
-    if "nu" in data and abs(float(data["nu"]) - u.nu) > 1e-6:
+    if "nu" in data and not abs(float(data["nu"]) - u.nu) <= 1e-6:
         raise ValueError("declared nu is inconsistent with d*g")
     return u
 

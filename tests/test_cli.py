@@ -321,6 +321,36 @@ def test_charges_exit_codes(tmp_path, capsys):
     assert main(["charges", "--snapshot", str(snap)]) == 1
 
 
+def _snapshot_with_header(tmp_path, **edits):
+    """A valid 16^3 snapshot whose header has the given keys overwritten."""
+    snap = tmp_path / "edited.lls"
+    fields.save_snapshot(str(snap), fields.gaussian_packet(fields.GridSpec(16, 16.0), sigma=1.2))
+    head, payload = snap.read_bytes().split(b"\n", 1)
+    header = dict(json.loads(head), **edits)
+    snap.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    return snap
+
+
+@pytest.mark.parametrize("key, value", [
+    ("m", float("nan")), ("m", 0.0), ("hbar", -1.0), ("mass_tag", float("inf")),
+    ("G", float("nan")), ("time", float("inf")),
+])
+def test_unusable_snapshot_header_is_config_error(tmp_path, monkeypatch, capsys, key, value):
+    # both readers of a bispinor snapshot refuse the header before any compute
+    def solver(*args, **kwargs):
+        raise AssertionError("computed from an unusable snapshot header")
+
+    monkeypatch.setattr(charges_mod, "compute_charges", solver)
+    monkeypatch.setattr(evolve_mod, "run", solver)
+    snap = _snapshot_with_header(tmp_path, **{key: value})
+    assert main(["charges", "--snapshot", str(snap)]) == 2
+    cfg = {"grid": dict(G16), "initial": {"kind": "snapshot", "path": str(snap)},
+           "evolver": {"dt": 1e-3, "steps": 1}}
+    assert main(["evolve", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"snapshot header {key} = ") == 2, err
+
+
 def test_charges_external_mode_needs_potentials(tmp_path, monkeypatch, capsys):
     # without --potentials the external mode would report a free field's
     # charges; it is refused before the snapshot is read or any charge computed
@@ -599,6 +629,8 @@ _NAN_ELEMENT = dict(BASES["symmetry-check"]["element"], d=float("nan"), g=float(
     ("evolve", {"potentials": {"preset": "gradient",
                                "theta": {"amplitude": 0.1, "sigma": 1e-200}}}),
     ("evolve", {"potentials": {"U_point_mass": {"GM": 1.0, "soften": 1e-200}}}),
+    # abs(nan - nu) > tol is false: the declared nu must be compared the other way
+    ("symmetry-check", {"element.nu": float("nan")}),
 ])
 def test_value_that_cannot_run_is_config_error(command, edits, solver_calls, capsys):
     _assert_config_error(command, edits, solver_calls, capsys)

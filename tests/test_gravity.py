@@ -290,7 +290,7 @@ def test_inverse_laplacian_real_half_spectrum_matches_full():
 
 def test_lln_threads_caps_gravity_ffts(monkeypatch):
     monkeypatch.setenv("LLN_THREADS", "1")
-    monkeypatch.setattr(gravity, "_KERNEL_CACHE", {})  # rebuild the kernel too
+    gravity._isolated_kernel.cache_clear()  # rebuild the kernel too
     seen = []
     for name in ("fftn", "ifftn", "rfftn", "irfftn"):
         def spy(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):

@@ -27,7 +27,6 @@ from lln.sngroup import (
     exp_element,
     infinitesimal_action,
     inverse,
-    inverse_act,
     lie_vector,
     load_element,
     matrix_from_quat,
@@ -87,7 +86,7 @@ def test_inverse():
     u = SnGroupElement.random(seed=11)
     x = np.array([[0.3, -1.2, 2.0]])
     xh, th, sh = act(u, x, 0.4, -0.7)
-    x0, t0, s0 = inverse_act(u, xh, th, sh)
+    x0, t0, s0 = act(inverse(u), xh, th, sh)
     assert np.max(np.abs(x0 - x)) < 1e-12
     assert abs(t0 - 0.4) < 1e-12 and abs(s0 + 0.7) < 1e-12
 
@@ -139,6 +138,67 @@ def test_inverse_on_both_sides(u):
 def test_exp_map_is_a_one_parameter_subgroup(X, s, t):
     assert params_close(compose(exp_element(X, s), exp_element(X, t)),
                         exp_element(X, s + t), 1e-10)
+
+
+# closed forms of the action and the group law, kept as oracles for the
+# matrix path that act, compose and inverse share
+
+
+def _act_oracle(u, x, t, s):
+    Ax = x @ u.A.T
+    xh = (Ax + np.multiply.outer(t, u.b) + u.c) / u.g
+    sh = (s - Ax @ u.b - 0.5 * np.dot(u.b, u.b) * t + u.h) / u.nu
+    return xh, (u.d * t + u.e) / u.g, sh
+
+
+def _compose_oracle(u1, u2):
+    h = (u2.h + u2.nu * u1.h - u2.d * np.dot(u1.b, u1.A @ u2.c)
+         - 0.5 * u2.d * u2.e * np.dot(u1.b, u1.b))
+    return SnGroupElement(A=u1.A @ u2.A, b=u1.A @ u2.b + u2.d * u1.b,
+                          c=u1.A @ u2.c + u2.e * u1.b + u2.g * u1.c, d=u1.d * u2.d,
+                          e=u1.d * u2.e + u2.g * u1.e, g=u1.g * u2.g, h=h)
+
+
+def _inverse_oracle(u):
+    At = u.A.T
+    h = (0.5 * u.e * np.dot(u.b, u.b) / u.d - np.dot(u.b, u.c) - u.h) / u.nu
+    return SnGroupElement(A=At, b=-(At @ u.b) / u.d, c=At @ (u.e * u.b / u.nu - u.c / u.g),
+                          d=1.0 / u.d, e=-u.e / u.nu, g=1.0 / u.g, h=h)
+
+
+_events = st.lists(st.tuples(_unit, _unit, _unit, _unit, _unit), min_size=1, max_size=6)
+
+
+@PROPERTY
+@given(u=elements(), ev=_events)
+def test_act_matches_closed_form(u, ev):
+    ev = 3.0 * np.array(ev)
+    x, t, s = ev[:, :3], ev[:, 3], ev[:, 4]
+    for got, ref in zip(act(u, x, t, s), _act_oracle(u, x, t, s)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+@PROPERTY
+@given(u1=elements(), u2=elements())
+def test_compose_and_inverse_match_closed_forms(u1, u2):
+    assert params_close(compose(u1, u2), _compose_oracle(u1, u2), 1e-11)
+    assert params_close(inverse(u1), _inverse_oracle(u1), 1e-11)
+
+
+@PROPERTY
+@given(u=elements(), t_hat=_unit, m=st.floats(0.5, 2.0))
+def test_represent_fn_samples_the_pulled_back_event(u, t_hat, m):
+    # the output at (x_hat, t_hat) is the input at u^-1 (x_hat, t_hat, 0),
+    # times the spinor block and the phase exp(i m s_in / hbar)
+    hbar = 0.7
+    x_hat = np.random.default_rng(3).uniform(-3, 3, size=(5, 3))
+    x_in, t_in, s_in = act(inverse(u), x_hat, t_hat, 0.0)
+    upper = u.nu**5 * su2_from_quat(u.quat)
+    ref = np.exp(1j * m / hbar * s_in)[:, None] * (packet_fn(x_in, t_in[0]) @ upper.T)
+    fn_hat, m_hat = represent_fn(u, packet_fn, m=m, hbar=hbar)
+    assert np.max(np.abs(fn_hat(x_hat, t_hat) - ref)) <= 1e-12
+    assert m_hat == u.nu * m
 
 
 def test_element_validation():
@@ -619,8 +679,7 @@ def test_permuted_lattice_matches_dense(n):
 def _dense_transform_potentials(u, p, t_hat):
     # transform_potentials with every resampling through the dense interpolant
     grid = p.grid
-    M, v = sngroup._pullback_points_map(u, sngroup._time_in(u, t_hat))
-    pts = np.moveaxis(grid.mesh(), 0, -1).reshape(-1, 3) @ M.T + v
+    pts = act(inverse(u), np.moveaxis(grid.mesh(), 0, -1).reshape(-1, 3), t_hat)[0]
     U_p = sample_points(p.U, grid, pts).reshape(grid.shape)
     w_p = sample_points(p.varpi, grid, pts).reshape((3,) + grid.shape)
     U_hat = u.nu**4 * (U_p + np.einsum("j...,j->...", w_p, u.A.T @ u.b))
