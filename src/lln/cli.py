@@ -99,12 +99,14 @@ def _path(value, where) -> str:
     return _expect(isinstance(value, str) and value, value, where, "a non-empty path")
 
 
+def _out_file(value, where) -> str:
+    path = _out_path(_path(value, where))
+    return _expect(os.path.isdir(os.path.dirname(path) or "."), path, where,
+                   "a path in an existing directory")
+
+
 def _out_paths(outputs) -> dict:
-    paths = {k: _out_path(_path(v, f"outputs.{k}")) for k, v in outputs.items()}
-    for k, p in paths.items():
-        _expect(os.path.isdir(os.path.dirname(p) or "."), p, f"outputs.{k}",
-                "a path in an existing directory")
-    return paths
+    return {k: _out_file(v, f"outputs.{k}") for k, v in outputs.items()}
 
 
 def _load_config(path, *sections) -> dict:
@@ -260,6 +262,12 @@ def cmd_verify_geometry(args) -> int:
         _expect(math.isfinite(args.h) and args.h > 0, args.h, "--h", "a finite step > 0")
         _expect(args.samples >= 1, args.samples, "--samples", "a count >= 1")
         _expect(args.points >= 1, args.points, "--points", "a count >= 1")
+        _expect(args.seed >= 0, args.seed, "--seed", "an integer >= 0")
+        _expect(math.isfinite(args.G), args.G, "--G", "a finite number")
+        for name in ("clifford", "christoffel", "constraint"):
+            tol = getattr(args, f"tol_{name}")
+            _expect(math.isfinite(tol) and tol >= 0, tol, f"--tol-{name}", "a finite tolerance >= 0")
+        out = args.json and _out_file(args.json, "--json")
         grid = fields.GridSpec(n=args.n, length=args.length)
     rng = np.random.default_rng(args.seed)
     report = {}
@@ -334,8 +342,8 @@ def cmd_verify_geometry(args) -> int:
     # every verdict is written `not (v <= tol)`, so that NaN fails
     failures = {k: v for k, v in report.items() if not (v <= tols[k])}
     report["pass"] = not failures
-    if args.json:
-        _write_report(_out_path(args.json), report)
+    if out:
+        _write_report(out, report)
     for key in sorted(report):
         if key != "pass":
             print(f"{key:28s} {report[key]:.3e}  (tol {tols[key]:.1e})")
@@ -424,10 +432,12 @@ def cmd_charges(args) -> int:
     if args.mode == "external" and not args.potentials:
         raise ConfigError("--mode external: external source mode needs a potential "
                           "(--potentials)")
+    if args.poisson and args.mode != "self":
+        raise ConfigError("--poisson: only --mode self solves a Poisson equation")
     with _config_phase(f"--snapshot {args.snapshot}"):
+        out = args.out and _out_file(args.out, "--out")
         snap = fields.load_snapshot(args.snapshot)
         f = snap.to_field()
-        out = args.out and _out_path(args.out)
     pot = None
     if args.potentials:
         with _config_phase(f"--potentials {args.potentials}"):

@@ -5,7 +5,10 @@ coordinate order (x1, x2, x3, t, s),
 
     g = dx.dx + 2 varpi.dx dt - 2U dt^2 + 2 dt ds,
 
-with xi = d/ds the covariantly constant null direction. Spinors are Dirac
+with xi = d/ds the covariantly constant null direction. g is its constant
+entries plus `_metric_part(U, varpi)`, which also gives dg, g being affine in
+the potentials. The Levi-Civita connection, d_mu X_nu of a generator and the
+spinor covariant derivative nabla are each written once. Spinors are Dirac
 4-spinors built from two Pauli pairs (phi over chi); equal-weight densities
 carry the conformal weight 2/5. All pointwise algebra below is vectorized
 over arbitrary leading axes; field-level operators act on grids from
@@ -214,18 +217,24 @@ class GridPotential:
 ############################################################
 
 
-def brinkmann_metric(U, varpi) -> np.ndarray:
-    """Metric components g_{mu nu}, shape (..., 5, 5); varpi is indexed last."""
+def _metric_part(U, varpi) -> np.ndarray:
+    """The potential entries of g: varpi_j in g_jt and g_tj, -2U in g_tt.
+
+    g is affine in (U, varpi), so _metric_part(dU, dvarpi) is also dg.
+    """
     U, w = np.asarray(U), np.asarray(varpi)
-    base = np.broadcast_shapes(U.shape, w.shape[:-1])
-    g = np.zeros(base + (5, 5))
-    for i in range(3):
-        g[..., i, i] = 1.0
+    g = np.zeros(np.broadcast_shapes(U.shape, w.shape[:-1]) + (5, 5))
     g[..., :3, 3] = w
     g[..., 3, :3] = w
     g[..., 3, 3] = -2.0 * U
-    g[..., 3, 4] = 1.0
-    g[..., 4, 3] = 1.0
+    return g
+
+
+def brinkmann_metric(U, varpi) -> np.ndarray:
+    """Metric components g_{mu nu}, shape (..., 5, 5); varpi is indexed last."""
+    g = _metric_part(U, varpi)
+    g[..., range(3), range(3)] = 1.0
+    g[..., [3, 4], [4, 3]] = 1.0
     return g
 
 
@@ -318,7 +327,7 @@ def chirality_matrix(gam: GammaSet, g: np.ndarray) -> np.ndarray:
 
 
 def christoffels(sample: PotentialSample) -> np.ndarray:
-    """Closed-form connection of the Brinkmann metric.
+    """Levi-Civita connection of the Brinkmann metric at the sample's points.
 
     Dense Gamma^rho_{mu nu}, shape (..., 5, 5, 5), index order [rho, mu, nu].
 
@@ -327,24 +336,12 @@ def christoffels(sample: PotentialSample) -> np.ndarray:
     """
     if not sample.has_derivatives:
         raise ValueError("christoffels requires a sample carrying derivatives")
-    dU = np.asarray(sample.dU)
-    dtU = np.asarray(sample.dtU)
-    dw = np.asarray(sample.dvarpi)
-    dtw = np.asarray(sample.dtvarpi)
-    w = np.asarray(sample.varpi)
-    base = np.broadcast_shapes(dU.shape[:-1], dw.shape[:-2])
-    G = np.zeros(base + (5, 5, 5))
-    om = dw - np.swapaxes(dw, -1, -2)  # Omega_ij = d_i w_j - d_j w_i
-    acc = dU + dtw  # Gamma^i_tt
-    G[..., :3, 3, 3] = acc
-    G[..., :3, :3, 3] = -0.5 * om  # Gamma^i_jt, symmetric in (j, t)
-    G[..., :3, 3, :3] = -0.5 * om
-    G[..., 4, :3, :3] = 0.5 * (dw + np.swapaxes(dw, -1, -2))
-    s_it = -dU - 0.5 * np.einsum("...ij,...j->...i", om, w)
-    G[..., 4, :3, 3] = s_it
-    G[..., 4, 3, :3] = s_it
-    G[..., 4, 3, 3] = -dtU - np.einsum("...i,...i->...", w, acc)
-    return G
+    dtU = np.asarray(sample.dtU)[..., None]
+    dtw = np.asarray(sample.dtvarpi)[..., None, :]
+    # d_mu of (U, varpi) along (x, t, s); nothing depends on s
+    dg = _metric_part(np.concatenate([sample.dU, dtU, np.zeros_like(dtU)], axis=-1),
+                      np.concatenate([sample.dvarpi, dtw, np.zeros_like(dtw)], axis=-2))
+    return _connection_from_dg(brinkmann_metric_inverse(sample.U, sample.varpi), dg)
 
 
 def _metric_at(potential, x, t):
@@ -353,12 +350,11 @@ def _metric_at(potential, x, t):
 
 
 def _connection_from_dg(gi, dg):
-    """(1/2) g^{rs} (d_m g_{sn} + d_n g_{sm} - d_s g_{mn}) with dg[l] = d_l g."""
-    return 0.5 * (
-        np.einsum("rs,msn->rmn", gi, dg)
-        + np.einsum("rs,nsm->rmn", gi, dg)
-        - np.einsum("rs,smn->rmn", gi, dg)
-    )
+    """(1/2) g^{rs} (d_m g_{sn} + d_n g_{sm} - d_s g_{mn}) with dg[..., l] = d_l g."""
+    # the bracket first, then g^{-1} as one batched matmul: an einsum is ~4x slower
+    bracket = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1)  # [s, m, n]
+    bracket -= dg
+    return (0.5 * gi @ bracket.reshape(bracket.shape[:-2] + (25,))).reshape(bracket.shape)
 
 
 def christoffels_fd(potential, point, t: float = 0.0, h: float = 1e-3) -> np.ndarray:
@@ -677,18 +673,14 @@ def covariant_spinor_derivative(
     so the s slot is algebraic: nabla_s psi = (i m / hbar) psi. The t slot
     needs dt_psi (raises when absent), spatial slots are spectral.
     """
-    psi = np.asarray(psi, dtype=complex)
-    grid = p.grid
-    out = np.zeros((5, 4) + grid.shape, dtype=complex)
-    gpsi = gradient(psi, grid)  # (3, 4, grid)
-    for mu in range(3):
-        out[mu] = gpsi[mu]
     if dt_psi is None:
         raise ValueError("covariant t-derivative needs dt_psi")
-    out[3] = np.asarray(dt_psi, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
+    out = np.empty((5,) + psi.shape, dtype=complex)
+    out[:3] = gradient(psi, p.grid)
+    out[3] = dt_psi
     out[4] = (1j * m / hbar) * psi
-    out += np.einsum("mab...,b...->ma...", spin_connection(p), psi)
-    return out
+    return out + np.einsum("mab...,b...->ma...", spin_connection(p), psi)
 
 
 def lie_derivative_spinor_density(
@@ -711,37 +703,25 @@ def lie_derivative_spinor_density(
     PDE right-hand side or a finite-difference stamp).
     """
     psi = np.asarray(psi, dtype=complex)
-    grid = p.grid
     L = generator_matrix(X)
     # X^mu on the s = 0 slice at time t0; X^t is spatially constant.
-    Xup = generator_field(L, grid.mesh(), t0)
-    Xx, Xt, Xs = Xup[:3], Xup[3], Xup[4]
-
-    # transport: X^j d_j + X^t d_t + X^s (im/hbar) + spin connection along X
-    gpsi = gradient(psi, grid)
-    transport = np.einsum("j...,ja...->a...", Xx, gpsi)
-    if np.any(Xt):
-        if dt_psi is None:
+    Xup = generator_field(L, p.grid.mesh(), t0)
+    if dt_psi is None:
+        if np.any(Xup[3]):
             raise ValueError("generator moves time; dt_psi is required")
-        transport = transport + Xt * np.asarray(dt_psi, dtype=complex)
-    transport = transport + (1j * m / hbar) * Xs * psi
-    conn = spin_connection(p)
-    transport = transport + np.einsum(
-        "m...,mab...,b...->a...", Xup, conn, psi
-    )
+        dt_psi = np.zeros_like(psi)
+    nabla = covariant_spinor_derivative(psi, p, m, hbar, dt_psi)
+    transport = np.einsum("m...,ma...->a...", Xup, nabla)
 
     # d_mu X_nu = g_{nu lambda} d_mu X^lambda + (d_mu g_{nu lambda}) X^lambda,
     # with d_mu X^lambda = L[lambda, mu] exactly: X^mu is affine, so only the
     # potentials are differentiated (spectrally); taking an FFT derivative of
     # the linear-in-x pieces themselves would alias on the torus. Static
-    # potentials leave only d_i g_{jt} = d_i varpi_j and d_i g_tt = -2 d_i U.
-    g = np.moveaxis(
-        brinkmann_metric(p.U, np.moveaxis(p.varpi, 0, -1)), (-2, -1), (0, 1)
-    )
-    dX = np.einsum("nl...,lm->mn...", g, L[:5, :5])
-    dw = p.dvarpi  # [i, j] = d_i varpi_j
-    dX[:3, :3] += dw * Xt
-    dX[:3, 3] += np.einsum("ik...,k...->i...", dw, Xx) - 2.0 * p.dU * Xt
+    # potentials vary along x only, so only the rows d_i g enter.
+    g = brinkmann_metric(p.U, np.moveaxis(p.varpi, 0, -1))  # grid axes first
+    dX = np.einsum("...nl,lm->mn...", g, L[:5, :5])
+    dg = _metric_part(np.moveaxis(p.dU, 0, -1), np.moveaxis(p.dvarpi, (0, 1), (-2, -1)))
+    dX[:3] += np.einsum("...mnl,l...->mn...", dg, Xup)
 
     A = 0.5 * (dX - np.swapaxes(dX, 0, 1))
     gam = _gamma_grids(p)

@@ -45,8 +45,14 @@ def evolve_config(tmp_path, **over):
 
 @pytest.mark.parametrize("arg, value", [
     ("--h", "0"), ("--samples", "0"), ("--points", "0"), ("--n", "0"), ("--length", "inf"),
+    ("--json", "no-such-dir/r.json"), ("--seed", "-1"), ("--G", "nan"), ("--G", "inf"),
+    ("--tol-clifford", "nan"), ("--tol-christoffel", "inf"), ("--tol-constraint", "-1"),
 ])
-def test_verify_geometry_usage_error_exits_2(arg, value, capsys):
+def test_verify_geometry_usage_error_exits_2(arg, value, monkeypatch, capsys):
+    def compute(*args, **kwargs):
+        raise AssertionError("computed before the usage error")
+
+    monkeypatch.setattr(geometry, "brinkmann_metric", compute)
     assert main(["verify-geometry", arg, value]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
@@ -366,6 +372,29 @@ def test_charges_external_mode_needs_potentials(tmp_path, monkeypatch, capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
     assert "external source mode needs a potential" in err[0]
+
+
+@pytest.mark.parametrize("extra, flag", [
+    (["--out", "no-such-dir/row.csv"], "--out"),
+    (["--mode", "free", "--poisson", "isolated"], "--poisson"),
+    (["--mode", "external", "--potentials", "POTS", "--poisson", "periodic"], "--poisson"),
+])
+def test_charges_usage_error_exits_2_before_compute(tmp_path, monkeypatch, capsys, extra, flag):
+    # an output path in a missing directory, or a Poisson solver the mode
+    # never runs, is refused before any charge is computed
+    def solver(*args, **kwargs):
+        raise AssertionError("charges computed despite a usage error")
+
+    monkeypatch.setattr(charges_mod, "compute_charges", solver)
+    grid = fields.GridSpec(16, 16.0)
+    pots = tmp_path / "pots.lls"
+    fields.save_potentials(str(pots), grid, np.zeros(grid.shape), np.zeros((3,) + grid.shape))
+    snap = _snapshot_with_header(tmp_path)
+    extra = [str(pots) if a == "POTS" else a for a in extra]
+    assert main(["charges", "--snapshot", str(snap), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {flag}")
 
 
 @pytest.mark.parametrize("mode", ["free", "external"])

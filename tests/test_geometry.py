@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from types import SimpleNamespace
+from hypothesis import given, settings, strategies as st
 
 from lln import fields, gravity
 from lln.fields import GridSpec, band_limited_noise
@@ -8,6 +9,7 @@ from lln.geometry import (
     DENSITY_WEIGHT,
     AnalyticPotential,
     GridPotential,
+    PotentialSample,
     TimeMap,
     brinkmann_metric,
     brinkmann_metric_inverse,
@@ -173,6 +175,45 @@ def _allowed_mask():
     M[4, 3, :3] = True
     M[4, 3, 3] = True
     return M
+
+
+def _christoffel_families(sample):
+    """Oracle: the non-vanishing Christoffel families written out by hand."""
+    dU, dtU, dw, dtw, w = (np.asarray(a) for a in (
+        sample.dU, sample.dtU, sample.dvarpi, sample.dtvarpi, sample.varpi))
+    G = np.zeros(np.broadcast_shapes(dU.shape[:-1], dw.shape[:-2]) + (5, 5, 5))
+    om = dw - np.swapaxes(dw, -1, -2)  # Omega_ij = d_i w_j - d_j w_i
+    acc = dU + dtw  # Gamma^i_tt
+    G[..., :3, 3, 3] = acc
+    G[..., :3, :3, 3] = -0.5 * om  # Gamma^i_jt, symmetric in (j, t)
+    G[..., :3, 3, :3] = -0.5 * om
+    G[..., 4, :3, :3] = 0.5 * (dw + np.swapaxes(dw, -1, -2))
+    s_it = -dU - 0.5 * np.einsum("...ij,...j->...i", om, w)
+    G[..., 4, :3, 3] = s_it
+    G[..., 4, 3, :3] = s_it
+    G[..., 4, 3, 3] = -dtU - np.einsum("...i,...i->...", w, acc)
+    return G
+
+
+@settings(database=None, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([(1,), (7,), (3, 4)]),
+       scale=st.sampled_from([0.1, 1.0, 10.0]))
+def test_christoffels_match_family_oracle(seed, batch, scale):
+    # the general Levi-Civita contraction against the hand-written families,
+    # time derivatives included
+    rng = np.random.default_rng(seed)
+    s = PotentialSample(
+        U=scale * rng.standard_normal(batch),
+        varpi=scale * rng.standard_normal(batch + (3,)),
+        dU=scale * rng.standard_normal(batch + (3,)),
+        dtU=scale * rng.standard_normal(batch),
+        dvarpi=scale * rng.standard_normal(batch + (3, 3)),
+        dtvarpi=scale * rng.standard_normal(batch + (3,)),
+    )
+    got, ref = christoffels(s), _christoffel_families(s)
+    assert got.shape == ref.shape == batch + (5, 5, 5)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    assert np.array_equal(got == 0, ref == 0)
 
 
 def test_christoffel_zero_pattern_and_symmetry():
