@@ -8,9 +8,11 @@ ordinary Schrodinger problem i hbar dphi/dt = H phi with
 P = -i hbar grad, applied in this canonical form only. Split-step
 integration covers the varpi = 0 case (exactly unitary); a spectral RK4 path
 handles the rest. With varpi = 0, H acts as (T + m U) x 1 on the pair, so a
-component that starts at zero stays exactly zero: the split-step loops
-(`run` and `ground_state`) advance only the components that are not
-identically zero, as a view into the field.
+component that starts at zero stays exactly zero: `run` advances only the
+components that are not identically zero, as a view into the field. In
+imaginary time every factor of a sweep is real as well, so `ground_state`
+relaxes the nonzero real and imaginary parts of the components as separate
+real planes, with real transforms and a Parseval kinetic energy.
 """
 
 from __future__ import annotations
@@ -32,8 +34,10 @@ from .fields import (
     fftn,
     gradient,
     ifftn,
+    irfftn,
     laplacian,
     norm2,
+    rfftn,
     sigma_dot,
     sigma_grad,
     spin_density,
@@ -352,33 +356,48 @@ def ground_state(f0: BispinorField, cfg: RelaxConfig,
     declared when the energy settles to within tol between consecutive
     sweeps. The residual is taken once, after the last sweep; the sweep's
     fixed point is O(dtau^2) off the eigenstate, so it does not fall with tol.
-    As in run, a sweep (kicks, drift, Poisson source, normalization and
-    energy) touches only the components that are not identically zero.
+    Kicks, decay and norm are real, so a sweep runs on the nonzero real and
+    imaginary parts of the components as real planes psi (a zero part stays
+    zero): the drift is an rfftn/irfftn pair, and E = T + m sum U psi^2 dv
+    takes T by Parseval from one rfftn of the normalized planes.
     """
     if p is not None and np.any(p.varpi):
         raise ValueError("imaginary-time split-step requires vanishing varpi")
     f = f0.copy().normalized()
     grid, m, hbar = f.grid, f.m, f.hbar
-    live = _live(f.data)
-    decay = np.exp(-hbar * grid.k2 * cfg.dtau / (2.0 * m))
+    # views into f.data, which the relaxed planes are written back through
+    planes = [q for part in (f.data.real, f.data.imag) for q in part if np.any(q)]
+    psi = np.stack(planes)
+    k2 = grid.k2[..., : grid.n // 2 + 1]
+    decay = np.exp(-hbar * k2 * cfg.dtau / (2.0 * m))
+    # weights of T on the half spectrum, which holds the k_z = 0 and Nyquist
+    # planes once and every other plane for itself and its conjugate
+    w = np.r_[1.0, np.full(grid.n // 2 - 1, 2.0), 1.0]
+    wk2 = (hbar**2 / (2.0 * m) * grid.dv / grid.n**3) * w * k2
     E = np.inf
     # max_iter >= 1, so the sweep binds pot, it and E_prev
     for it in range(1, cfg.max_iter + 1):
-        pot = _potential_for(live, cfg, grid, m, p)
+        pot = _potential_for(psi, cfg, grid, m, p)
         half_kick = np.exp(-(m / hbar) * pot.U * (cfg.dtau / 2.0))
-        live *= half_kick
-        _drift(live, decay)
-        live *= half_kick
-        live /= _norm_divisor(live, grid)
-        E_prev, E = E, energy_expectation(live, pot, grid, m, hbar)
+        psi *= half_kick
+        psi = irfftn(decay * rfftn(psi), s=grid.shape)
+        psi *= half_kick
+        psi /= _norm_divisor(psi, grid)
+        F = rfftn(psi)
+        T = float(np.sum(wk2 * (F.real**2 + F.imag**2)))
+        E_prev, E = E, T + m * float(np.sum(pot.U * density(psi))) * grid.dv
         if abs(E - E_prev) < cfg.tol:
             break
     converged = abs(E - E_prev) < cfg.tol
+    for q, x in zip(planes, psi):
+        q[...] = x
+    # residual on the nonzero components: the whole pair doubles peak memory
+    live = _live(f.data)
     h = apply_hamiltonian(live, pot, grid, m, hbar)
     return GroundStateResult(
         field=f, energy=E, iterations=it, converged=converged, potential=pot,
         residual=float(np.sqrt(norm2(h - E * live, grid) / norm2(live, grid))),
-        energy_sn=sn_energy(live, pot, grid, m, E) if cfg.source == "self" else None,
+        energy_sn=sn_energy(psi, pot, grid, m, E) if cfg.source == "self" else None,
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.fft as sfft
@@ -64,7 +64,11 @@ PAULI = np.array(
 
 def _workers() -> int:
     """FFT worker threads: LLN_THREADS, a positive integer, else all."""
-    val = os.environ.get("LLN_THREADS", "").strip()
+    return _parse_workers(os.environ.get("LLN_THREADS", "").strip())
+
+
+@cache  # keeps returned values only, so a bad value raises on every call
+def _parse_workers(val: str) -> int:
     if not val:
         return -1  # scipy: use all available
     if not val.isdecimal() or int(val) < 1:
@@ -142,14 +146,9 @@ class GridSpec:
 
     @cached_property
     def inv_laplacian_rfft(self) -> np.ndarray:
-        """-1/k^2 on the rfftn half-spectrum, 0 at k = 0."""
-        k = self.k1()
-        kh = 2.0 * np.pi * sfft.rfftfreq(self.n, d=self.dx)
-        k2 = k.reshape(-1, 1, 1) ** 2 + k.reshape(1, -1, 1) ** 2 + kh.reshape(1, 1, -1) ** 2
-        k2.flat[0] = 1.0
-        mult = -1.0 / k2
-        mult.flat[0] = 0.0
-        return mult
+        """-1/k^2 on the rfftn half-spectrum (k2[..., :n/2 + 1]), 0 at k = 0."""
+        k2 = self.k2[..., : self.n // 2 + 1]
+        return np.divide(-1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
 
 
 def sigma_dot(v, phi):
@@ -402,9 +401,10 @@ def shift_field(f, grid: GridSpec, v):
     """g(x) = f(x - v) by spectral phase shift (exact for the interpolant)."""
     v = np.asarray(v, dtype=float)
     F = fftn(np.asarray(f))
+    # exp(-i k.v) is separable: three 1-D phases broadcast together
     k1, k2, k3 = grid.kvec
-    F = F * np.exp(-1j * (k1 * v[0] + k2 * v[1] + k3 * v[2]))
-    out = ifftn(F)
+    F *= np.exp(-1j * k1 * v[0]) * np.exp(-1j * k2 * v[1]) * np.exp(-1j * k3 * v[2])
+    out = ifftn(F, overwrite_x=True)
     return out.real if np.isrealobj(f) else out
 
 
