@@ -4,12 +4,14 @@
 
 Grids default to n = 32 and 64 (box side 16), with a spin-up Gaussian packet
 under its own periodic potential. Each figure is the median over R calls
-(default 7) after a warm-up call. A split step (self/periodic `run`) and a
-sweep (isolated `ground_state`) are the difference of two runs, so set-up is
-not counted. The two `represent` rows time the shift path (a translation)
-and the separable path (a quarter turn after a dilation); the dense path of
-a generic rotation is O(n^6) and is left out. LLN_THREADS caps the FFT
-worker threads.
+(default 7) after a warm-up call. The kick phase is the one `run` builds
+(`evolve._kick_phase`). `compute_charges` is timed on the spin-up packet,
+whose zero component it skips, and on a two-component (0.6, 0.8i) packet. A
+split step (self/periodic `run`) and a sweep (isolated `ground_state`) are
+the difference of two runs, so set-up is not counted. The two `represent`
+rows time the shift path (a translation) and the separable path (a quarter
+turn after a dilation); the dense path of a generic rotation is O(n^6) and
+is left out. LLN_THREADS caps the FFT worker threads.
 """
 
 import argparse
@@ -18,7 +20,9 @@ import time
 import numpy as np
 
 from lln.charges import compute_charges
-from lln.evolve import RelaxConfig, RunConfig, apply_hamiltonian, ground_state, run, self_potential
+from lln.evolve import (
+    RelaxConfig, RunConfig, _kick_phase, apply_hamiltonian, ground_state, run, self_potential,
+)
 from lln.fields import GridSpec, fftn, gaussian_packet, ifftn
 from lln.gravity import mass_density, poisson_isolated, poisson_periodic
 from lln.sngroup import SnGroupElement, compose, represent
@@ -41,6 +45,8 @@ def kernels(n):
     f = gaussian_packet(grid, sigma=1.5)
     rho = mass_density(f.data, grid, f.m)
     pot = self_potential(f.data, grid, f.m, 1.0, "periodic")
+    f2 = gaussian_packet(grid, sigma=1.5, spin=(0.6, 0.8j))
+    pot2 = self_potential(f2.data, grid, f2.m, 1.0, "periodic")
     k = 4  # steps or sweeps beyond the shorter run's one
     shift = SnGroupElement.translation(c=(0.3, -0.2, 0.1))
     turn = compose(SnGroupElement.rotation([0, 0, 1], np.pi / 2), SnGroupElement.dilation(1.05))
@@ -57,9 +63,10 @@ def kernels(n):
         ("fft pair, 1 component", lambda: ifftn(fftn(f.data[:1])), None, 1),
         ("poisson_periodic", lambda: poisson_periodic(rho, grid), None, 1),
         ("poisson_isolated", lambda: poisson_isolated(rho, grid), None, 1),
-        ("kick phase", lambda: np.exp(-0.5e-3j * pot.U), None, 1),
+        ("kick phase", lambda: _kick_phase(pot, f.m, f.hbar, 1e-3), None, 1),
         ("apply_hamiltonian", lambda: apply_hamiltonian(f.data, pot, grid, 1.0, 1.0), None, 1),
-        ("compute_charges", lambda: compute_charges(f, pot, mode="self"), None, 1),
+        ("compute_charges, spin-up", lambda: compute_charges(f, pot, mode="self"), None, 1),
+        ("compute_charges, 2 comp.", lambda: compute_charges(f2, pot2, mode="self"), None, 1),
         ("split step (run)", steps(1 + k), steps(1), k),
         ("sweep (ground_state)", sweeps(1 + k), sweeps(1), k),
         ("represent, translation", lambda: represent(shift, f), None, 1),

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import evolve
 from .evolve import RunConfig, energy_expectation, run, sn_energy
 from .fields import (
     PAULI,
@@ -106,9 +107,12 @@ def compute_charges(
     anti-Hermitian. The partials are folded in one at a time, so the
     3 x 2 n^3 gradient is never held. Position moments come from 1-D
     marginals; E_paper = <phi, H phi> is energy_expectation.
+
+    Every column is taken on the components run advances (evolve._live), as
+    a zero one adds only exact zeros; a Coriolis-coupled pair stays whole.
     """
     grid, m, hbar = f.grid, f.m, f.hbar
-    phi = f.data
+    phi = f.data if p is not None and np.any(p.varpi) else evolve._live(f.data)
     rho = density(phi)
 
     sq_norms = []
@@ -122,10 +126,12 @@ def compute_charges(
     T_kin = hbar**2 / (2 * m) * sum(sq_norms)
     P = integrate(pdens, grid)
     xp = first_moments(pdens, grid)  # [a, c] = int x_a p_c
-    # int phi+ sigma_j phi from the 2x2 Gram matrix of the components
+    # int phi+ sigma_j phi from the Gram block of the live components at lo
+    lo = 0 if len(phi) == 2 or np.any(f.data[0]) else 1
+    live = slice(lo, lo + len(phi))
     cphi = np.conj(phi)
-    gram = np.array([[np.sum(cphi[a] * phi[b]) for b in range(2)] for a in range(2)])
-    spin = np.einsum("jab,ab->j", PAULI, gram).real * grid.dv
+    gram = np.array([[np.sum(ca * b) for b in phi] for ca in cphi])
+    spin = np.einsum("jab,ab->j", PAULI[:, live, live], gram).real * grid.dv
     J = axial_vector(xp) + 0.5 * hbar * spin
     Mq = m * float(integrate(rho, grid))
 

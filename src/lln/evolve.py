@@ -9,10 +9,10 @@ P = -i hbar grad, applied in this canonical form only. Split-step
 integration covers the varpi = 0 case (exactly unitary); a spectral RK4 path
 handles the rest. With varpi = 0, H acts as (T + m U) x 1 on the pair, so a
 component that starts at zero stays exactly zero: `run` advances only the
-components that are not identically zero, as a view into the field. In
-imaginary time every factor of a sweep is real as well, so `ground_state`
-relaxes the nonzero real and imaginary parts of the components as separate
-real planes, with real transforms and a Parseval kinetic energy.
+components that are not identically zero, as a view into the field, kicked
+by cos + i sin of a real angle. In imaginary time every factor of a sweep is
+real too, so `ground_state` relaxes the nonzero real and imaginary parts of
+the components as real planes, with real FFTs and a Parseval kinetic energy.
 """
 
 from __future__ import annotations
@@ -228,15 +228,28 @@ def _drift(live, multiplier):
     live[...] = ifftn(F, overwrite_x=True)  # a no-op when scipy wrote in place
 
 
+def _kick_phase(pot: Optional[GridPotential], m, hbar, dt):
+    """The half-kick phase exp(-i m U dt / 2 hbar) (None without a potential)
+    as cos + i sin of the real angle (U * -m/hbar) * dt/2, written into the
+    real and imaginary planes of one buffer: the complex exp's values."""
+    if pot is None:
+        return None
+    theta = pot.U * (-m / hbar) * (dt / 2.0)
+    kick = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=kick.real)
+    np.sin(theta, out=kick.imag)
+    return kick
+
+
 def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> RunResult:
     """Advance a field cfg.steps times by cfg.dt.
 
     split: Strang splitting kick/drift/kick, exactly norm preserving;
     requires vanishing Coriolis potential. Self-consistent U is refreshed
     after every drift (the drift does not change |phi|, so this costs one
-    Poisson solve per step). The half-kick phase exp(-i m U dt / 2 hbar) is
-    evaluated once per U and applied both where it closes step k and where it
-    opens step k+1; a static U is evaluated once per run.
+    Poisson solve per step). The half-kick phase exp(-i m U dt / 2 hbar)
+    (_kick_phase) is evaluated once per U and applied both where it closes
+    step k and where it opens step k+1; a static U is evaluated once per run.
     Kicks, drifts and the Poisson source touch only the components that are
     not identically zero at entry (a view into f.data, so monitors and the
     result see the full pair), with results bit-identical to advancing both.
@@ -260,16 +273,9 @@ def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> 
         k2 = grid.k2
         drift = np.exp(-1j * hbar * k2 * cfg.dt / (2.0 * m))
 
-        def half_kick(pot):
-            if pot is None:
-                return None
-            z = -1j * (m / hbar) * pot.U
-            z *= cfg.dt / 2.0
-            return np.exp(z, out=z)
-
         live = _live(f.data)
         pot = _potential_for(live, cfg, grid, m, p)
-        kick = half_kick(pot)
+        kick = _kick_phase(pot, m, hbar, cfg.dt)
         if cfg.monitor_every:
             note(f, pot)
         for step in range(cfg.steps):
@@ -278,7 +284,7 @@ def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> 
             _drift(live, drift)
             if cfg.source == "self":
                 pot = _potential_for(live, cfg, grid, m, p)
-                kick = half_kick(pot)
+                kick = _kick_phase(pot, m, hbar, cfg.dt)
             if kick is not None:
                 live *= kick
             f.time += cfg.dt

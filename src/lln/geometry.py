@@ -193,6 +193,15 @@ class GridPotential:
         return np.trace(self.dvarpi)
 
     @cached_property
+    def gammas(self) -> "GammaSet":
+        """gamma_set at the nodes, matrix axes leading, grid axes trailing:
+        (5, 4, 4, grid), built once for the spin connection and Kosmann term."""
+        gs = gamma_set(self.U, np.moveaxis(self.varpi, 0, -1))  # (grid, 5, 4, 4)
+        up = np.moveaxis(gs.upper, (-3, -2, -1), (0, 1, 2))
+        low = np.moveaxis(gs.lower, (-3, -2, -1), (0, 1, 2))
+        return GammaSet(upper=up, lower=low)
+
+    @cached_property
     def omega2(self):
         """|Omega|^2 = (1/2) Omega_ij Omega_ij = |curl varpi|^2."""
         return np.sum(self.curl_varpi**2, axis=0)
@@ -592,16 +601,6 @@ def generator_field(L: np.ndarray, x, t=0.0, s=0.0) -> np.ndarray:
 ############################################################
 
 
-def _gamma_grids(p: GridPotential) -> GammaSet:
-    """GammaSet with matrix axes leading and grid axes trailing: (5, 4, 4, grid)."""
-    U = p.U
-    w = np.moveaxis(p.varpi, 0, -1)  # (..., 3)
-    gs = gamma_set(U, w)  # (grid, 5, 4, 4)
-    up = np.moveaxis(gs.upper, (-3, -2, -1), (0, 1, 2))
-    low = np.moveaxis(gs.lower, (-3, -2, -1), (0, 1, 2))
-    return GammaSet(upper=up, lower=low)
-
-
 def _dgamma_lower(p: GridPotential, mu: int) -> np.ndarray:
     """d_mu gamma_rho on the grid, shape (5, 4, 4, grid); mu in 0..4.
 
@@ -630,7 +629,7 @@ def spin_connection(p: GridPotential) -> np.ndarray:
     omega_mu = -(1/8) [gamma^rho, d_mu gamma_rho - Gamma^sigma_{mu rho} gamma_sigma].
     omega_s vanishes: nothing depends on s and no Christoffel has a lower s.
     """
-    gam = _gamma_grids(p)
+    gam = p.gammas
     # christoffels at the nodes, index axes moved in front; static potentials
     nodes = PotentialSample(
         U=p.U,
@@ -655,7 +654,7 @@ def spin_connection(p: GridPotential) -> np.ndarray:
 
 def spin_connection_contraction(p: GridPotential) -> np.ndarray:
     """gamma^mu omega_mu, shape (4, 4, grid); the Dirac operator's potential term."""
-    gam = _gamma_grids(p)
+    gam = p.gammas
     om = spin_connection(p)
     return np.einsum("mab...,mbc...->ac...", gam.upper, om)
 
@@ -724,7 +723,7 @@ def lie_derivative_spinor_density(
     dX[:3] += np.einsum("...mnl,l...->mn...", dg, Xup)
 
     A = 0.5 * (dX - np.swapaxes(dX, 0, 1))
-    gam = _gamma_grids(p)
+    gam = p.gammas
     kos = np.zeros_like(psi)
     for mu in range(5):
         for nu in range(5):

@@ -475,10 +475,14 @@ def _represent_pair(u: SnGroupElement, f: BispinorField, chi):
     M, v, _, k, s_in = _pullback(u, t_hat)
     phi_p = _resample_linear(f.data, grid, M, v)
     upper, lower_left, lower_right = _rep_blocks(u)
-    phase = np.exp(1j * f.m / f.hbar * (np.einsum("j,j...->...", k, grid.mesh()) + s_in))
+    # the boost phase exp(i m (k.x + s_in)/hbar) is 1 without boost or s-shift
+    boosted = np.any(k) or s_in != 0
+    if boosted:
+        phase = np.exp(1j * f.m / f.hbar * (np.einsum("j,j...->...", k, grid.mesh()) + s_in))
+    data = np.einsum("ab,b...->a...", upper, phi_p)
     out = BispinorField(
         grid=grid,
-        data=phase * np.einsum("ab,b...->a...", upper, phi_p),
+        data=phase * data if boosted else data,
         m=nu * f.m,
         hbar=f.hbar,
         time=t_hat,
@@ -487,11 +491,11 @@ def _represent_pair(u: SnGroupElement, f: BispinorField, chi):
     if chi is None:
         return out, None
     chi_p = _resample_linear(np.asarray(chi, dtype=complex), grid, M, v)
-    chi_out = phase * (
+    chi_out = (
         np.einsum("ab,b...->a...", lower_left, phi_p)
         + np.einsum("ab,b...->a...", lower_right, chi_p)
     )
-    return out, chi_out
+    return out, phase * chi_out if boosted else chi_out
 
 
 def represent_fn(u: SnGroupElement, fn, m: float, hbar: float):

@@ -19,6 +19,7 @@ from lln.fields import (
     integrate,
     norm2,
 )
+from lln import evolve
 from lln.evolve import RunConfig, apply_hamiltonian, run
 from lln.geometry import GridPotential
 from lln.gravity import mass_density, poisson_periodic
@@ -146,6 +147,70 @@ def test_compute_charges_holds_one_partial_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 5 * f.data.nbytes
+
+
+def _live_case(spin, coriolis):
+    f = gaussian_packet(G32, sigma=1.0, center=(0.7, -0.4, 0.3),
+                        k0=(K1, -2 * K1, 0.5 * K1), spin=spin, m=1.3, hbar=0.9, time=0.25)
+    if coriolis:
+        varpi = 0.3 * band_limited_noise(G32, modes=2, seed=41, comps=(3,))
+        return f, GridPotential(G32, U=varpi[0] ** 2, varpi=varpi), "external"
+    return f, GridPotential(G32, U=poisson_periodic(mass_density(f.data, G32, f.m), G32)), "self"
+
+
+@pytest.mark.parametrize("spin, coriolis, width", [
+    ((1, 0), False, 1), ((0, 1), False, 1), ((0.6, 0.8j), False, 2), ((1, 0), True, 2),
+])
+def test_compute_charges_runs_on_the_live_components(spin, coriolis, width, monkeypatch):
+    # a zero component is skipped (evolve._live) unless Coriolis couples the
+    # pair; the record is the whole pair's bit for bit, and the dense
+    # oracle's to 1e-12 relative (measured 6.0e-14)
+    f, p, mode = _live_case(spin, coriolis)
+    widths = []
+
+    def spy(phi, *args):
+        widths.append(len(phi))
+        return apply_hamiltonian(phi, *args)
+
+    monkeypatch.setattr(evolve, "apply_hamiltonian", spy)
+    rec = compute_charges(f, p, mode=mode).row()
+    assert widths == [width]
+    ref = _charges_reference(f, p, mode).row()
+    np.testing.assert_allclose(rec, ref, rtol=1e-12, atol=0, equal_nan=True)
+    monkeypatch.setattr(evolve, "_live", lambda data: data)
+    assert np.array_equal(rec, compute_charges(f, p, mode=mode).row(), equal_nan=True)
+    assert widths == [width, 2]
+
+
+@pytest.mark.parametrize("spin", [(1, 0), (0, 1)])
+def test_compute_charges_of_a_basis_spinor_holds_one_component(spin):
+    # the traced peak is 2.88 field sizes on the live component; the whole
+    # pair took 4.50
+    f, p, mode = _live_case(spin, False)
+    compute_charges(f, p, mode=mode)
+    tracemalloc.start()
+    try:
+        compute_charges(f, p, mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * f.data.nbytes
+
+
+def test_monitor_takes_e_paper_from_apply_hamiltonian(monkeypatch):
+    # E_paper is <phi, H phi> with H applied through evolve.apply_hamiltonian,
+    # once per record; no Parseval shortcut stands in for it
+    energies = []
+
+    def spy(phi, p, grid, m, hbar):
+        h = apply_hamiltonian(phi, p, grid, m, hbar)
+        energies.append(float(np.real(np.sum(np.conj(phi) * h)) * grid.dv))
+        return h
+
+    monkeypatch.setattr(evolve, "apply_hamiltonian", spy)
+    records = self_run(steps=30, every=10).records
+    assert len(records) == 4
+    assert [r.E_paper for r in records] == energies
 
 
 def test_free_conservation():

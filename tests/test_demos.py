@@ -16,7 +16,7 @@ def test_kernel_timings_runs_at_n8(capsys):
     t0 = time.process_time()
     table = mod.main(ns=(8,), repeats=1)
     assert time.process_time() - t0 < 2.0
-    assert len(table) == 11
+    assert len(table) == 12
     assert all(len(row) == 1 and np.isfinite(row[0]) for row in table.values())
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split()[-1] == "n=8" and len(lines) == 12
+    assert lines[0].split()[-1] == "n=8" and len(lines) == 13
