@@ -1,25 +1,33 @@
-"""Process-CPU milliseconds per call of the kernels a step is built from.
+"""CPU and wall milliseconds per call of the kernels a step is built from.
 
     PYTHONPATH=src python demos/kernel_timings.py [--repeats R] [n ...]
 
 Grids default to n = 32 and 64 (box side 16), with a spin-up Gaussian packet
 under its own periodic potential. Each figure is the median over R calls
-(default 7) after a warm-up call. The kick phase is the one `run` builds
-(`evolve._kick_phase`). `compute_charges` is timed on the spin-up packet,
-whose zero component it skips, and on a two-component (0.6, 0.8i) packet. A
-split step (self/periodic `run`) and a sweep (isolated `ground_state`) are
-the difference of two runs, so set-up is not counted. The two `represent`
-rows time the shift path (a translation) and the separable path (a quarter
-turn after a dilation); the dense path of a generic rotation is O(n^6) and
-is left out. LLN_THREADS caps the FFT worker threads.
+(default 7) after warm-up calls, and each row names the FFT worker counts
+its transforms ran with ("-": none). The two "1 comp." FFT rows call
+scipy.fft directly at 1 worker and at the LLN_THREADS budget, so the grain
+of `fields._workers` shows where a second worker starts to pay. numpy's
+OpenBLAS runs on one thread, as in `lln` (`cli._cap_blas_threads`). The
+kick phase is the one `run` builds (`evolve._kick_phase`). `compute_charges`
+is timed on the spin-up packet, whose zero component it skips, and on a
+two-component (0.6, 0.8i) packet. A split step (self/periodic `run`) and a
+sweep (isolated `ground_state`) are the difference of two runs, so set-up is
+not counted. The two `represent` rows time the shift path (a translation)
+and the separable path (a quarter turn after a dilation); the dense path of
+a generic rotation is O(n^6) and is left out.
 """
 
 import argparse
+import contextlib
 import time
 
 import numpy as np
+import scipy.fft as sfft
 
+from lln import fields
 from lln.charges import compute_charges
+from lln.cli import _cap_blas_threads
 from lln.evolve import (
     RelaxConfig, RunConfig, _kick_phase, apply_hamiltonian, ground_state, run, self_potential,
 )
@@ -28,15 +36,41 @@ from lln.gravity import mass_density, poisson_isolated, poisson_periodic
 from lln.sngroup import SnGroupElement, compose, represent
 
 
-def cpu_ms(fn, repeats):
-    """Median process-CPU milliseconds of fn() over repeats calls."""
+@contextlib.contextmanager
+def fft_workers():
+    """The set of `workers` values of the scipy.fft transforms in the block."""
+    seen = set()
+    originals = {name: getattr(sfft, name) for name in ("fftn", "ifftn", "rfftn", "irfftn")}
+
+    def spy(fn):
+        def call(*args, **kwargs):
+            seen.add(kwargs.get("workers"))
+            return fn(*args, **kwargs)
+        return call
+
+    for name, fn in originals.items():
+        setattr(sfft, name, spy(fn))
+    try:
+        yield seen
+    finally:
+        for name, fn in originals.items():
+            setattr(sfft, name, fn)
+
+
+def timed(fn, repeats):
+    """(FFT workers, median CPU ms, median wall ms) of fn() over repeats
+    calls, after two warm-up calls; the workers are read off the second, so
+    one-off set-up (the isolated kernel) does not count."""
     fn()
-    times = []
-    for _ in range(repeats):
-        t0 = time.process_time()
+    with fft_workers() as workers:
         fn()
-        times.append(time.process_time() - t0)
-    return 1e3 * float(np.median(times))
+    cpu, wall = [], []
+    for _ in range(repeats):
+        t0, w0 = time.process_time(), time.perf_counter()
+        fn()
+        cpu.append(time.process_time() - t0)
+        wall.append(time.perf_counter() - w0)
+    return tuple(sorted(workers)), 1e3 * float(np.median(cpu)), 1e3 * float(np.median(wall))
 
 
 def kernels(n):
@@ -58,9 +92,17 @@ def kernels(n):
         return lambda: ground_state(f, RelaxConfig(dtau=0.02, tol=0.0, max_iter=s,
                                                    poisson="isolated"))
 
+    one = f.data[:1]
+
+    def fft_pair(w):
+        return lambda: sfft.ifftn(sfft.fftn(one, axes=(-3, -2, -1), workers=w),
+                                  axes=(-3, -2, -1), workers=w)
+
     return [
         ("fft pair, 2 components", lambda: ifftn(fftn(f.data)), None, 1),
-        ("fft pair, 1 component", lambda: ifftn(fftn(f.data[:1])), None, 1),
+        ("fft pair, 1 component", lambda: ifftn(fftn(one)), None, 1),
+        ("fft pair, 1 comp., 1 worker", fft_pair(1), None, 1),
+        ("fft pair, 1 comp., budget", fft_pair(fields._budget()), None, 1),
         ("poisson_periodic", lambda: poisson_periodic(rho, grid), None, 1),
         ("poisson_isolated", lambda: poisson_isolated(rho, grid), None, 1),
         ("kick phase", lambda: _kick_phase(pot, f.m, f.hbar, 1e-3), None, 1),
@@ -75,14 +117,21 @@ def kernels(n):
 
 
 def main(ns=(32, 64), repeats=7):
+    """Prints and returns {kernel: [(workers, CPU ms, wall ms) per n]}."""
+    _cap_blas_threads()
     table = {}
     for n in ns:
         for name, fn, base, calls in kernels(n):
-            ms = cpu_ms(fn, repeats) - (cpu_ms(base, repeats) if base else 0.0)
-            table.setdefault(name, []).append(ms / calls)
-    print(f"{'kernel (CPU ms per call)':<26}" + "".join(f"{f'n={n}':>10}" for n in ns))
+            workers, cpu, wall = timed(fn, repeats)
+            if base:
+                _, cpu0, wall0 = timed(base, repeats)
+                cpu, wall = cpu - cpu0, wall - wall0
+            table.setdefault(name, []).append((workers, cpu / calls, wall / calls))
+    print(f"{'kernel (ms per call)':<28}"
+          + "".join(f"{f'n={n} workers':>14}{'CPU':>8}{'wall':>8}" for n in ns))
     for name, row in table.items():
-        print(f"{name:<26}" + "".join(f"{v:>10.2f}" for v in row))
+        print(f"{name:<28}" + "".join(
+            f"{','.join(map(str, w)) or '-':>14}{cpu:>8.2f}{wall:>8.2f}" for w, cpu, wall in row))
     return table
 
 

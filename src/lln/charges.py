@@ -6,8 +6,9 @@ motion), and E_sn = E_paper - W_self/2, the conserved functional of the
 self-sourced nonlinear flow, which counts the self-sourced part W_self of
 W_pot at half weight and an external U in full (NaN in other modes, where
 it is not a charge). The expansion charge D is not conserved: for free
-packets it obeys the virial drift dD/dt = -11 <T>, which
-tests/test_acceptance.py::test_dilation_charge_diagnostic_archive asserts.
+packets it obeys the virial drift dD/dt = -11 <T>, and on a static external
+U dD/dt = -5 E_paper - 6 <T> + 3 m int rho x.grad U; both laws are asserted
+by tests/test_acceptance.py::test_dilation_charge_diagnostic_archive.
 """
 
 from __future__ import annotations

@@ -10,14 +10,18 @@ Exit codes: 0 all checks pass, 1 a check or computation failed (including
 non-finite snapshot data; a failed computation prints one `<subcommand>
 failed:` line), 2 usage or configuration errors.
 
-Environment: LLN_THREADS (a positive integer) caps FFT worker threads,
-LLN_OUTDIR prefixes relative output paths.
+Environment: LLN_THREADS (a positive integer, default every CPU) caps the
+FFT worker threads; a transform gets one worker per `fields.GRAIN` points
+within that cap. LLN_OUTDIR prefixes relative output paths. numpy's OpenBLAS
+runs on one thread: its products here are too small to gain from more.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
+import glob
 import json
 import math
 import os
@@ -480,6 +484,29 @@ def cmd_symmetry_check(args) -> int:
     return _finish(report, failures, paths.get("report"))
 
 
+# the OpenBLAS that numpy wheels bundle, next to the numpy package
+_OPENBLAS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                         "numpy.libs", "libscipy_openblas*")
+
+
+def _cap_blas_threads():
+    """Run numpy's OpenBLAS on one thread. Its calls here (the chunked
+    matmul of `fields.sample_points`, the `fields.resample_separable` einsum,
+    the `fields.first_moments` marginals) are too small to gain from threads,
+    whose spinning costs CPU. Returns why the cap could not be set, else
+    None; OPENBLAS_NUM_THREADS no longer acts once numpy is imported."""
+    found = sorted(glob.glob(_OPENBLAS))
+    if not found:
+        return f"no library matches {_OPENBLAS}"
+    try:
+        setter = ctypes.CDLL(found[0]).scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError) as exc:
+        return str(exc)
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    setter(1)
+    return None
+
+
 ############################################################
 # entry point
 ############################################################
@@ -532,7 +559,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with _config_phase("environment"):
-            fields._workers()
+            fields._budget()
+        why = _cap_blas_threads()
+        if why:
+            print(f"note: OpenBLAS threads not capped: {why}", file=sys.stderr)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -604,22 +604,14 @@ def generator_field(L: np.ndarray, x, t=0.0, s=0.0) -> np.ndarray:
 def _dgamma_lower(p: GridPotential, mu: int) -> np.ndarray:
     """d_mu gamma_rho on the grid, shape (5, 4, 4, grid); mu in 0..4.
 
-    Only the lower-left Pauli block of gamma_t and gamma_j moves: the lowered
-    matrices are linear in (U, varpi) with constant coefficients.
+    The lowered matrices are affine in (U, varpi), so their derivative is
+    gamma_set(d_mu U, d_mu varpi).lower less its constant part.
     """
-    out = np.zeros((5, 4, 4) + p.grid.shape, dtype=complex)
-    if mu >= 3:
-        return out  # static potentials, s-independent metric
-    dU_mu = p.dU[mu]
-    dw_mu = p.dvarpi[mu]  # (3, grid), d_mu varpi_j
-    # gamma_t lower-left block is -U * I2
-    out[3, 2, 0] = -dU_mu
-    out[3, 3, 1] = -dU_mu
-    # gamma_j lower-left block is varpi_j * I2
-    for j in range(3):
-        out[j, 2, 0] = dw_mu[j]
-        out[j, 3, 1] = dw_mu[j]
-    return out
+    if mu >= 3:  # static potentials, s-independent metric
+        return np.zeros((5, 4, 4) + p.grid.shape, dtype=complex)
+    low = gamma_set(p.dU[mu], np.moveaxis(p.dvarpi[mu], 0, -1)).lower
+    low -= gamma_set(0.0, np.zeros(3)).lower
+    return np.moveaxis(low, (-3, -2, -1), (0, 1, 2))
 
 
 def spin_connection(p: GridPotential) -> np.ndarray:

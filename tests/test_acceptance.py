@@ -14,6 +14,7 @@ import pytest
 from lln.fields import (
     GridSpec,
     band_limited_noise,
+    density,
     gaussian_packet,
     gradient,
     integrate,
@@ -429,10 +430,19 @@ def test_dilation_charge_diagnostic_archive(artifacts):
         "external": ("external", ext),
         "self": ("self", None),
     }
+    x = G32.mesh()
     for name, (source, p) in scenarios.items():
         f = gaussian_packet(G32, sigma=1.0, k0=(K1, 0, 0))
+        virial = []  # m int rho x.grad U at each record
+
+        def monitor(g, pot, _charges=charge_monitor(source)):
+            if pot is not None:
+                rho = density(g.data)
+                virial.append(g.m * integrate(rho * np.sum(x * pot.dU, axis=0), G32))
+            return _charges(g, pot)
+
         cfg = RunConfig(dt=1e-3, steps=100, evolver="split", source=source,
-                        G=1.0, monitor_every=5, monitor=charge_monitor(source))
+                        G=1.0, monitor_every=5, monitor=monitor)
         res = run(f, cfg, p)
         t = np.array(res.times)
         D = np.array([r.D for r in res.records])
@@ -443,11 +453,18 @@ def test_dilation_charge_diagnostic_archive(artifacts):
             fh.write("t,D,dD_dt\n")
             for row in zip(t, D, dDdt):
                 fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        T = np.array([r.T_kin for r in res.records])
         if name == "free":
             # the free balance law dD/dt = -11 T (measured 2.9e-12 on the
             # interior points, where np.gradient is second order)
-            rhs = -11.0 * np.array([r.T_kin for r in res.records])
+            rhs = -11.0 * T
             err = np.max(np.abs(dDdt - rhs)[1:-1]) / np.max(np.abs(rhs)[1:-1])
             assert err <= 1e-10
-        # the self and external series are archived, not asserted: their
-        # balance laws carry W_pot and grad U terms
+        if name == "external":
+            # static U: dD/dt = -5 E_paper - 6 T + 3 m int rho x.grad U
+            # (measured 3.1e-8 on the interior points)
+            E = np.array([r.E_paper for r in res.records])
+            rhs = -5.0 * E - 6.0 * T + 3.0 * np.array(virial)
+            err = np.max(np.abs(dDdt - rhs)[1:-1]) / np.max(np.abs(rhs)[1:-1])
+            assert err <= 1e-6
+        # the self series is archived, not asserted

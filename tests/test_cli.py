@@ -4,6 +4,8 @@ console-script declaration in pyproject.toml. Exit code contract: 0 pass,
 1 failed check or bad data, 2 usage/config errors."""
 
 import copy
+import ctypes
+import glob
 import json
 import os
 import string
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 import lln
 from lln import charges as charges_mod
 from lln import evolve as evolve_mod
-from lln import fields, geometry, gravity, sngroup
+from lln import cli, fields, geometry, gravity, sngroup
 from lln.cli import main
 
 G16 = {"n": 16, "length": 16.0}
@@ -767,6 +769,39 @@ def test_lln_threads_is_config_error(value, solver_calls, monkeypatch, capsys):
     monkeypatch.setenv("LLN_THREADS", value)
     assert main(["charges", "--snapshot", "missing.lls"]) == 2
     assert "LLN_THREADS" in capsys.readouterr().err
+
+
+@pytest.fixture
+def openblas():
+    """numpy's bundled OpenBLAS, its thread count restored afterwards."""
+    found = sorted(glob.glob(cli._OPENBLAS))
+    if not found:
+        pytest.skip("numpy has no bundled scipy-openblas here")
+    lib = ctypes.CDLL(found[0])
+    lib.scipy_openblas_get_num_threads64_.argtypes = []
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads64_.restype = None
+    before = lib.scipy_openblas_get_num_threads64_()
+    yield lib
+    lib.scipy_openblas_set_num_threads64_(before)
+
+
+def test_main_runs_openblas_on_one_thread(tmp_path, openblas, capsys):
+    openblas.scipy_openblas_set_num_threads64_(2)
+    path = evolve_config(tmp_path, evolver={"kind": "split", "dt": 1e-3, "steps": 2})
+    assert main(["evolve", "--config", path]) == 0
+    assert openblas.scipy_openblas_get_num_threads64_() == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_main_runs_without_openblas(tmp_path, openblas, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_OPENBLAS", str(tmp_path / "libscipy_openblas*"))
+    openblas.scipy_openblas_set_num_threads64_(2)
+    path = evolve_config(tmp_path, evolver={"kind": "split", "dt": 1e-3, "steps": 2})
+    assert main(["evolve", "--config", path]) == 0
+    assert openblas.scipy_openblas_get_num_threads64_() == 2  # left alone
+    assert "OpenBLAS threads not capped" in capsys.readouterr().err
 
 
 # fuzz bases: together they reach every section, every outputs and checks

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from lln import fields, gravity
 from lln.fields import GridSpec, band_limited_noise
 from lln.geometry import (
+    _dgamma_lower,
     DENSITY_WEIGHT,
     AnalyticPotential,
     GridPotential,
@@ -406,6 +407,27 @@ def test_spin_connection_flat_and_vertical():
     p = GridPotential(G16, U=U, varpi=w)
     om = spin_connection(p)
     assert np.max(np.abs(om[4])) == 0.0  # nothing depends on s
+
+
+def _dgamma_lower_blocks(p, mu):
+    """d_mu gamma_rho written by hand: only the lower-left Pauli blocks of
+    gamma_t (-U I2) and gamma_j (varpi_j I2) move."""
+    out = np.zeros((5, 4, 4) + p.grid.shape, dtype=complex)
+    if mu >= 3:
+        return out
+    for a in (0, 1):
+        out[3, 2 + a, a] = -p.dU[mu]
+        for j in range(3):
+            out[j, 2 + a, a] = p.dvarpi[mu][j]
+    return out
+
+
+def test_dgamma_lower_matches_the_hand_written_blocks():
+    U = 0.2 * band_limited_noise(G16, modes=2, seed=11)
+    w = 0.1 * band_limited_noise(G16, modes=2, seed=12, comps=(3,))
+    p = GridPotential(G16, U=U, varpi=w)
+    for mu in range(5):
+        assert np.array_equal(_dgamma_lower(p, mu), _dgamma_lower_blocks(p, mu)), mu
 
 
 def test_spin_connection_contraction_closed_form():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -304,3 +306,39 @@ def test_lln_threads_caps_gravity_ffts(monkeypatch):
     assert [n for n, _ in seen].count("rfftn") == 3  # periodic, kernel, source
     assert {n for n, _ in seen} == {"fftn", "ifftn", "rfftn", "irfftn"}
     assert all(w == 1 for _, w in seen), seen
+
+
+def _spy_fft_workers(monkeypatch):
+    """The `workers` of every scipy.fft transform called from now on."""
+    seen = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        def spy(*args, _fn=getattr(scipy.fft, name), **kwargs):
+            seen.append(kwargs.get("workers"))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, spy)
+    return seen
+
+
+def test_fft_workers_follow_the_grain(monkeypatch):
+    # one worker per fields.GRAIN points, at most LLN_THREADS: the 16^3 and
+    # 32^3 solves (the 64 x 64 x 33 workspace of n = 32 included) run on one,
+    # the 64^3 periodic pair on two
+    monkeypatch.setenv("LLN_THREADS", "2")
+    G16, G64 = GridSpec(n=16, length=16.0), GridSpec(n=64, length=16.0)
+    rhos = {g.n: mass_density(gaussian_packet(g, sigma=1.0).data, g, 1.0)
+            for g in (G16, G32, G64)}
+    for g in (G16, G32):
+        poisson_isolated(rhos[g.n], g)  # the kernel's one-off (2n)^3 transform
+    seen = _spy_fft_workers(monkeypatch)
+    for g in (G16, G32):
+        poisson_isolated(rhos[g.n], g)
+    assert seen == [1] * 12  # six transforms a solve
+    seen.clear()
+    poisson_periodic(rhos[64], G64)
+    assert seen == [2, 2]
+    seen.clear()
+    monkeypatch.delenv("LLN_THREADS")
+    poisson_periodic(rhos[64], G64)
+    assert seen == [min(os.cpu_count(), 2)] * 2
+    assert fields._workers(64**3) == min(os.cpu_count(), 64**3 // fields.GRAIN)
