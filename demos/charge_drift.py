@@ -11,14 +11,14 @@ import numpy as np
 
 from lln.fields import GridSpec, gaussian_packet
 from lln.evolve import RunConfig, run
-from lln.charges import charge_monitor, drift_stats, write_csv
+from lln.charges import compute_charges, drift_stats, write_csv
 
 
 def main():
     grid = GridSpec(32, 16.0)
     f = gaussian_packet(grid, sigma=1.5, k0=(2 * np.pi / grid.length, 0, 0))
     cfg = RunConfig(dt=1e-3, steps=100, evolver="split", source="self",
-                    G=1.0, monitor_every=10, monitor=charge_monitor("self"))
+                    G=1.0, monitor_every=10, monitor=compute_charges)
     res = run(f, cfg)
     drifts = drift_stats(res.records)
     print(f"{'charge':>8} {'relative drift':>16}")

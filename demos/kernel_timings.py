@@ -107,8 +107,8 @@ def kernels(n):
         ("poisson_isolated", lambda: poisson_isolated(rho, grid), None, 1),
         ("kick phase", lambda: _kick_phase(pot, f.m, f.hbar, 1e-3), None, 1),
         ("apply_hamiltonian", lambda: apply_hamiltonian(f.data, pot, grid, 1.0, 1.0), None, 1),
-        ("compute_charges, spin-up", lambda: compute_charges(f, pot, mode="self"), None, 1),
-        ("compute_charges, 2 comp.", lambda: compute_charges(f2, pot2, mode="self"), None, 1),
+        ("compute_charges, spin-up", lambda: compute_charges(f, pot), None, 1),
+        ("compute_charges, 2 comp.", lambda: compute_charges(f2, pot2), None, 1),
         ("split step (run)", steps(1 + k), steps(1), k),
         ("sweep (ground_state)", sweeps(1 + k), sweeps(1), k),
         ("represent, translation", lambda: represent(shift, f), None, 1),

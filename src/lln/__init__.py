@@ -79,7 +79,6 @@ from .evolve import (
 from .charges import (
     CSV_COLUMNS,
     ChargeRecord,
-    charge_monitor,
     compute_charges,
     covariance_test,
     drift_stats,

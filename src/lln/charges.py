@@ -4,10 +4,12 @@ Charge records always carry two energies: E_paper = <phi, H phi> with the
 potential in force (conserved for static external potentials and free
 motion), and E_sn = E_paper - W_self/2, the conserved functional of the
 self-sourced nonlinear flow, which counts the self-sourced part W_self of
-W_pot at half weight and an external U in full (NaN in other modes, where
-it is not a charge). The expansion charge D is not conserved: for free
-packets it obeys the virial drift dD/dt = -11 <T>, and on a static external
-U dD/dt = -5 E_paper - 6 <T> + 3 m int rho x.grad U; both laws are asserted
+W_pot at half weight and an external U in full. E_sn is defined where the
+potential carries a self-sourced part (GridPotential.U_self, which
+evolve.self_potential sets) and NaN otherwise, where it is not a charge.
+The expansion charge D is not conserved: for free packets it obeys the
+virial drift dD/dt = -11 <T>, and on a static external U
+dD/dt = -5 E_paper - 6 <T> + 3 m int rho x.grad U; both laws are asserted
 by tests/test_acceptance.py::test_dilation_charge_diagnostic_archive.
 """
 
@@ -41,7 +43,6 @@ __all__ = [
     "CSV_COLUMNS",
     "momentum_density",
     "compute_charges",
-    "charge_monitor",
     "drift_stats",
     "write_csv",
     "read_csv",
@@ -85,22 +86,20 @@ def momentum_density(phi, p: Optional[GridPotential], grid: GridSpec, m: float, 
 
 def _momentum_density(phi, gphi, p: Optional[GridPotential], m: float, hbar: float):
     dens = hbar * canonical_current(phi, gphi)
-    if p is not None and np.any(p.varpi):
+    if p is not None and p.coriolis:
         dens = dens + 0.5 * hbar * m * np.cross(
             np.moveaxis(p.varpi, 0, -1), np.moveaxis(spin_density(phi), 0, -1)
         ).transpose(3, 0, 1, 2)
     return dens
 
 
-def compute_charges(
-    f: BispinorField,
-    p: Optional[GridPotential] = None,
-    mode: str = "free",
-) -> ChargeRecord:
-    """All twelve first integrals of one field snapshot.
+def compute_charges(f: BispinorField, p: Optional[GridPotential] = None) -> ChargeRecord:
+    """All twelve first integrals of one field snapshot; also the charge
+    monitor of evolve.run, which collects the records it returns.
 
     p must be the potential actually in force at this instant (for the
-    self-sourced flow, the solved U; the run monitor hands it over).
+    self-sourced flow, the solved U; the run monitor hands it over). E_sn
+    is taken iff p carries U_self.
 
     Each spectral partial d_j phi serves both its momentum-density row and
     its share of the kinetic energy T = (hbar^2/2m) sum_j |d_j phi|^2 dV,
@@ -113,7 +112,8 @@ def compute_charges(
     a zero one adds only exact zeros; a Coriolis-coupled pair stays whole.
     """
     grid, m, hbar = f.grid, f.m, f.hbar
-    phi = f.data if p is not None and np.any(p.varpi) else evolve._live(f.data)
+    live = slice(0, 2) if p is not None and p.coriolis else evolve._live(f.data)
+    phi = f.data[live]
     rho = density(phi)
 
     sq_norms = []
@@ -127,9 +127,7 @@ def compute_charges(
     T_kin = hbar**2 / (2 * m) * sum(sq_norms)
     P = integrate(pdens, grid)
     xp = first_moments(pdens, grid)  # [a, c] = int x_a p_c
-    # int phi+ sigma_j phi from the Gram block of the live components at lo
-    lo = 0 if len(phi) == 2 or np.any(f.data[0]) else 1
-    live = slice(lo, lo + len(phi))
+    # int phi+ sigma_j phi from the Gram block of the live components
     cphi = np.conj(phi)
     gram = np.array([[np.sum(ca * b) for b in phi] for ca in cphi])
     spin = np.einsum("jab,ab->j", PAULI[:, live, live], gram).real * grid.dv
@@ -138,7 +136,7 @@ def compute_charges(
 
     W_pot = 0.0 if p is None else m * float(integrate(p.U * rho, grid))
     E_paper = energy_expectation(phi, p, grid, m, hbar)
-    E_sn = sn_energy(phi, p, grid, m, E_paper) if mode == "self" else float("nan")
+    E_sn = float("nan") if p is None or p.U_self is None else sn_energy(phi, p, grid, m, E_paper)
 
     Gb = f.time * P - m * first_moments(rho, grid)
     D = -5.0 * f.time * E_paper - 3.0 * float(np.trace(xp))
@@ -154,15 +152,6 @@ def compute_charges(
         T_kin=T_kin,
         W_pot=W_pot,
     )
-
-
-def charge_monitor(mode: str = "free"):
-    """Monitor callback for evolve.run that appends ChargeRecords."""
-
-    def cb(f: BispinorField, p: Optional[GridPotential]):
-        return compute_charges(f, p, mode=mode)
-
-    return cb
 
 
 def drift_stats(records) -> dict:

@@ -377,7 +377,7 @@ def cmd_evolve(args) -> int:
         norm_tol = _num(checks["norm_tol"], "checks.norm_tol") if "norm_tol" in checks else None
         rcfg = _build_runconfig(cfg, phys["G"], monitor_every=every)
     if every:
-        rcfg.monitor = charges_mod.charge_monitor(mode=rcfg.source)
+        rcfg.monitor = charges_mod.compute_charges
 
     result = evolve_mod.run(f0, rcfg, pot)
     report = {"steps": rcfg.steps, "dt": rcfg.dt, "final_time": result.field.time,
@@ -452,7 +452,7 @@ def cmd_charges(args) -> int:
         # goes on top of any external potential, as in the run
         poisson = args.poisson or snap.poisson or "periodic"
         pot = evolve_mod.self_potential(f.data, f.grid, f.m, snap.G, poisson, pot)
-    rec = charges_mod.compute_charges(f, pot, mode=args.mode)
+    rec = charges_mod.compute_charges(f, pot)
     if out:
         charges_mod.write_csv([rec], out)
     # strict JSON: a charge that is not defined in this mode (E_sn outside

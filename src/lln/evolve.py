@@ -70,7 +70,7 @@ def chi_from_phi(phi, p: Optional[GridPotential], grid: GridSpec, m: float, hbar
     """Algebraic lower pair: chi = -(hbar/2m) sigma(grad) phi + (i/2) sigma(varpi) phi."""
     phi = np.asarray(phi, dtype=complex)
     chi = -(hbar / (2.0 * m)) * sigma_grad(phi, grid)
-    if p is not None and np.any(p.varpi):
+    if p is not None and p.coriolis:
         chi = chi + 0.5j * sigma_dot(p.varpi, phi)
     return chi
 
@@ -90,8 +90,8 @@ def apply_hamiltonian(
     out = -(hbar**2 / (2.0 * m)) * laplacian(phi, grid)
     if p is None:
         return out
-    w = p.varpi
-    if np.any(w):
+    if p.coriolis:
+        w = p.varpi
         gphi = gradient(phi, grid)
         wgrad = np.einsum("j...,ja...->a...", w, gphi)
         divw = p.div_varpi
@@ -122,7 +122,7 @@ def max_frequency(p: Optional[GridPotential], grid: GridSpec, m: float, hbar: fl
         pot = float(np.max(np.abs(p.U + 0.5 * np.sum(p.varpi**2, axis=0))))
         w += m * pot / hbar
         w += wmax * np.sqrt(3.0) * kmax
-        if np.any(p.varpi):
+        if p.coriolis:
             w += 0.25 * float(np.max(np.sqrt(p.omega2)))
     return w
 
@@ -172,8 +172,9 @@ def self_potential(
     base: Optional[GridPotential] = None,
 ) -> GridPotential:
     """Self-consistent potential of phi: U solves Delta U = 4 pi G m |phi|^2
-    (per unit norm) with the "periodic" or "isolated" solver; a base
-    potential is added on top when given, with U_self the part phi sources."""
+    (per unit norm) with the "periodic" or "isolated" solver, and is the
+    result's U_self, the part phi sources; a base potential is added on top
+    when given."""
     rho = mass_density(phi, grid, m)
     if poisson == "periodic":
         U = poisson_periodic(rho, grid, G)
@@ -182,19 +183,18 @@ def self_potential(
     else:
         raise ValueError(f"unknown poisson mode {poisson!r}")
     if base is None:
-        return GridPotential(grid, U=U)
+        return GridPotential(grid, U=U, U_self=U)
     # the base's exact varpi derivatives carry over (see GridPotential); a
     # Jacobian the base has not computed is not computed here
-    pot = GridPotential(grid, U=U + base.U, varpi=base.varpi, dvarpi=vars(base).get("dvarpi"))
-    pot.U_self = U
-    return pot
+    return GridPotential(grid, U=U + base.U, varpi=base.varpi,
+                         dvarpi=vars(base).get("dvarpi"), U_self=U)
 
 
 def sn_energy(phi, pot: GridPotential, grid: GridSpec, m: float, e_paper: float) -> float:
     """E_sn = E_paper - W_self/2, the conserved energy of the self-sourced
-    flow: <H> counts the pair interaction W_self twice, an external U once."""
-    U_self = pot.U if pot.U_self is None else pot.U_self
-    return e_paper - 0.5 * (float(np.sum(U_self * density(phi)) * grid.dv) * m)
+    flow: <H> counts the pair interaction W_self twice, an external U once.
+    pot must carry U_self, as self_potential sets it."""
+    return e_paper - 0.5 * (float(np.sum(pot.U_self * density(phi)) * grid.dv) * m)
 
 
 def _potential_for(phi, cfg, grid, m, p: Optional[GridPotential]):
@@ -207,17 +207,18 @@ def _potential_for(phi, cfg, grid, m, p: Optional[GridPotential]):
 
 
 def _live(data):
-    """The components of data that are not identically zero, as a view.
+    """The slice of components of data that are not identically zero.
 
     Without Coriolis, H is (T + m U) x 1: a zero component stays exactly
     zero under kicks, drifts and normalization, and adds exact zeros to the
     density and the energy sums, so advancing the rest alone changes no
-    bit. A field without a nonzero component keeps both.
+    bit. A field without a nonzero component keeps both. data[_live(data)]
+    is a view; the same slice picks the Pauli block of those components.
     """
     nonzero = np.flatnonzero([np.any(c) for c in data])
     if nonzero.size == 0:
-        return data
-    return data[nonzero[0] : nonzero[-1] + 1]
+        return slice(0, len(data))
+    return slice(int(nonzero[0]), int(nonzero[-1]) + 1)
 
 
 def _drift(live, multiplier):
@@ -266,14 +267,14 @@ def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> 
             times.append(step_field.time)
 
     if cfg.evolver == "split":
-        if p is not None and np.any(p.varpi):
+        if p is not None and p.coriolis:
             raise ValueError(
                 "split-step requires vanishing Coriolis potential; use rk4"
             )
         k2 = grid.k2
         drift = np.exp(-1j * hbar * k2 * cfg.dt / (2.0 * m))
 
-        live = _live(f.data)
+        live = f.data[_live(f.data)]
         pot = _potential_for(live, cfg, grid, m, p)
         kick = _kick_phase(pot, m, hbar, cfg.dt)
         if cfg.monitor_every:
@@ -350,7 +351,7 @@ class GroundStateResult:
     converged: bool
     potential: GridPotential
     residual: float  # ||H phi - energy phi|| / ||phi|| at the returned state
-    energy_sn: Optional[float] = None  # sn_energy, self-sourced mode only
+    energy_sn: Optional[float] = None  # sn_energy, where the potential has U_self
 
 
 def ground_state(f0: BispinorField, cfg: RelaxConfig,
@@ -367,7 +368,7 @@ def ground_state(f0: BispinorField, cfg: RelaxConfig,
     zero): the drift is an rfftn/irfftn pair, and E = T + m sum U psi^2 dv
     takes T by Parseval from one rfftn of the normalized planes.
     """
-    if p is not None and np.any(p.varpi):
+    if p is not None and p.coriolis:
         raise ValueError("imaginary-time split-step requires vanishing varpi")
     f = f0.copy().normalized()
     grid, m, hbar = f.grid, f.m, f.hbar
@@ -398,12 +399,12 @@ def ground_state(f0: BispinorField, cfg: RelaxConfig,
     for q, x in zip(planes, psi):
         q[...] = x
     # residual on the nonzero components: the whole pair doubles peak memory
-    live = _live(f.data)
+    live = f.data[_live(f.data)]
     h = apply_hamiltonian(live, pot, grid, m, hbar)
     return GroundStateResult(
         field=f, energy=E, iterations=it, converged=converged, potential=pot,
         residual=float(np.sqrt(norm2(h - E * live, grid) / norm2(live, grid))),
-        energy_sn=sn_energy(psi, pot, grid, m, E) if cfg.source == "self" else None,
+        energy_sn=None if pot.U_self is None else sn_energy(psi, pot, grid, m, E),
     )
 
 
@@ -441,7 +442,7 @@ def current_and_continuity(
     J_pair = -2.0 * np.imag(z)
     J_phi = (hbar / m) * canonical_current(phi, gradient(phi, grid))
     J_phi = J_phi + (hbar / (2.0 * m)) * curl(spin_density(phi), grid)
-    if p is not None and np.any(p.varpi):
+    if p is not None and p.coriolis:
         J_phi = J_phi - p.varpi * rho
     h = apply_hamiltonian(phi, p, grid, m, hbar)
     dt_rho = (2.0 / hbar) * np.imag(np.einsum("a...,a...->...", np.conj(phi), h))

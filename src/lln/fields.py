@@ -111,12 +111,10 @@ def rfftn(f, s=None, axes=(-3, -2, -1)):
     return sfft.rfftn(f, s=s, axes=axes, workers=_workers(max(np.size(f), out)))
 
 
-def irfftn(F, s=None, axes=(-3, -2, -1)):
+def irfftn(F, s, axes=(-3, -2, -1)):
     # count the output given by s: the 64^3 inverse of a 64 x 64 x 33 input
     # keeps the workers of a 64^3 transform
-    shape = np.shape(F)
-    s_ = [shape[a] for a in axes[:-1]] + [2 * (shape[axes[-1]] - 1)] if s is None else s
-    out = _resized(shape, axes, s_)
+    out = _resized(np.shape(F), axes, s)
     return sfft.irfftn(F, s=s, axes=axes, workers=_workers(max(np.size(F), out)))
 
 
@@ -193,14 +191,18 @@ def sigma_grad(phi, grid: GridSpec):
     return np.einsum("jab,jb...->a...", PAULI, gradient(phi, grid))
 
 
+def _spectral(f, multiplier, axes=(-3, -2, -1)):
+    """ifftn(multiplier * fftn(f)) over axes, real for real input."""
+    F = fftn(f, axes=axes)
+    F *= multiplier
+    out = ifftn(F, axes=axes, overwrite_x=True)
+    return out.real if np.isrealobj(f) else out
+
+
 def _partial(f, grid: GridSpec, j: int):
     """d_j f: the multiplier i k_j depends on axis j alone, so it is a 1-D
     transform pair along that axis; the other two axes would cancel."""
-    axis = (j - 3,)
-    F = fftn(f, axes=axis)
-    F *= 1j * grid.kvec[j]
-    out = ifftn(F, axes=axis, overwrite_x=True)
-    return out.real if np.isrealobj(f) else out
+    return _spectral(f, 1j * grid.kvec[j], axes=(j - 3,))
 
 
 def partials(f, grid: GridSpec):
@@ -219,10 +221,7 @@ def gradient(f, grid: GridSpec):
 
 
 def laplacian(f, grid: GridSpec):
-    F = fftn(np.asarray(f))
-    F *= -grid.k2
-    out = ifftn(F, overwrite_x=True)
-    return out.real if np.isrealobj(f) else out
+    return _spectral(np.asarray(f), -grid.k2)
 
 
 def divergence(v, grid: GridSpec):
@@ -428,12 +427,10 @@ def _phase_matrix(grid: GridSpec, pts: np.ndarray) -> np.ndarray:
 def shift_field(f, grid: GridSpec, v):
     """g(x) = f(x - v) by spectral phase shift (exact for the interpolant)."""
     v = np.asarray(v, dtype=float)
-    F = fftn(np.asarray(f))
     # exp(-i k.v) is separable: three 1-D phases broadcast together
     k1, k2, k3 = grid.kvec
-    F *= np.exp(-1j * k1 * v[0]) * np.exp(-1j * k2 * v[1]) * np.exp(-1j * k3 * v[2])
-    out = ifftn(F, overwrite_x=True)
-    return out.real if np.isrealobj(f) else out
+    phase = np.exp(-1j * k1 * v[0]) * np.exp(-1j * k2 * v[1]) * np.exp(-1j * k3 * v[2])
+    return _spectral(np.asarray(f), phase)
 
 
 def resample_separable(f, grid: GridSpec, axes_pts) -> np.ndarray:

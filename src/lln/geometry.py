@@ -149,15 +149,14 @@ class GridPotential:
     """Static (U, varpi) sampled on a periodic grid.
 
     Spatial derivatives are spectral and cached; time derivatives are zero.
-    Off-lattice samples come from the trigonometric interpolant.
+    Off-lattice samples come from the trigonometric interpolant. U_self is
+    the part of U its state sources (evolve.self_potential sets it); None
+    marks a purely external U.
     """
 
-    # the part of U its state sources, set by evolve.self_potential; None
-    # counts all of U as self-sourced where E_sn asks (evolve.sn_energy)
-    U_self = None
-
-    def __init__(self, grid: GridSpec, U=None, varpi=None, dvarpi=None):
+    def __init__(self, grid: GridSpec, U=None, varpi=None, dvarpi=None, U_self=None):
         self.grid = grid
+        self.U_self = U_self
         self.U = np.zeros(grid.shape) if U is None else np.asarray(U, dtype=float)
         self.varpi = (
             np.zeros((3,) + grid.shape)
@@ -174,6 +173,11 @@ class GridPotential:
             if dvarpi.shape != (3, 3) + grid.shape:
                 raise ValueError("dvarpi override must have shape (3, 3) + grid shape")
             self.dvarpi = dvarpi
+
+    @cached_property
+    def coriolis(self) -> bool:
+        """Whether varpi is nonzero anywhere: without it H has no Coriolis terms."""
+        return bool(np.any(self.varpi))
 
     @cached_property
     def dU(self):
@@ -758,7 +762,7 @@ def dirac_residual(
         - m * p.U * phi
         - hbar * sigma_grad(chi, grid)
     )
-    if np.any(p.varpi):
+    if p.coriolis:
         line1 = line1 - 1j * m * sigma_dot(p.varpi, phi)
         line2 = line2 + 1j * m * sigma_dot(p.varpi, chi)
         line2 = line2 - 0.25 * hbar * sigma_dot(p.curl_varpi, phi)

@@ -46,7 +46,6 @@ from .geometry import DENSITY_WEIGHT, GridPotential, TimeMap, generator_field, g
 __all__ = [
     "SnGroupElement",
     "LieParams",
-    "quat_mul",
     "quat_from_matrix",
     "matrix_from_quat",
     "su2_from_quat",
@@ -72,19 +71,6 @@ _TOL = 1e-9
 ############################################################
 # quaternions (scalar-first, unit norm)
 ############################################################
-
-
-def quat_mul(q1, q2):
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
-    )
 
 
 def quat_sign_fix(q):

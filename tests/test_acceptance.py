@@ -39,7 +39,7 @@ from lln.evolve import (
     run,
     spin_commutator_residual,
 )
-from lln.charges import charge_monitor, covariance_test, drift_stats
+from lln.charges import compute_charges, covariance_test, drift_stats
 from lln.sngroup import (
     SnGroupElement,
     act,
@@ -188,7 +188,7 @@ def test_free_charge_conservation():
     f = gaussian_packet(G32, sigma=1.0, center=(0.5, -0.25, 0.0),
                         k0=(K1, 0, -K1), spin=(0.8, 0.6))
     cfg = RunConfig(dt=1e-3, steps=100, evolver="split",
-                    monitor_every=10, monitor=charge_monitor("free"))
+                    monitor_every=10, monitor=compute_charges)
     res = run(f, cfg)
     drifts = drift_stats(res.records)
     for name in ("E_paper", "P", "J", "M", "G"):
@@ -359,7 +359,7 @@ def test_self_consistent_conservation_with_refinement(artifacts):
         cfg = RunConfig(dt=dt, steps=steps, evolver="split", source="self",
                         G=1.0, poisson="periodic",
                         monitor_every=max(1, steps // 10),
-                        monitor=charge_monitor("self"))
+                        monitor=compute_charges)
         d = drift_stats(run(f, cfg).records)
         table.append((dt, steps, d))
 
@@ -435,11 +435,11 @@ def test_dilation_charge_diagnostic_archive(artifacts):
         f = gaussian_packet(G32, sigma=1.0, k0=(K1, 0, 0))
         virial = []  # m int rho x.grad U at each record
 
-        def monitor(g, pot, _charges=charge_monitor(source)):
+        def monitor(g, pot):
             if pot is not None:
                 rho = density(g.data)
                 virial.append(g.m * integrate(rho * np.sum(x * pot.dU, axis=0), G32))
-            return _charges(g, pot)
+            return compute_charges(g, pot)
 
         cfg = RunConfig(dt=1e-3, steps=100, evolver="split", source=source,
                         G=1.0, monitor_every=5, monitor=monitor)

@@ -12,6 +12,7 @@ from lln.fields import (
     GridSpec,
     band_limited_noise,
     canonical_current,
+    density,
     fftn,
     gaussian_packet,
     gradient,
@@ -20,14 +21,13 @@ from lln.fields import (
     norm2,
 )
 from lln import evolve
-from lln.evolve import RunConfig, apply_hamiltonian, run
+from lln.evolve import RunConfig, apply_hamiltonian, run, self_potential
 from lln.geometry import GridPotential
 from lln.gravity import mass_density, poisson_periodic
 from lln.sngroup import SnGroupElement
 from lln.charges import (
     CSV_COLUMNS,
     ChargeRecord,
-    charge_monitor,
     compute_charges,
     covariance_test,
     drift_stats,
@@ -46,7 +46,7 @@ def free_run(steps=50, dt=1e-3, every=10):
     f = gaussian_packet(G32, sigma=1.0, center=(0.5, -0.25, 0.0),
                         k0=(K1, 0, -K1), spin=(0.8, 0.6))
     cfg = RunConfig(dt=dt, steps=steps, evolver="split", source="free",
-                    monitor_every=every, monitor=charge_monitor("free"))
+                    monitor_every=every, monitor=compute_charges)
     return run(f, cfg)
 
 
@@ -54,7 +54,7 @@ def self_run(steps=100, dt=1e-3, every=10):
     f = gaussian_packet(G32, sigma=1.5, k0=(K1, 0, 0))
     cfg = RunConfig(dt=dt, steps=steps, evolver="split", source="self",
                     G=1.0, poisson="periodic",
-                    monitor_every=every, monitor=charge_monitor("self"))
+                    monitor_every=every, monitor=compute_charges)
     return run(f, cfg)
 
 
@@ -118,11 +118,11 @@ def test_compute_charges_matches_dense_formulas(kind):
     p, mode = None, "free"
     if kind == "self":
         U = poisson_periodic(mass_density(f.data, G32, f.m), G32)
-        p, mode = GridPotential(G32, U=U), "self"
+        p, mode = GridPotential(G32, U=U, U_self=U), "self"
     elif kind == "varpi":
         varpi = 0.3 * band_limited_noise(G32, modes=2, seed=41, comps=(3,))
         p, mode = GridPotential(G32, U=varpi[0] ** 2, varpi=varpi), "external"
-    new = np.array(compute_charges(f, p, mode=mode).row())
+    new = np.array(compute_charges(f, p).row())
     ref = np.array(_charges_reference(f, p, mode).row())
     assert np.all(np.abs(ref[3:13]) > 1e-2)  # P, J, M and G components
     np.testing.assert_allclose(new, ref, rtol=1e-12, atol=0, equal_nan=True)
@@ -134,15 +134,16 @@ def test_compute_charges_holds_one_partial_at_a_time():
     # under 5 field sizes (6 while it was held)
     f = gaussian_packet(G32, sigma=1.0, center=(0.7, -0.4, 0.3),
                         k0=(K1, -2 * K1, 0.5 * K1), spin=(0.8, 0.6j), m=1.3, hbar=0.9)
-    p = GridPotential(G32, U=poisson_periodic(mass_density(f.data, G32, f.m), G32))
-    rec = compute_charges(f, p, mode="self")
+    U = poisson_periodic(mass_density(f.data, G32, f.m), G32)
+    p = GridPotential(G32, U=U, U_self=U)
+    rec = compute_charges(f, p)
     gphi = gradient(f.data, G32)
     assert rec.T_kin == f.hbar**2 / (2 * f.m) * sum(norm2(g, G32) for g in gphi)
     assert np.array_equal(rec.P, integrate(f.hbar * canonical_current(f.data, gphi), G32))
     del gphi
     tracemalloc.start()
     try:
-        compute_charges(f, p, mode="self")
+        compute_charges(f, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -155,7 +156,8 @@ def _live_case(spin, coriolis):
     if coriolis:
         varpi = 0.3 * band_limited_noise(G32, modes=2, seed=41, comps=(3,))
         return f, GridPotential(G32, U=varpi[0] ** 2, varpi=varpi), "external"
-    return f, GridPotential(G32, U=poisson_periodic(mass_density(f.data, G32, f.m), G32)), "self"
+    U = poisson_periodic(mass_density(f.data, G32, f.m), G32)
+    return f, GridPotential(G32, U=U, U_self=U), "self"
 
 
 @pytest.mark.parametrize("spin, coriolis, width", [
@@ -173,12 +175,12 @@ def test_compute_charges_runs_on_the_live_components(spin, coriolis, width, monk
         return apply_hamiltonian(phi, *args)
 
     monkeypatch.setattr(evolve, "apply_hamiltonian", spy)
-    rec = compute_charges(f, p, mode=mode).row()
+    rec = compute_charges(f, p).row()
     assert widths == [width]
     ref = _charges_reference(f, p, mode).row()
     np.testing.assert_allclose(rec, ref, rtol=1e-12, atol=0, equal_nan=True)
-    monkeypatch.setattr(evolve, "_live", lambda data: data)
-    assert np.array_equal(rec, compute_charges(f, p, mode=mode).row(), equal_nan=True)
+    monkeypatch.setattr(evolve, "_live", lambda data: slice(0, 2))
+    assert np.array_equal(rec, compute_charges(f, p).row(), equal_nan=True)
     assert widths == [width, 2]
 
 
@@ -186,11 +188,11 @@ def test_compute_charges_runs_on_the_live_components(spin, coriolis, width, monk
 def test_compute_charges_of_a_basis_spinor_holds_one_component(spin):
     # the traced peak is 2.88 field sizes on the live component; the whole
     # pair took 4.50
-    f, p, mode = _live_case(spin, False)
-    compute_charges(f, p, mode=mode)
+    f, p, _ = _live_case(spin, False)
+    compute_charges(f, p)
     tracemalloc.start()
     try:
-        compute_charges(f, p, mode=mode)
+        compute_charges(f, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -243,7 +245,7 @@ def test_e_sn_is_conserved_on_top_of_an_external_potential():
     p = GridPotential(G16, U=0.0125 * np.sum(G16.mesh() ** 2, axis=0))
     f = gaussian_packet(G16, sigma=1.0, k0=(0.4, 0, 0))
     cfg = RunConfig(dt=2e-3, steps=200, evolver="split", source="self", G=1.0,
-                    poisson="isolated", monitor_every=20, monitor=charge_monitor("self"))
+                    poisson="isolated", monitor_every=20, monitor=compute_charges)
     records = run(f, cfg, p).records
     assert drift_stats(records)["E_sn"] <= 1e-8  # measured 4.7e-10
     # at t = 0 the field is f: E_sn = T + W_self/2 + W_ext
@@ -262,7 +264,7 @@ def test_torus_seam_sets_the_g_j_drift_floor():
                             k0=(2.0 * np.pi / 16.0, 0, 0))
         cfg = RunConfig(dt=1e-3, steps=200, evolver="split", source="self",
                         poisson="periodic", monitor_every=10,
-                        monitor=charge_monitor("self"))
+                        monitor=compute_charges)
         return drift_stats(run(f, cfg).records)
 
     seam = drifts(32, 16.0)
@@ -274,16 +276,35 @@ def test_torus_seam_sets_the_g_j_drift_floor():
 
 def test_e_sn_modes():
     f = gaussian_packet(G32, sigma=1.2)
-    assert np.isnan(compute_charges(f, mode="free").E_sn)
+    assert np.isnan(compute_charges(f).E_sn)
     from lln.gravity import mass_density, poisson_periodic
     from lln.geometry import GridPotential
 
     rho = mass_density(f.data, G32, f.m)
-    p = GridPotential(G32, U=poisson_periodic(rho, G32, G=1.0))
-    rec = compute_charges(f, p, mode="self")
+    U = poisson_periodic(rho, G32, G=1.0)
+    p = GridPotential(G32, U=U, U_self=U)
+    rec = compute_charges(f, p)
     assert np.isfinite(rec.E_sn)
     assert abs(rec.E_sn - (rec.T_kin + 0.5 * rec.W_pot)) < 1e-12
     assert rec.W_pot < 0.0
+
+
+def test_e_sn_follows_the_potential():
+    # E_sn is taken iff the potential in force carries U_self: the solved
+    # potential of the state does, an external one does not, and on top of
+    # an external base only the self-sourced part is halved
+    f = gaussian_packet(G32, sigma=1.2, k0=(K1, 0, 0))
+    rec = compute_charges(f, self_potential(f.data, G32, f.m, 1.0, "periodic"))
+    assert np.isfinite(rec.E_sn)
+    assert abs(rec.E_sn - (rec.T_kin + 0.5 * rec.W_pot)) < 1e-12
+    base = GridPotential(G32, U=0.0125 * np.sum(G32.mesh() ** 2, axis=0))
+    assert base.U_self is None
+    assert np.isnan(compute_charges(f, base).E_sn)
+    both = self_potential(f.data, G32, f.m, 1.0, "periodic", base)
+    rec = compute_charges(f, both)
+    W_self = f.m * float(integrate(both.U_self * density(f.data), G32))
+    assert abs(W_self) > 1e-2 and abs(rec.W_pot - W_self) > 1e-2
+    assert abs(rec.E_sn - (rec.E_paper - 0.5 * W_self)) < 1e-12
 
 
 def test_boost_charge_tracks_centroid():

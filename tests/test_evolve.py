@@ -41,7 +41,7 @@ from lln.evolve import (
     spin_commutator_residual,
 )
 from lln import evolve
-from lln.charges import charge_monitor
+from lln.charges import compute_charges
 from lln.cli import main
 from lln.sngroup import SnGroupElement, compose, represent_pair, transform_potentials
 
@@ -323,10 +323,10 @@ def test_live_components_match_the_full_pair(spin, monkeypatch):
     # iteration counts must agree bit for bit
     f = _spin_packet(G16, spin)
     cfg = RunConfig(dt=2e-3, steps=12, source="self", poisson="periodic", G=2.0,
-                    monitor_every=4, monitor=charge_monitor("self"))
+                    monitor_every=4, monitor=compute_charges)
     rcfg = RelaxConfig(G=4.0, dtau=0.02, tol=1e-9, max_iter=60, poisson="isolated")
     live = run(f, cfg), ground_state(f, rcfg)
-    monkeypatch.setattr(evolve, "_live", lambda data: data)
+    monkeypatch.setattr(evolve, "_live", lambda data: slice(0, 2))
     full = run(f, cfg), ground_state(f, rcfg)
     assert np.array_equal(live[0].field.data, full[0].field.data)
     assert live[0].times == full[0].times

@@ -97,6 +97,14 @@ def trig_potential(time_dependent=False):
     return AnalyticPotential(U=U, varpi=w, dU=dU, dtU=dtU, dvarpi=dw, dtvarpi=dtw)
 
 
+def test_coriolis_says_whether_varpi_is_nonzero():
+    assert not GridPotential(G16).coriolis
+    assert not GridPotential(G16, varpi=np.zeros((3,) + G16.shape)).coriolis
+    p = GridPotential(G16, varpi=0.3 * band_limited_noise(G16, modes=2, seed=41, comps=(3,)))
+    assert p.coriolis is True
+    assert vars(p)["coriolis"] is True  # cached: varpi is scanned once
+
+
 ############################################################
 # metric and Clifford algebra
 ############################################################

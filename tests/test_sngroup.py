@@ -31,7 +31,6 @@ from lln.sngroup import (
     load_element,
     matrix_from_quat,
     quat_from_matrix,
-    quat_mul,
     represent,
     represent_fn,
     represent_pair,
@@ -264,15 +263,6 @@ def test_quat_matrix_roundtrip():
         q /= np.linalg.norm(q)
         q2 = quat_from_matrix(matrix_from_quat(q))
         assert min(np.max(np.abs(q2 - q)), np.max(np.abs(q2 + q))) < 1e-12
-
-
-def test_quat_mul_covers_matrix_product():
-    rng = np.random.default_rng(13)
-    q1, q2 = rng.standard_normal((2, 4))
-    q1 /= np.linalg.norm(q1)
-    q2 /= np.linalg.norm(q2)
-    A = matrix_from_quat(quat_mul(q1, q2))
-    assert np.max(np.abs(A - matrix_from_quat(q1) @ matrix_from_quat(q2))) < 1e-12
 
 
 ############################################################
