@@ -11,11 +11,14 @@ of `fields._workers` shows where a second worker starts to pay. numpy's
 OpenBLAS runs on one thread, as in `lln` (`cli._cap_blas_threads`). The
 kick phase is the one `run` builds (`evolve._kick_phase`). `compute_charges`
 is timed on the spin-up packet, whose zero component it skips, and on a
-two-component (0.6, 0.8i) packet. A split step (self/periodic `run`) and a
-sweep (isolated `ground_state`) are the difference of two runs, so set-up is
-not counted. The two `represent` rows time the shift path (a translation)
-and the separable path (a quarter turn after a dilation); the dense path of
-a generic rotation is O(n^6) and is left out.
+two-component (0.6, 0.8i) packet. The sweep row times one call of the
+imaginary-time sweep map (`evolve._sweep`, isolated gravity) on the packet's
+one real plane. A split step (self/periodic `run`) and an Anderson-mixed
+iteration (isolated `ground_state`: a sweep plus its mixing step) are the
+difference of two runs, so set-up is not counted. The two `represent` rows
+time the shift path (a translation) and the separable path (a quarter turn
+after a dilation); the dense path of a generic rotation is O(n^6) and is
+left out.
 """
 
 import argparse
@@ -29,7 +32,8 @@ from lln import fields
 from lln.charges import compute_charges
 from lln.cli import _cap_blas_threads
 from lln.evolve import (
-    RelaxConfig, RunConfig, _kick_phase, apply_hamiltonian, ground_state, run, self_potential,
+    RelaxConfig, RunConfig, _kick_phase, _sweep, apply_hamiltonian, ground_state, run,
+    self_potential,
 )
 from lln.fields import GridSpec, fftn, gaussian_packet, ifftn
 from lln.gravity import mass_density, poisson_isolated, poisson_periodic
@@ -81,14 +85,18 @@ def kernels(n):
     pot = self_potential(f.data, grid, f.m, 1.0, "periodic")
     f2 = gaussian_packet(grid, sigma=1.5, spin=(0.6, 0.8j))
     pot2 = self_potential(f2.data, grid, f2.m, 1.0, "periodic")
-    k = 4  # steps or sweeps beyond the shorter run's one
+    k = 4  # steps or iterations beyond the shorter run's one
     shift = SnGroupElement.translation(c=(0.3, -0.2, 0.1))
     turn = compose(SnGroupElement.rotation([0, 0, 1], np.pi / 2), SnGroupElement.dilation(1.05))
 
     def steps(s):
         return lambda: run(f, RunConfig(dt=1e-3, steps=s, source="self", poisson="periodic"))
 
-    def sweeps(s):
+    relax = RelaxConfig(dtau=0.02, poisson="isolated")
+    plane = f.data.real[:1].copy()
+    decay = np.exp(-f.hbar * grid.k2[..., : n // 2 + 1] * relax.dtau / (2.0 * f.m))
+
+    def iterations(s):
         return lambda: ground_state(f, RelaxConfig(dtau=0.02, tol=0.0, max_iter=s,
                                                    poisson="isolated"))
 
@@ -110,7 +118,8 @@ def kernels(n):
         ("compute_charges, spin-up", lambda: compute_charges(f, pot), None, 1),
         ("compute_charges, 2 comp.", lambda: compute_charges(f2, pot2), None, 1),
         ("split step (run)", steps(1 + k), steps(1), k),
-        ("sweep (ground_state)", sweeps(1 + k), sweeps(1), k),
+        ("sweep (_sweep)", lambda: _sweep(plane, decay, relax, grid, f.m, f.hbar), None, 1),
+        ("iteration (ground_state)", iterations(1 + k), iterations(1), k),
         ("represent, translation", lambda: represent(shift, f), None, 1),
         ("represent, turn+dilation", lambda: represent(turn, f), None, 1),
     ]

@@ -428,7 +428,9 @@ def cmd_ground_state(args) -> int:
     if "snapshot" in paths:
         fields.save_snapshot(paths["snapshot"], res.field, G=phys["G"], poisson=rcfg.poisson)
     report = {"energy": res.energy, "iterations": res.iterations,
-              "converged": res.converged, "residual": res.residual}
+              "converged": res.converged, "residual": res.residual,
+              "fixed_point_residual": res.fixed_point_residual,
+              "recentred_by": [float(v) for v in res.recentred_by]}
     return _finish(report, failures, paths.get("report"))
 
 

@@ -38,6 +38,7 @@ from .fields import (
     laplacian,
     norm2,
     rfftn,
+    shift_field,
     sigma_dot,
     sigma_grad,
     spin_density,
@@ -327,9 +328,19 @@ def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> 
 # ground state by imaginary-time relaxation
 ############################################################
 
+# Differences of the sweep map that each Anderson step mixes. From eight
+# starts on the configs/ground_state_self.json settings, depths 4, 5, 6 and
+# 7 took 66-135, 65-105, 54-109 and 49-62 sweeps to tol 1e-9; at depth 7
+# the two ring buffers hold 3.7 MB for one real 32^3 plane.
+_ANDERSON_DEPTH = 7
+
 
 @dataclass
 class RelaxConfig:
+    """Imaginary-time relaxation settings: the sweep's step dtau, the bound
+    tol on the fixed-point residual ||S(psi) - psi||, and max_iter, the most
+    sweep-map evaluations to spend (see ground_state)."""
+
     dtau: float = 0.05
     tol: float = 1e-10
     max_iter: int = 20000
@@ -346,27 +357,68 @@ class RelaxConfig:
 @dataclass
 class GroundStateResult:
     field: BispinorField
-    energy: float  # <H>, the chemical potential in self-sourced mode
-    iterations: int
+    energy: float  # <H> under the state's own U, the chemical potential in self-sourced mode
+    iterations: int  # sweep-map evaluations
     converged: bool
     potential: GridPotential
     residual: float  # ||H phi - energy phi|| / ||phi|| at the returned state
+    fixed_point_residual: float  # ||S(psi) - psi|| at the returned state
+    recentred_by: np.ndarray  # the shift applied to the start, zero when not recentred
     energy_sn: Optional[float] = None  # sn_energy, where the potential has U_self
+
+
+def _sweep(psi, decay, cfg: RelaxConfig, grid: GridSpec, m, hbar, p=None):
+    """The sweep map S on real planes psi: a half kick exp(-m U dtau / 2 hbar)
+    under the potential in force on psi, the kinetic decay multiplier on the
+    rfftn half spectrum, the second half kick, and renormalization. Returns
+    (S(psi), that potential) and leaves psi as it was."""
+    pot = _potential_for(psi, cfg, grid, m, p)
+    half_kick = pot.U * (-(m / hbar) * cfg.dtau / 2.0)
+    np.exp(half_kick, out=half_kick)
+    F = rfftn(psi * half_kick)
+    F *= decay
+    out = irfftn(F, s=grid.shape)
+    out *= half_kick
+    out /= _norm_divisor(out, grid)
+    return out, pot
+
+
+def _to_nearest_node(psi, grid: GridSpec):
+    """The shift that moves the centroid of sum(psi^2) on the torus onto the
+    nearest lattice node, at most dx/2 along each axis. The centroid is the
+    phase of the density's first Fourier mode along each axis, which the
+    spectral shift moves by exactly the shift."""
+    rho = np.sum(psi**2, axis=0)
+    mode = np.exp(2j * np.pi / grid.length * grid.axis())
+    c = np.array([np.angle(rho.sum(axis=axes) @ mode) for axes in ((1, 2), (0, 2), (0, 1))])
+    c *= grid.length / (2.0 * np.pi)
+    return grid.dx * np.round(c / grid.dx) - c
 
 
 def ground_state(f0: BispinorField, cfg: RelaxConfig,
                  p: Optional[GridPotential] = None) -> GroundStateResult:
-    """Imaginary-time split-step relaxation to the lowest state.
+    """Imaginary-time relaxation to the lowest state: the sweep map S
+    (_sweep) iterated to its fixed point with type-II Anderson mixing
+    (Anderson, J. ACM 12 (1965) 547; Walker & Ni, SIAM J. Numer. Anal. 49
+    (2011) 1715). Kicks, decay and norm are real, so S acts on the nonzero
+    real and imaginary parts of the components as real planes psi (a zero
+    part stays zero). The next psi is S(psi) - dG gamma, renormalized, where
+    gamma fits the residual S(psi) - psi by its last _ANDERSON_DEPTH
+    differences dF in least squares, on a Gram matrix that gains one row per
+    step; dG are the matching differences of S(psi).
 
-    Self-consistent mode refreshes U from the renormalized density every
-    sweep, with the "periodic" or "isolated" Poisson solver. Convergence is
-    declared when the energy settles to within tol between consecutive
-    sweeps. The residual is taken once, after the last sweep; the sweep's
-    fixed point is O(dtau^2) off the eigenstate, so it does not fall with tol.
-    Kicks, decay and norm are real, so a sweep runs on the nonzero real and
-    imaginary parts of the components as real planes psi (a zero part stays
-    zero): the drift is an rfftn/irfftn pair, and E = T + m sum U psi^2 dv
-    takes T by Parseval from one rfftn of the normalized planes.
+    It stops at the first psi whose fixed-point residual ||S(psi) - psi||
+    (L2 with dv) is below tol and returns that psi; iterations counts
+    evaluations of S, and after max_iter of them the last psi evaluated is
+    returned unconverged. The energy is <H> of the returned state under its
+    own U (T by Parseval from one rfftn), and the residual
+    ||H phi - E phi|| / ||phi|| is taken there too; S's fixed point is
+    O(dtau^2) off the eigenstate, so that residual does not fall with tol.
+
+    With a self source and no external potential, a start between lattice
+    nodes would slide toward one far more slowly than it relaxes, so it is
+    first moved by the spectral shift (fields.shift_field, at most dx/2 per
+    axis) that puts its density's centroid on the nearest node: recentred_by.
     """
     if p is not None and p.coriolis:
         raise ValueError("imaginary-time split-step requires vanishing varpi")
@@ -375,35 +427,60 @@ def ground_state(f0: BispinorField, cfg: RelaxConfig,
     # views into f.data, which the relaxed planes are written back through
     planes = [q for part in (f.data.real, f.data.imag) for q in part if np.any(q)]
     psi = np.stack(planes)
+    shift = np.zeros(3)
+    if cfg.source == "self" and p is None:
+        shift = _to_nearest_node(psi, grid)
+        psi = shift_field(psi, grid, shift)
+        psi /= _norm_divisor(psi, grid)
     k2 = grid.k2[..., : grid.n // 2 + 1]
     decay = np.exp(-hbar * k2 * cfg.dtau / (2.0 * m))
+    # ring buffers of the last differences of S(psi) and of the residual r;
+    # the Gram matrix of the residual differences and their products b with r
+    dG = np.empty((_ANDERSON_DEPTH, psi.size))
+    dF = np.empty_like(dG)
+    gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
+    b = np.zeros(_ANDERSON_DEPTH)
+    # max_iter >= 1, so the loop binds it, pot and res
+    for it in range(1, cfg.max_iter + 1):
+        g, pot = _sweep(psi, decay, cfg, grid, m, hbar, p)
+        g = g.ravel()
+        r = g - psi.ravel()
+        res = float(np.sqrt((r @ r) * grid.dv))
+        if res < cfg.tol or it == cfg.max_iter:
+            break
+        nxt = g  # the first step is the plain sweep
+        if it > 1:
+            j, kept = (it - 2) % _ANDERSON_DEPTH, min(it - 1, _ANDERSON_DEPTH)
+            np.subtract(g, g_prev, out=dG[j])
+            np.subtract(r, r_prev, out=dF[j])
+            gram[j, :kept] = gram[:kept, j] = dF[:kept] @ dF[j]
+            # r = r_prev + dF[j]: an older difference's product with r gains
+            # its Gram entry with dF[j]; the new one's is taken afresh
+            b[:kept] += gram[:kept, j]
+            b[j] = dF[j] @ r
+            gamma = np.linalg.lstsq(gram[:kept, :kept], b[:kept], rcond=None)[0]
+            nxt = gamma @ dG[:kept]
+            np.subtract(g, nxt, out=nxt)
+            nxt /= np.sqrt((nxt @ nxt) * grid.dv)
+        g_prev, r_prev = g, r
+        psi = nxt.reshape(psi.shape)
+    converged = res < cfg.tol
+    for q, x in zip(planes, psi):
+        q[...] = x
     # weights of T on the half spectrum, which holds the k_z = 0 and Nyquist
     # planes once and every other plane for itself and its conjugate
     w = np.r_[1.0, np.full(grid.n // 2 - 1, 2.0), 1.0]
     wk2 = (hbar**2 / (2.0 * m) * grid.dv / grid.n**3) * w * k2
-    E = np.inf
-    # max_iter >= 1, so the sweep binds pot, it and E_prev
-    for it in range(1, cfg.max_iter + 1):
-        pot = _potential_for(psi, cfg, grid, m, p)
-        half_kick = np.exp(-(m / hbar) * pot.U * (cfg.dtau / 2.0))
-        psi *= half_kick
-        psi = irfftn(decay * rfftn(psi), s=grid.shape)
-        psi *= half_kick
-        psi /= _norm_divisor(psi, grid)
-        F = rfftn(psi)
-        T = float(np.sum(wk2 * (F.real**2 + F.imag**2)))
-        E_prev, E = E, T + m * float(np.sum(pot.U * density(psi))) * grid.dv
-        if abs(E - E_prev) < cfg.tol:
-            break
-    converged = abs(E - E_prev) < cfg.tol
-    for q, x in zip(planes, psi):
-        q[...] = x
+    F = rfftn(psi)
+    T = float(np.sum(wk2 * (F.real**2 + F.imag**2)))
+    E = T + m * float(np.sum(pot.U * density(psi))) * grid.dv
     # residual on the nonzero components: the whole pair doubles peak memory
     live = f.data[_live(f.data)]
     h = apply_hamiltonian(live, pot, grid, m, hbar)
     return GroundStateResult(
         field=f, energy=E, iterations=it, converged=converged, potential=pot,
         residual=float(np.sqrt(norm2(h - E * live, grid) / norm2(live, grid))),
+        fixed_point_residual=res, recentred_by=shift,
         energy_sn=None if pot.U_self is None else sn_energy(psi, pot, grid, m, E),
     )
 

@@ -145,24 +145,28 @@ class AnalyticPotential:
         return s
 
 
+_ZERO = np.zeros(())  # the varpi of every GridPotential built without one
+
+
 class GridPotential:
     """Static (U, varpi) sampled on a periodic grid.
 
     Spatial derivatives are spectral and cached; time derivatives are zero.
     Off-lattice samples come from the trigonometric interpolant. U_self is
     the part of U its state sources (evolve.self_potential sets it); None
-    marks a purely external U.
+    marks a purely external U. Without a varpi, varpi is a read-only view
+    of one shared zero and coriolis is False from the start.
     """
 
     def __init__(self, grid: GridSpec, U=None, varpi=None, dvarpi=None, U_self=None):
         self.grid = grid
         self.U_self = U_self
         self.U = np.zeros(grid.shape) if U is None else np.asarray(U, dtype=float)
-        self.varpi = (
-            np.zeros((3,) + grid.shape)
-            if varpi is None
-            else np.asarray(varpi, dtype=float)
-        )
+        if varpi is None:
+            self.varpi = np.broadcast_to(_ZERO, (3,) + grid.shape)
+            self.coriolis = False
+        else:
+            self.varpi = np.asarray(varpi, dtype=float)
         if self.U.shape != grid.shape or self.varpi.shape != (3,) + grid.shape:
             raise ValueError("potential arrays do not match the grid")
         # exact derivatives may be supplied for a varpi that is not periodic

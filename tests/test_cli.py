@@ -209,6 +209,9 @@ def test_ground_state_window(tmp_path, capsys):
     assert rep["converged"] is True
     assert -5.0 <= rep["energy"] <= -3.5
     assert 0.0 < rep["residual"] < 0.1  # 1.2e-2: O(dtau^2) at dtau = 0.05
+    assert rep["fixed_point_residual"] < 1e-8  # the relax.tol it stopped on
+    # a self-sourced start is moved onto the nearest node, here already one
+    assert len(rep["recentred_by"]) == 3 and max(map(abs, rep["recentred_by"])) < 1e-15
 
     cfg["checks"]["energy_window"] = [0.0, 1.0]
     rc = main(["ground-state", "--config", write_config(tmp_path, cfg, "g2.json")])
@@ -530,7 +533,8 @@ def solver_calls(tmp_path, monkeypatch):
         finite(f0, p)
         calls.append("ground_state")
         return SimpleNamespace(field=f0, energy=-1.0, iterations=1, converged=True,
-                               residual=0.0)
+                               residual=0.0, fixed_point_residual=0.0,
+                               recentred_by=np.zeros(3))
 
     def covariance_test(f0, u, cfg, p=None):
         finite(f0, p)

@@ -357,9 +357,9 @@ def test_split_loops_transform_only_the_live_components(spin, width, monkeypatch
 
 @pytest.mark.parametrize("spin, planes", [((1, 0), 2), ((0, 1), 2), ((0.6, 0.8j), 4), (None, 1)])
 def test_ground_state_transforms_only_the_nonzero_planes(spin, planes, monkeypatch):
-    # a sweep's drift and Parseval rfftn run on the real and imaginary parts
-    # that are not identically zero: 2 per complex component, 1 for a real
-    # spin-up packet
+    # the drift rfftn of each of the three sweeps and the Parseval rfftn of
+    # the returned state run on the real and imaginary parts that are not
+    # identically zero: 2 per complex component, 1 for a real spin-up packet
     widths = []
 
     def spy(x, *args, **kwargs):
@@ -369,7 +369,7 @@ def test_ground_state_transforms_only_the_nonzero_planes(spin, planes, monkeypat
     monkeypatch.setattr(evolve, "rfftn", spy)
     f = gaussian_packet(G16, sigma=1.2) if spin is None else _spin_packet(G16, spin)
     ground_state(f, RelaxConfig(G=2.0, tol=0.0, max_iter=3, poisson="isolated"))
-    assert widths == [planes] * 6
+    assert widths == [planes] * 4
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -635,6 +635,7 @@ def test_ground_state_harmonic_trap():
     f0 = gaussian_packet(G32, sigma=1.0)
     res = ground_state(f0, RelaxConfig(source="external", dtau=0.02, tol=1e-12), p)
     assert res.converged
+    assert not np.any(res.recentred_by)  # an external potential keeps the start
     assert res.energy_sn is None
     assert abs(res.energy - 1.5) < 2e-3
     rho = np.sum(np.abs(res.field.data) ** 2, axis=0)
@@ -645,7 +646,7 @@ def test_ground_state_harmonic_trap():
 def _sweep_reference(f0, G, dtau, sweeps, poisson):
     """Oracle: the complex sweep over both components, with the drift written
     out of place, decay * F, and <H> from apply_hamiltonian; returns the
-    field and the last energy."""
+    field and the last energy, under the potential of the last sweep's input."""
     f = f0.copy().normalized()
     grid, m, hbar = f.grid, f.m, f.hbar
     decay = np.exp(-hbar * grid.k2 * dtau / (2.0 * m))
@@ -660,13 +661,29 @@ def _sweep_reference(f0, G, dtau, sweeps, poisson):
     return f, E
 
 
-def _assert_matches_sweep_reference(res, f, E):
-    # real transforms round differently from the complex oracle's: 2.4e-15
-    # and 6.1e-16 relative measured on the field and the energy
-    assert np.max(np.abs(res.field.data - f.data)) <= 1e-13 * np.max(np.abs(f.data))
-    assert abs(res.energy - E) <= 1e-13 * abs(E)
+def _sweeps(f0, G, dtau, sweeps, poisson):
+    """evolve._sweep applied sweeps times to the nonzero real planes of f0,
+    normalized; returns the field and <H> under the last sweep's potential."""
+    f = f0.copy().normalized()
+    grid, m, hbar = f.grid, f.m, f.hbar
+    planes = [q for part in (f.data.real, f.data.imag) for q in part if np.any(q)]
+    psi = np.stack(planes)
+    cfg = RelaxConfig(G=G, dtau=dtau, poisson=poisson)
+    decay = np.exp(-hbar * grid.k2[..., : grid.n // 2 + 1] * dtau / (2.0 * m))
+    for _ in range(sweeps):
+        psi, pot = evolve._sweep(psi, decay, cfg, grid, m, hbar)
+    for q, x in zip(planes, psi):
+        q[...] = x
+    return f, energy_expectation(f.data, pot, grid, m, hbar)
+
+
+def _assert_matches_sweep_reference(res, E_res, f, E):
+    # real transforms round differently from the complex oracle's: 2.9e-15
+    # and 9.1e-16 relative measured on the field and the energy
+    assert np.max(np.abs(res.data - f.data)) <= 1e-13 * np.max(np.abs(f.data))
+    assert abs(E_res - E) <= 1e-13 * abs(E)
     for a in range(2):
-        assert np.any(res.field.data[a]) == np.any(f.data[a])  # zeros stay exactly zero
+        assert np.any(res.data[a]) == np.any(f.data[a])  # zeros stay exactly zero
 
 
 @pytest.mark.parametrize("poisson", ["isolated", "periodic"])
@@ -675,24 +692,20 @@ def test_ground_state_real_planes_match_the_complex_sweep(poisson):
     f0 = gaussian_packet(G16, sigma=1.2, center=(0.3, -0.2, 0.1), m=1.3, hbar=0.9)
     G, dtau, sweeps = 4.0, 0.02, 25
     f, E = _sweep_reference(f0, G, dtau, sweeps, poisson)
-    res = ground_state(f0, RelaxConfig(G=G, dtau=dtau, tol=0.0, max_iter=sweeps,
-                                       poisson=poisson))
-    assert not res.converged and res.iterations == sweeps
-    _assert_matches_sweep_reference(res, f, E)
+    _assert_matches_sweep_reference(*_sweeps(f0, G, dtau, sweeps, poisson), f, E)
 
 
 @pytest.mark.parametrize("spin", SPINS)
 @pytest.mark.parametrize("poisson", ["isolated", "periodic"])
 def test_ground_state_sweep_reference_for_every_spinor(poisson, spin):
-    # the reference sweeps both complex components; ground_state only the
-    # nonzero real planes
+    # the reference sweeps both complex components; _sweep only the nonzero
+    # real planes
     f0 = _spin_packet(G16, spin)
     f, E = _sweep_reference(f0, 4.0, 0.02, 25, poisson)
-    res = ground_state(f0, RelaxConfig(G=4.0, dtau=0.02, tol=0.0, max_iter=25,
-                                       poisson=poisson))
-    _assert_matches_sweep_reference(res, f, E)
+    res, E_res = _sweeps(f0, 4.0, 0.02, 25, poisson)
+    _assert_matches_sweep_reference(res, E_res, f, E)
     for a in range(2):
-        assert np.any(res.field.data[a]) == (spin[a] != 0)
+        assert np.any(res.data[a]) == (spin[a] != 0)
 
 
 def test_ground_state_self_gravity_oracle():
@@ -712,6 +725,47 @@ def test_ground_state_self_gravity_oracle():
     assert 1e-4 < res.residual < 1e-3
 
 
+def test_ground_state_start_offset_does_not_move_mu():
+    # at dx = 0.5 the lattice pins a relaxed packet to a node: from a start
+    # between nodes the plain sweep slid toward one for 20000 sweeps without
+    # converging, and energies stopped early differed by 1e-4 relative. The
+    # start's centroid is moved onto the nearest node first
+    grid = GridSpec(16, 8.0)
+    cfg = RelaxConfig(G=4.0, dtau=0.02, tol=1e-10, max_iter=2000, poisson="isolated")
+    offset = np.array([0.13, -0.07, 0.21])
+    node, off = (ground_state(gaussian_packet(grid, sigma=1.2, center=c), cfg)
+                 for c in (np.zeros(3), offset))
+    assert node.converged and off.converged
+    assert max(node.fixed_point_residual, off.fixed_point_residual) < cfg.tol
+    assert np.max(np.abs(node.recentred_by)) < 1e-15
+    # the torus centroid of the cut-off packet: 3e-4 from its centre at L = 8
+    assert np.max(np.abs(off.recentred_by + offset)) < 1e-3
+    assert abs(off.energy - node.energy) <= 1e-7 * abs(node.energy)  # 4.4e-9 measured
+
+
+def test_ground_state_matches_a_long_plain_sweep():
+    # reference: the plain sweep map iterated from the same node-centred start
+    # until its fixed-point residual is below 1e-12 (508 sweeps), and <H>
+    # of its last input under that input's own potential
+    f0 = gaussian_packet(G16, sigma=1.2)
+    cfg = RelaxConfig(G=4.0, dtau=0.05, tol=1e-10, poisson="isolated")
+    f = f0.copy().normalized()
+    psi = f.data.real[:1].copy()
+    decay = np.exp(-G16.k2[..., :9] * cfg.dtau / 2.0)
+    for _ in range(2000):
+        out, pot = evolve._sweep(psi, decay, cfg, G16, f.m, f.hbar)
+        if np.sqrt(np.sum((out - psi) ** 2) * G16.dv) < 1e-12:
+            break
+        psi = out
+    else:
+        pytest.fail("the plain sweep did not reach residual 1e-12 in 2000 sweeps")
+    f.data[0] = psi[0]
+    mu = energy_expectation(f.data, pot, G16, f.m, f.hbar)
+    res = ground_state(f0, cfg)
+    assert res.converged and res.iterations < 200
+    assert abs(res.energy - mu) <= 1e-7 * abs(mu)  # 1.8e-11 measured
+
+
 @pytest.mark.parametrize("source", ["self", "external"])
 def test_ground_state_residual_matches_hamiltonian(source):
     X = G16.mesh()
@@ -724,6 +778,9 @@ def test_ground_state_residual_matches_hamiltonian(source):
     r = np.linalg.norm(h - res.energy * f.data) / np.linalg.norm(f.data)
     assert res.residual == pytest.approx(r, rel=1e-12)
     assert 0.0 < res.residual < 1.0
+    # the energy is <H> of the returned state under its own potential
+    E = energy_expectation(f.data, res.potential, G16, f.m, f.hbar)
+    assert res.energy == pytest.approx(E, rel=1e-12)
 
 
 ############################################################

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings, strategies as st
 
 from lln import fields, gravity
+from lln.evolve import RunConfig, apply_hamiltonian, chi_from_phi, max_frequency, run
 from lln.fields import GridSpec, band_limited_noise
 from lln.geometry import (
     _dgamma_lower,
@@ -103,6 +104,31 @@ def test_coriolis_says_whether_varpi_is_nonzero():
     p = GridPotential(G16, varpi=0.3 * band_limited_noise(G16, modes=2, seed=41, comps=(3,)))
     assert p.coriolis is True
     assert vars(p)["coriolis"] is True  # cached: varpi is scanned once
+
+
+def test_potential_without_varpi_shares_one_read_only_zero():
+    # a potential built without varpi allocates none and decides coriolis
+    # without a scan; everything read off it matches an explicit zero varpi
+    # bit for bit
+    U = 0.3 * band_limited_noise(G16, modes=2, seed=43)
+    bare, zero = GridPotential(G16, U=U), GridPotential(G16, U=U, varpi=np.zeros((3,) + G16.shape))
+    assert vars(bare)["coriolis"] is False and not zero.coriolis
+    assert not bare.varpi.flags.writeable and bare.varpi.shape == (3,) + G16.shape
+    assert np.shares_memory(bare.varpi, GridPotential(G32).varpi)
+    f = fields.gaussian_packet(G16, sigma=1.2, spin=(0.6, 0.8j))
+    for name in ("varpi", "dvarpi", "curl_varpi", "div_varpi", "omega2"):
+        assert np.array_equal(getattr(bare, name), getattr(zero, name)), name
+    for part in ("upper", "lower"):
+        assert np.array_equal(getattr(bare.gammas, part), getattr(zero.gammas, part))
+    x = RNG.uniform(-4.0, 4.0, (5, 3))
+    sb, sz = bare.sample(x, derivatives=True), zero.sample(x, derivatives=True)
+    for name in ("U", "varpi", "dU", "dvarpi", "dtU", "dtvarpi"):
+        assert np.array_equal(getattr(sb, name), getattr(sz, name)), name
+    for fn in (apply_hamiltonian, chi_from_phi):
+        assert np.array_equal(fn(f.data, bare, G16, f.m, f.hbar), fn(f.data, zero, G16, f.m, f.hbar))
+    assert max_frequency(bare, G16, f.m, f.hbar) == max_frequency(zero, G16, f.m, f.hbar)
+    cfg = RunConfig(dt=2e-3, steps=3, source="external")
+    assert np.array_equal(run(f, cfg, bare).field.data, run(f, cfg, zero).field.data)
 
 
 ############################################################
