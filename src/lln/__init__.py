@@ -15,13 +15,11 @@ from .fields import (
     band_limited_noise,
     gaussian_packet,
     load_snapshot,
-    observables,
     save_potentials,
     save_snapshot,
 )
 from .geometry import (
     DENSITY_WEIGHT,
-    AnalyticPotential,
     GridPotential,
     TimeMap,
     brinkmann_metric,
@@ -51,9 +49,7 @@ from .sngroup import (
     element_from_dict,
     element_to_dict,
     exp_element,
-    infinitesimal_action,
     inverse,
-    lie_vector,
     load_element,
     represent,
     represent_fn,
@@ -74,7 +70,6 @@ from .evolve import (
     gauge_transform,
     ground_state,
     run,
-    spin_commutator_residual,
 )
 from .charges import (
     CSV_COLUMNS,

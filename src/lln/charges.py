@@ -25,7 +25,6 @@ from .evolve import RunConfig, energy_expectation, run, sn_energy
 from .fields import (
     PAULI,
     BispinorField,
-    GridSpec,
     axial_vector,
     canonical_current,
     density,
@@ -41,7 +40,6 @@ from .sngroup import SnGroupElement, represent, transform_potentials
 __all__ = [
     "ChargeRecord",
     "CSV_COLUMNS",
-    "momentum_density",
     "compute_charges",
     "drift_stats",
     "write_csv",
@@ -76,12 +74,6 @@ def _columns(fld):
 
 
 CSV_COLUMNS = tuple(c for fld in fields(ChargeRecord) for c in _columns(fld))
-
-
-def momentum_density(phi, p: Optional[GridPotential], grid: GridSpec, m: float, hbar: float):
-    """Canonical momentum density hbar Im(phi+ grad phi) (+ Coriolis spin term)."""
-    phi = np.asarray(phi, dtype=complex)
-    return _momentum_density(phi, partials(phi, grid), p, m, hbar)
 
 
 def _momentum_density(phi, gphi, p: Optional[GridPotential], m: float, hbar: float):

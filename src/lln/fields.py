@@ -22,7 +22,6 @@ __all__ = [
     "PAULI",
     "GridSpec",
     "BispinorField",
-    "Observables",
     "sigma_dot",
     "sigma_grad",
     "partials",
@@ -40,11 +39,9 @@ __all__ = [
     "first_moments",
     "gaussian_packet",
     "band_limited_noise",
-    "observables",
     "shift_field",
     "resample_separable",
     "sample_points",
-    "upsample",
     "Snapshot",
     "SnapshotDataError",
     "save_snapshot",
@@ -380,35 +377,6 @@ def band_limited_noise(grid: GridSpec, modes: int = 4, seed: int = 0, comps=(), 
     return f
 
 
-@dataclass
-class Observables:
-    norm2: float
-    centroid: np.ndarray  # <x>
-    momentum: np.ndarray  # <p> canonical
-    spin: np.ndarray  # <(hbar/2) sigma>
-    edge_fraction: float  # norm fraction in the outer 10% shell of any axis
-    edge_warning: bool
-
-
-def observables(f: BispinorField) -> Observables:
-    g = f.grid
-    rho = density(f.data)
-    total = float(integrate(rho, g))
-    cen = first_moments(rho, g) / total
-    mom = f.hbar * integrate(canonical_current(f.data, gradient(f.data, g)), g) / total
-    spin = 0.5 * f.hbar * integrate(spin_density(f.data), g) / total
-    edge = np.max(np.abs(g.mesh()), axis=0) > 0.45 * g.length
-    frac = float(integrate(rho * edge, g) / total)
-    return Observables(
-        norm2=total,
-        centroid=cen,
-        momentum=mom,
-        spin=spin,
-        edge_fraction=frac,
-        edge_warning=frac > 1e-6,
-    )
-
-
 ############################################################
 # trigonometric interpolation and resampling
 ############################################################
@@ -469,24 +437,6 @@ def sample_points(f, grid: GridSpec, pts) -> np.ndarray:
         G = (rows @ E3.T).reshape(lead + (n, n, -1))
         out[..., sl] = np.einsum("pa,...ap->...p", E1, np.einsum("pb,...abp->...ap", E2, G))
     return out.real if np.isrealobj(f) else out
-
-
-def upsample(f, grid: GridSpec, new_grid: GridSpec) -> np.ndarray:
-    """Zero-pad the spectrum onto a finer grid (same box length)."""
-    if new_grid.length != grid.length:
-        raise ValueError("upsample requires matching box lengths")
-    if new_grid.n < grid.n:
-        raise ValueError("target grid must be at least as fine")
-    F = fftn(np.asarray(f))
-    lead = F.shape[:-3]
-    out = np.zeros(lead + new_grid.shape, dtype=complex)
-    h = grid.n // 2
-    idx = np.r_[0:h, new_grid.n - h : new_grid.n]
-    src = np.r_[0:h, grid.n - h : grid.n]
-    out[(Ellipsis,) + np.ix_(idx, idx, idx)] = F[(Ellipsis,) + np.ix_(src, src, src)]
-    out *= (new_grid.n / grid.n) ** 3
-    res = ifftn(out)
-    return res.real if np.isrealobj(f) else res
 
 
 ############################################################

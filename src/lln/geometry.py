@@ -41,7 +41,6 @@ from .fields import (
 __all__ = [
     "DENSITY_WEIGHT",
     "PotentialSample",
-    "AnalyticPotential",
     "GridPotential",
     "brinkmann_metric",
     "brinkmann_metric_inverse",
@@ -52,7 +51,6 @@ __all__ = [
     "chirality_matrix",
     "christoffels",
     "christoffels_fd",
-    "ricci_fd",
     "RicciCheck",
     "ricci_constraint_residual",
     "TimeMap",
@@ -60,7 +58,6 @@ __all__ = [
     "generator_matrix",
     "generator_field",
     "spin_connection",
-    "spin_connection_contraction",
     "covariant_spinor_derivative",
     "lie_derivative_spinor_density",
     "dirac_residual",
@@ -100,49 +97,6 @@ class PotentialSample:
             or self.dvarpi is None
             or self.dtvarpi is None
         )
-
-
-@dataclass
-class AnalyticPotential:
-    """Closed-form (U, varpi), with optional closed-form first derivatives.
-
-    Callables take (x, t) with x of shape (..., 3) and return shapes as in
-    PotentialSample. Derivative callables are needed only by the closed-form
-    Christoffel path; finite-difference oracles work from values alone.
-    """
-
-    U: Callable
-    varpi: Callable
-    dU: Optional[Callable] = None
-    dtU: Optional[Callable] = None
-    dvarpi: Optional[Callable] = None
-    dtvarpi: Optional[Callable] = None
-
-    def sample(self, x, t=0.0, derivatives: bool = False) -> PotentialSample:
-        x = np.asarray(x, dtype=float)
-        s = PotentialSample(
-            U=np.asarray(self.U(x, t), dtype=float),
-            varpi=np.asarray(self.varpi(x, t), dtype=float),
-        )
-        if derivatives:
-            if self.dU is None or self.dvarpi is None:
-                raise ValueError(
-                    "analytic potential lacks derivative callables; "
-                    "use the finite-difference oracle instead"
-                )
-            s.dU = np.asarray(self.dU(x, t), dtype=float)
-            s.dvarpi = np.asarray(self.dvarpi(x, t), dtype=float)
-            s.dtU = (
-                np.asarray(self.dtU(x, t), dtype=float)
-                if self.dtU
-                else np.zeros_like(s.U)
-            )
-            s.dtvarpi = (
-                np.asarray(self.dtvarpi(x, t), dtype=float)
-                if self.dtvarpi
-                else np.zeros_like(s.varpi)
-            )
-        return s
 
 
 _ZERO = np.zeros(())  # the varpi of every GridPotential built without one
@@ -203,7 +157,9 @@ class GridPotential:
     @cached_property
     def gammas(self) -> "GammaSet":
         """gamma_set at the nodes, matrix axes leading, grid axes trailing:
-        (5, 4, 4, grid), built once for the spin connection and Kosmann term."""
+        (5, 4, 4, grid), built once for the spin connection and Kosmann term.
+        Only that spinor calculus reads it, but once read it is held for the
+        life of the potential: upper and lower sets take about 84 MB at 32^3."""
         gs = gamma_set(self.U, np.moveaxis(self.varpi, 0, -1))  # (grid, 5, 4, 4)
         up = np.moveaxis(gs.upper, (-3, -2, -1), (0, 1, 2))
         low = np.moveaxis(gs.lower, (-3, -2, -1), (0, 1, 2))
@@ -394,87 +350,29 @@ def christoffels_fd(potential, point, t: float = 0.0, h: float = 1e-3) -> np.nda
     return _connection_from_dg(gi, dg)
 
 
-def ricci_fd(potential, point, t: float = 0.0, h: float = 1e-3) -> np.ndarray:
-    """Ricci tensor at one event, assembled from finite differences of g.
-
-    Second derivatives use centered stencils over (x, t); the s direction is
-    flat by inspection of the metric components. Convention
-    R_{mu nu} = d_rho Gamma^rho_{mu nu} - d_mu Gamma^rho_{rho nu} + GG - GG.
-    """
-    point = np.asarray(point, dtype=float)
-
-    def gat(dx, dt_):
-        return _metric_at(potential, point + dx, t + dt_)
-
-    zeros3 = np.zeros(3)
-    g0 = gat(zeros3, 0.0)
-    gi0 = np.linalg.inv(g0)
-
-    def step(mu):
-        if mu < 3:
-            e = np.zeros(3)
-            e[mu] = h
-            return e, 0.0
-        if mu == 3:
-            return zeros3, h
-        return None  # s: flat direction
-
-    dg = np.zeros((5, 5, 5))
-    ddg = np.zeros((5, 5, 5, 5))
-    for mu in range(4):
-        ex, et = step(mu)
-        gp, gm = gat(ex, et), gat(-ex, -et)
-        dg[mu] = (gp - gm) / (2 * h)
-        ddg[mu, mu] = (gp - 2 * g0 + gm) / h**2
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            exm, etm = step(mu)
-            exn, etn = step(nu)
-            gpp = gat(exm + exn, etm + etn)
-            gmm = gat(-exm - exn, -etm - etn)
-            gpm = gat(exm - exn, etm - etn)
-            gmp = gat(-exm + exn, -etm + etn)
-            ddg[mu, nu] = ddg[nu, mu] = (gpp + gmm - gpm - gmp) / (4 * h**2)
-
-    Gam = _connection_from_dg(gi0, dg)
-    dGam = np.zeros((5, 5, 5, 5))  # [lambda, rho, mu, nu]
-    for lam in range(4):
-        dgi = -gi0 @ dg[lam] @ gi0
-        dGam[lam] = _connection_from_dg(dgi, dg) + _connection_from_dg(gi0, ddg[lam])
-    ric = (
-        np.einsum("rrmn->mn", dGam)
-        - np.einsum("mrrn->mn", dGam)
-        + np.einsum("rrl,lmn->mn", Gam, Gam)
-        - np.einsum("rml,lrn->mn", Gam, Gam)
-    )
-    return ric
-
-
 @dataclass
 class RicciCheck:
     """Field-equation residuals of a (U, varpi, rho) triple on a grid."""
 
-    scalar: np.ndarray  # Delta U + dt(div-term) + |Omega|^2/2 - 4 pi G rho
+    scalar: np.ndarray  # Delta U + |Omega|^2/2 - 4 pi G rho (static varpi)
     vector: np.ndarray  # curl curl varpi (vanishing <=> harmonic Coriolis)
     scalar_max: float
     scalar_max_meanfree: float
     vector_max: float
 
 
-def ricci_constraint_residual(
-    p: GridPotential, rho=None, G: float = 1.0, dt_div_varpi=0.0
-) -> RicciCheck:
+def ricci_constraint_residual(p: GridPotential, rho=None, G: float = 1.0) -> RicciCheck:
     """Check the only nontrivial curvature component against its source.
 
     The tt Ricci component reduces to Delta U + d_t(delta varpi) + |Omega|^2/2,
     and the off-tt components vanish iff delta(Omega) = curl curl varpi = 0.
-    Static snapshots have no d_t(delta varpi); pass it explicitly when known.
-    A periodic U can only balance the mean-free part of the source, so the
-    mean-free residual is reported alongside the raw maximum.
+    The potential is static, so d_t(delta varpi) = 0. A periodic U can only
+    balance the mean-free part of the source, so the mean-free residual is
+    reported alongside the raw maximum.
     """
     grid = p.grid
     rho = np.zeros(grid.shape) if rho is None else np.asarray(rho)
-    lhs = laplacian(p.U, grid) + dt_div_varpi + 0.5 * p.omega2
+    lhs = laplacian(p.U, grid) + 0.5 * p.omega2
     scalar = lhs - 4.0 * np.pi * G * rho
     vector = curl(p.curl_varpi, grid)
     mf = scalar - scalar.mean()
@@ -650,13 +548,6 @@ def spin_connection(p: GridPotential) -> np.ndarray:
         )
         out[mu] = -comm / 8.0
     return out
-
-
-def spin_connection_contraction(p: GridPotential) -> np.ndarray:
-    """gamma^mu omega_mu, shape (4, 4, grid); the Dirac operator's potential term."""
-    gam = p.gammas
-    om = spin_connection(p)
-    return np.einsum("mab...,mbc...->ac...", gam.upper, om)
 
 
 def covariant_spinor_derivative(

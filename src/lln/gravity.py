@@ -57,13 +57,14 @@ def poisson_periodic(rho, grid: GridSpec, G: float = 1.0):
     return inverse_laplacian(rho, grid) * (4.0 * np.pi * G)
 
 
-def constraint_potential(grid: GridSpec, rho, varpi_curl2=0.0, G: float = 1.0, dt_div=0.0):
+def constraint_potential(grid: GridSpec, rho, varpi_curl2=0.0, G: float = 1.0):
     """U balancing the full tt curvature constraint on the torus.
 
-    Delta U = 4 pi G rho - |Omega|^2 / 2 - d_t(delta varpi), mean-free part.
-    Pass |curl varpi|^2 for varpi_curl2 when a Coriolis field is present.
+    Delta U = 4 pi G rho - |Omega|^2 / 2, mean-free part, for a static varpi
+    (d_t(delta varpi) = 0). Pass |curl varpi|^2 for varpi_curl2 when a
+    Coriolis field is present.
     """
-    src = 4.0 * np.pi * G * np.asarray(rho) - 0.5 * np.asarray(varpi_curl2) - dt_div
+    src = 4.0 * np.pi * G * np.asarray(rho) - 0.5 * np.asarray(varpi_curl2)
     return inverse_laplacian(np.broadcast_to(src, grid.shape), grid)
 
 

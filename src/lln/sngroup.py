@@ -36,12 +36,11 @@ from .fields import (
     PAULI,
     BispinorField,
     GridSpec,
-    gradient,
     sample_points,
     shift_field,
     resample_separable,
 )
-from .geometry import DENSITY_WEIGHT, GridPotential, TimeMap, generator_field, generator_matrix
+from .geometry import GridPotential, TimeMap, generator_field, generator_matrix
 
 __all__ = [
     "SnGroupElement",
@@ -53,8 +52,6 @@ __all__ = [
     "compose",
     "inverse",
     "exp_element",
-    "lie_vector",
-    "infinitesimal_action",
     "represent",
     "represent_pair",
     "represent_fn",
@@ -302,12 +299,6 @@ class LieParams:
         self.gamma = np.asarray(self.gamma, dtype=float).reshape(3)
 
 
-def lie_vector(X: LieParams):
-    """Coordinate components of the generator as a callable (x, t, s) -> tuple."""
-    L = generator_matrix(X)
-    return lambda x, t=0.0, s=0.0: _apply(L, x, t, s)
-
-
 def exp_element(X: LieParams, tau: float = 1.0) -> SnGroupElement:
     """Exponentiate a generator to a finite element.
 
@@ -315,49 +306,6 @@ def exp_element(X: LieParams, tau: float = 1.0) -> SnGroupElement:
     matrix exponential; the element parameters are read back off its blocks.
     """
     return _element(expm(tau * generator_matrix(X)))
-
-
-def infinitesimal_action(
-    X: LieParams,
-    psi: np.ndarray,
-    grid: GridSpec,
-    m: float,
-    hbar: float,
-    dt_psi=None,
-    t0: float = 0.0,
-) -> np.ndarray:
-    """Group-side Lie derivative of a 4-spinor density on flat space.
-
-    Built directly from the generator data (no metric machinery), as the
-    strong-operator derivative: represent(exp(tau X)) = exp(-tau L) with L
-    the returned operator. dt_psi is required whenever the generator moves
-    time (eps != 0 or delta != 0 at t0 != 0).
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape[0] != 4:
-        raise ValueError("expected a 4-component spinor field")
-    L = generator_matrix(X)
-    Xup = generator_field(L, grid.mesh(), t0)
-    Xx, Xt, Xs = Xup[:3], Xup[3], Xup[4]
-
-    gpsi = gradient(psi, grid)
-    out = np.einsum("j...,ja...->a...", Xx, gpsi)
-    if np.any(Xt):
-        if dt_psi is None:
-            raise ValueError("generator moves time; dt_psi is required")
-        out = out + Xt * np.asarray(dt_psi, dtype=complex)
-    out = out + (1j * m / hbar) * Xs * psi
-
-    so = np.einsum("j,jab->ab", X.omega, PAULI)
-    sb = np.einsum("j,jab->ab", X.beta, PAULI)
-    block = np.zeros((4, 4), dtype=complex)
-    block[:2, :2] = X.delta * np.eye(2) + 0.5j * so
-    block[2:, 2:] = -X.delta * np.eye(2) + 0.5j * so
-    block[2:, :2] = 0.5j * sb
-    out = out + np.einsum("ab,b...->a...", block, psi)
-
-    out = out + DENSITY_WEIGHT * np.trace(L[:5, :5]) * psi
-    return out
 
 
 ############################################################

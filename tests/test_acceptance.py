@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from lln.fields import (
+    PAULI,
     GridSpec,
     band_limited_noise,
     density,
@@ -37,7 +38,6 @@ from lln.evolve import (
     chi_from_phi,
     gauge_transform,
     run,
-    spin_commutator_residual,
 )
 from lln.charges import compute_charges, covariance_test, drift_stats
 from lln.sngroup import (
@@ -255,6 +255,25 @@ def test_gauge_related_runs_share_densities():
 ############################################################
 # 7. spin precession identity
 ############################################################
+
+
+def spin_commutator_residual(Omega, hbar: float = 1.0) -> float:
+    """Exact 2x2 check of the precession law for uniform vorticity.
+
+    (i/hbar) [ -(hbar/4) sigma(Omega), S_j ] must equal (S x Omega)_j / 2
+    with S = (hbar/2) sigma; returns the max operator-norm deviation.
+    """
+    Omega = np.asarray(Omega, dtype=float)
+    Hs = -0.25 * hbar * np.einsum("j,jab->ab", Omega, PAULI)
+    worst = 0.0
+    for j in range(3):
+        S_j = 0.5 * hbar * PAULI[j]
+        comm = (1j / hbar) * (Hs @ S_j - S_j @ Hs)
+        # (S x Omega)_j = sigma(v), v = (hbar/2) Omega x e_j
+        v = 0.5 * hbar * np.cross(Omega, np.eye(3)[j])
+        target = 0.5 * np.einsum("k,kab->ab", v, PAULI)
+        worst = max(worst, float(np.max(np.abs(comm - target))))
+    return worst
 
 
 def test_spin_precession_operator_identity():

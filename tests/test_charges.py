@@ -26,12 +26,12 @@ from lln.geometry import GridPotential
 from lln.gravity import mass_density, poisson_periodic
 from lln.sngroup import SnGroupElement
 from lln.charges import (
+    _momentum_density,
     CSV_COLUMNS,
     ChargeRecord,
     compute_charges,
     covariance_test,
     drift_stats,
-    momentum_density,
     read_csv,
     write_csv,
 )
@@ -74,8 +74,9 @@ def test_plane_wave_charges():
     assert np.isnan(rec.E_sn)
     assert abs(rec.T_kin - rec.E_paper) < 1e-12
     # spin up along z: J_z picks up hbar/2 on top of the orbital part
-    pd = momentum_density(f.data, None, G32, f.m, f.hbar)
+    pd = _momentum_density(f.data, gradient(f.data, G32), None, f.m, f.hbar)
     assert pd.shape == (3,) + G32.shape
+    assert np.max(np.abs(integrate(pd, G32) - rec.P)) < 1e-12
 
 
 def _charges_reference(f, p, mode):

@@ -1,4 +1,5 @@
-"""Export hygiene: every name a module exports exists and is used, and the
+"""Export hygiene: every name a module exports exists and is used outside
+the tests (or is one of the paper's objects the library keeps), and the
 package namespace re-exports only names its source modules export."""
 
 import ast
@@ -47,11 +48,43 @@ def _loaded_names(path):
             yield node.attr
 
 
-def test_every_export_is_used():
-    used = set()
-    for sub in ("src", "tests", "demos"):
+def _unread_exports(subs, kept=()):
+    """module.name of every exported name, other than kept, that no file
+    under subs reads."""
+    used = set(kept)
+    for sub in subs:
         for path in (ROOT / sub).rglob("*.py"):
             used.update(_loaded_names(path))
-    unused = [f"{name}.{n}" for name in MODULES
-              for n in importlib.import_module(name).__all__ if n not in used]
+    return [f"{name}.{n}" for name in MODULES
+            for n in importlib.import_module(name).__all__ if n not in used]
+
+
+def test_every_export_is_used():
+    unused = _unread_exports(("src", "tests", "demos"))
     assert not unused, f"exported but never used: {unused}"
+
+
+# Exports that only tests read, kept in the library because the paper names
+# them or because they are the half of an I/O round trip that the CLI does
+# not call. Any other test-only helper belongs in the tests.
+PAPER_OBJECTS = (
+    "dirac_residual",  # the coupled first-order equations of the Pauli pairs
+    "current_and_continuity",  # the probability current and its continuity law
+    "gauge_transform",  # the vertical gauge map of the Bargmann lift
+    "lie_derivative_spinor_density",  # the Kosmann Lie derivative of a spinor density
+    "act",  # the group action on Bargmann events
+    "inverse",  # the group inverse
+    "exp_element",  # the exponential map from the Lie algebra
+    "LieParams",  # a Lie algebra element, the argument of exp_element
+    "represent_pair",  # the representation on both Pauli pairs (phi, chi)
+    "read_csv",  # reads the charge CSV that write_csv writes
+    "save_potentials",  # writes the potential snapshot that load_snapshot reads
+    "save_element",  # writes the element JSON that load_element reads
+)
+
+
+def test_every_export_is_used_outside_the_tests():
+    exported = {n for name in MODULES for n in importlib.import_module(name).__all__}
+    assert set(PAPER_OBJECTS) <= exported, "PAPER_OBJECTS lists a name no module exports"
+    unused = _unread_exports(("src", "demos", "perfbench"), PAPER_OBJECTS)
+    assert not unused, f"exported but read only by tests: {unused}"

@@ -10,13 +10,12 @@ from lln.fields import (
     band_limited_noise,
     gaussian_packet,
     load_snapshot,
-    observables,
     sample_points,
     save_potentials,
     save_snapshot,
     shift_field,
-    upsample,
 )
+from oracles import observables
 
 G32 = GridSpec(n=32, length=16.0)
 G16 = GridSpec(n=16, length=16.0)
@@ -204,22 +203,6 @@ def test_sample_points_matches_one_contraction(lead, count):
         assert vals.shape == lead + (count,)
         assert np.isrealobj(vals) == np.isrealobj(f)
         assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-def test_upsample_band_limited_exact():
-    g48 = GridSpec(n=48, length=16.0)
-    bl = band_limited_noise(G32, modes=5, seed=77, comps=(2,)).astype(complex)
-    up = upsample(bl, G32, g48)
-    ax = g48.axis()
-    ref = fields.resample_separable(bl, G32, (ax, ax, ax))
-    assert np.max(np.abs(up - ref)) < 1e-13
-    n0 = np.sum(np.abs(bl) ** 2) * G32.dv
-    n1 = np.sum(np.abs(up) ** 2) * g48.dv
-    assert abs(n1 / n0 - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        upsample(bl, G32, GridSpec(n=16, length=16.0))
-    with pytest.raises(ValueError):
-        upsample(bl, G32, GridSpec(n=48, length=12.0))
 
 
 def test_observables_edge_warning():

@@ -13,10 +13,16 @@ from lln.fields import (
     GridSpec,
     band_limited_noise,
     gaussian_packet,
-    observables,
+    gradient,
     sample_points,
 )
-from lln.geometry import GridPotential, lie_derivative_spinor_density
+from lln.geometry import (
+    DENSITY_WEIGHT,
+    GridPotential,
+    generator_field,
+    generator_matrix,
+    lie_derivative_spinor_density,
+)
 from lln.sngroup import (
     LieParams,
     SnGroupElement,
@@ -25,9 +31,7 @@ from lln.sngroup import (
     element_from_dict,
     element_to_dict,
     exp_element,
-    infinitesimal_action,
     inverse,
-    lie_vector,
     load_element,
     matrix_from_quat,
     quat_from_matrix,
@@ -38,6 +42,7 @@ from lln.sngroup import (
     su2_from_quat,
     transform_potentials,
 )
+from oracles import observables
 
 G16 = GridSpec(n=16, length=16.0)
 G32 = GridSpec(n=32, length=16.0)
@@ -299,8 +304,8 @@ def test_exp_one_parameter_subgroup():
 def test_lie_vector_components():
     X = LieParams(omega=[0, 0, 2.0], beta=[1.0, 0, 0], gamma=[0, 3.0, 0],
                   delta=0.2, eps=0.5, eta=0.7)
-    fn = lie_vector(X)
-    xx, xt, xs = fn(np.array([1.0, 0.0, 0.0]), t=2.0, s=1.5)
+    Xup = generator_field(generator_matrix(X), [1.0, 0.0, 0.0], t=2.0, s=1.5)
+    xx, xt, xs = Xup[:3], Xup[3], Xup[4]
     # omega x x = (0, 2, 0); + t beta = (2, 0, 0); + gamma; - 3 delta x
     assert np.max(np.abs(xx - np.array([2.0 - 0.6, 2.0 + 3.0, 0.0]))) < 1e-14
     assert abs(xt - (-5 * 0.2 * 2.0 + 0.5)) < 1e-14
@@ -534,6 +539,49 @@ def four_spinor_field(grid, seed):
     re = band_limited_noise(grid, modes=3, seed=seed, comps=(4,))
     im = band_limited_noise(grid, modes=3, seed=seed + 500, comps=(4,))
     return (re + 1j * im).astype(complex)
+
+
+def infinitesimal_action(
+    X: LieParams,
+    psi: np.ndarray,
+    grid: GridSpec,
+    m: float,
+    hbar: float,
+    dt_psi=None,
+    t0: float = 0.0,
+) -> np.ndarray:
+    """Group-side Lie derivative of a 4-spinor density on flat space.
+
+    Built directly from the generator data (no metric machinery), as the
+    strong-operator derivative: represent(exp(tau X)) = exp(-tau L) with L
+    the returned operator. dt_psi is required whenever the generator moves
+    time (eps != 0 or delta != 0 at t0 != 0).
+    """
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape[0] != 4:
+        raise ValueError("expected a 4-component spinor field")
+    L = generator_matrix(X)
+    Xup = generator_field(L, grid.mesh(), t0)
+    Xx, Xt, Xs = Xup[:3], Xup[3], Xup[4]
+
+    gpsi = gradient(psi, grid)
+    out = np.einsum("j...,ja...->a...", Xx, gpsi)
+    if np.any(Xt):
+        if dt_psi is None:
+            raise ValueError("generator moves time; dt_psi is required")
+        out = out + Xt * np.asarray(dt_psi, dtype=complex)
+    out = out + (1j * m / hbar) * Xs * psi
+
+    so = np.einsum("j,jab->ab", X.omega, PAULI)
+    sb = np.einsum("j,jab->ab", X.beta, PAULI)
+    block = np.zeros((4, 4), dtype=complex)
+    block[:2, :2] = X.delta * np.eye(2) + 0.5j * so
+    block[2:, 2:] = -X.delta * np.eye(2) + 0.5j * so
+    block[2:, :2] = 0.5j * sb
+    out = out + np.einsum("ab,b...->a...", block, psi)
+
+    out = out + DENSITY_WEIGHT * np.trace(L[:5, :5]) * psi
+    return out
 
 
 def test_infinitesimal_guards():
