@@ -21,7 +21,6 @@ from .fields import (
 from .geometry import (
     DENSITY_WEIGHT,
     GridPotential,
-    TimeMap,
     brinkmann_metric,
     brinkmann_metric_inverse,
     chirality_matrix,
@@ -32,7 +31,6 @@ from .geometry import (
     gamma_set,
     lie_derivative_spinor_density,
     ricci_constraint_residual,
-    schwarzian,
     spin_connection,
 )
 from .gravity import (

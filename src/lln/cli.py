@@ -325,12 +325,6 @@ def cmd_verify_geometry(args) -> int:
         ).vector_max
     )
 
-    # Schwarzian of the induced affine time maps
-    u = sngroup.SnGroupElement.random(seed=args.seed)
-    report["schwarzian_affine"] = float(
-        np.max(np.abs(geometry.schwarzian(u.time_map(), np.linspace(-1, 1, 7))))
-    )
-
     tols = {
         "clifford_upper": args.tol_clifford,
         "clifford_lower": args.tol_clifford,
@@ -341,7 +335,6 @@ def cmd_verify_geometry(args) -> int:
         "christoffel_offpattern": args.tol_christoffel,
         "constraint_scalar": args.tol_constraint,
         "constraint_vector_uniform": args.tol_constraint,
-        "schwarzian_affine": args.tol_clifford,
     }
     # every verdict is written `not (v <= tol)`, so that NaN fails
     failures = {k: v for k, v in report.items() if not (v <= tols[k])}

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,8 +53,6 @@ __all__ = [
     "christoffels_fd",
     "RicciCheck",
     "ricci_constraint_residual",
-    "TimeMap",
-    "schwarzian",
     "generator_matrix",
     "generator_field",
     "spin_connection",
@@ -153,17 +151,6 @@ class GridPotential:
     @cached_property
     def div_varpi(self):
         return np.trace(self.dvarpi)
-
-    @cached_property
-    def gammas(self) -> "GammaSet":
-        """gamma_set at the nodes, matrix axes leading, grid axes trailing:
-        (5, 4, 4, grid), built once for the spin connection and Kosmann term.
-        Only that spinor calculus reads it, but once read it is held for the
-        life of the potential: upper and lower sets take about 84 MB at 32^3."""
-        gs = gamma_set(self.U, np.moveaxis(self.varpi, 0, -1))  # (grid, 5, 4, 4)
-        up = np.moveaxis(gs.upper, (-3, -2, -1), (0, 1, 2))
-        low = np.moveaxis(gs.lower, (-3, -2, -1), (0, 1, 2))
-        return GammaSet(upper=up, lower=low)
 
     @cached_property
     def omega2(self):
@@ -386,80 +373,6 @@ def ricci_constraint_residual(p: GridPotential, rho=None, G: float = 1.0) -> Ric
 
 
 ############################################################
-# time reparametrization
-############################################################
-
-
-@dataclass
-class TimeMap:
-    """Orientation-preserving reparametrization t -> f(t).
-
-    Derivative callables are optional; without them the Schwarzian falls back
-    to centered finite differences of f alone.
-    """
-
-    f: Callable
-    df: Optional[Callable] = None
-    d2f: Optional[Callable] = None
-    d3f: Optional[Callable] = None
-    name: str = ""
-
-    def __call__(self, t):
-        return self.f(t)
-
-    @classmethod
-    def affine(cls, a: float, b: float) -> "TimeMap":
-        if a <= 0:
-            raise ValueError("affine time map needs positive slope")
-        return cls(
-            f=lambda t: a * np.asarray(t) + b,
-            df=lambda t: a * np.ones_like(np.asarray(t, dtype=float)),
-            d2f=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            d3f=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            name=f"affine({a}, {b})",
-        )
-
-    @classmethod
-    def homography(cls, a: float, b: float, c: float, d: float) -> "TimeMap":
-        det = a * d - b * c
-        if det <= 0:
-            raise ValueError("homography needs positive determinant")
-        return cls(
-            f=lambda t: (a * np.asarray(t) + b) / (c * np.asarray(t) + d),
-            df=lambda t: det / (c * np.asarray(t) + d) ** 2,
-            d2f=lambda t: -2 * c * det / (c * np.asarray(t) + d) ** 3,
-            d3f=lambda t: 6 * c**2 * det / (c * np.asarray(t) + d) ** 4,
-            name=f"homography({a}, {b}, {c}, {d})",
-        )
-
-    @classmethod
-    def power(cls, p: float) -> "TimeMap":
-        # t > 0 only
-        return cls(
-            f=lambda t: np.asarray(t, dtype=float) ** p,
-            df=lambda t: p * np.asarray(t, dtype=float) ** (p - 1),
-            d2f=lambda t: p * (p - 1) * np.asarray(t, dtype=float) ** (p - 2),
-            d3f=lambda t: p * (p - 1) * (p - 2) * np.asarray(t, dtype=float) ** (p - 3),
-            name=f"power({p})",
-        )
-
-
-def schwarzian(tm: TimeMap, t, h: float = 1e-3):
-    """S(f) = f'''/f' - (3/2)(f''/f')^2; zero exactly for homographies."""
-    t = np.asarray(t, dtype=float)
-    if tm.df is not None and tm.d2f is not None and tm.d3f is not None:
-        d1, d2, d3 = tm.df(t), tm.d2f(t), tm.d3f(t)
-    else:
-        f = tm.f
-        d1 = (f(t + h) - f(t - h)) / (2 * h)
-        d2 = (f(t + h) - 2 * f(t) + f(t - h)) / h**2
-        d3 = (f(t + 2 * h) - 2 * f(t + h) + 2 * f(t - h) - f(t - 2 * h)) / (2 * h**3)
-    if np.any(np.asarray(d1) <= 0):
-        raise ValueError("time map must be orientation preserving (f' > 0)")
-    return d3 / d1 - 1.5 * (d2 / d1) ** 2
-
-
-############################################################
 # conformal generators
 ############################################################
 
@@ -507,47 +420,43 @@ def generator_field(L: np.ndarray, x, t=0.0, s=0.0) -> np.ndarray:
 ############################################################
 
 
-def _dgamma_lower(p: GridPotential, mu: int) -> np.ndarray:
-    """d_mu gamma_rho on the grid, shape (5, 4, 4, grid); mu in 0..4.
-
-    The lowered matrices are affine in (U, varpi), so their derivative is
-    gamma_set(d_mu U, d_mu varpi).lower less its constant part.
-    """
-    if mu >= 3:  # static potentials, s-independent metric
-        return np.zeros((5, 4, 4) + p.grid.shape, dtype=complex)
-    low = gamma_set(p.dU[mu], np.moveaxis(p.dvarpi[mu], 0, -1)).lower
-    low -= gamma_set(0.0, np.zeros(3)).lower
-    return np.moveaxis(low, (-3, -2, -1), (0, 1, 2))
+def _connection_matrices() -> np.ndarray:
+    """Constant T, shape (5 * 16, 6), with omega_mu = T F reshaped, where
+    F = (d_1 U, d_2 U, d_3 U, (curl varpi)_1, (curl varpi)_2, (curl varpi)_3)."""
+    eps = np.zeros((3, 3, 3))  # Omega_ij = eps_ijk (curl varpi)_k
+    eps[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+    eps[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
+    gam = gamma_set(0.0, np.zeros(3)).upper  # the frame gammas Gamma^a
+    sp = gam[:3]
+    C = gam[3] @ sp - sp @ gam[3]  # [Gamma^t, Gamma^i]
+    T = np.zeros((5, 4, 4, 6), dtype=complex)
+    T[:3, ..., 3:] = -0.125 * np.einsum("ijk,iab->jabk", eps, C)
+    T[3, ..., :3] = 0.25 * np.moveaxis(C, 0, -1)
+    T[3, ..., 3:] = 0.125 * np.einsum("ijk,iab,jbc->ack", eps, sp, sp)
+    return T.reshape(80, 6)
 
 
 def spin_connection(p: GridPotential) -> np.ndarray:
     """Connection matrices omega_mu, shape (5, 4, 4, grid).
 
-    nabla_mu psi = d_mu psi + omega_mu psi with
-    omega_mu = -(1/8) [gamma^rho, d_mu gamma_rho - Gamma^sigma_{mu rho} gamma_sigma].
-    omega_s vanishes: nothing depends on s and no Christoffel has a lower s.
+    nabla_mu psi = d_mu psi + omega_mu psi. The coframe theta^i = dx^i,
+    theta^t = dt, theta^s = ds + varpi.dx - U dt is orthonormal for g
+    (g = theta^i theta^i + 2 theta^t theta^s), and gamma_set is its frame
+    image: gamma^mu = E^mu_a Gamma^a with the constant Gamma^a = gamma_set at
+    zero potentials. With Omega_ij = d_i varpi_j - d_j varpi_i the only
+    non-closed coframe form has d theta^s = (1/2) Omega_ij dx^i ^ dx^j -
+    dU ^ dt, and Cartan's structure equation gives
+
+        omega_j = -(1/8) Omega_ij [Gamma^t, Gamma^i],
+        omega_t = (1/4) d_i U [Gamma^t, Gamma^i] + (1/8) Omega_ij Gamma^i Gamma^j,
+        omega_s = 0,
+
+    constant matrices times the Newton-Cartan data grad U and curl varpi.
+    The coordinate form -(1/8) [gamma^rho, d_mu gamma_rho -
+    Gamma^sigma_{mu rho} gamma_sigma] is the test oracle.
     """
-    gam = p.gammas
-    # christoffels at the nodes, index axes moved in front; static potentials
-    nodes = PotentialSample(
-        U=p.U,
-        varpi=np.moveaxis(p.varpi, 0, -1),
-        dU=np.moveaxis(p.dU, 0, -1),
-        dtU=np.zeros(p.grid.shape),
-        dvarpi=np.moveaxis(p.dvarpi, (0, 1), (-2, -1)),
-        dtvarpi=np.zeros(p.grid.shape + (3,)),
-    )
-    Gam = np.moveaxis(christoffels(nodes), (-3, -2, -1), (0, 1, 2))
-    out = np.zeros((5, 4, 4) + p.grid.shape, dtype=complex)
-    for mu in range(4):  # omega_s = 0
-        D = _dgamma_lower(p, mu) - np.einsum(
-            "sr...,sab...->rab...", Gam[:, mu, :], gam.lower
-        )
-        comm = np.einsum("rab...,rbc...->ac...", gam.upper, D) - np.einsum(
-            "rab...,rbc...->ac...", D, gam.upper
-        )
-        out[mu] = -comm / 8.0
-    return out
+    F = np.concatenate([p.dU, p.curl_varpi]).reshape(6, -1)
+    return (_connection_matrices() @ F).reshape((5, 4, 4) + p.grid.shape)
 
 
 def covariant_spinor_derivative(
@@ -614,17 +523,18 @@ def lie_derivative_spinor_density(
     dX[:3] += np.einsum("...mnl,l...->mn...", dg, Xup)
 
     A = 0.5 * (dX - np.swapaxes(dX, 0, 1))
-    gam = p.gammas
+    # frame components A_ab = E^mu_a A_mu nu E^nu_b (see spin_connection):
+    # E differs from the identity only in its s row, by e = (-varpi, U, 0),
+    # so E^T A E adds multiples of the s column and then of the s row
+    e = np.concatenate([-p.varpi, p.U[None], np.zeros((1,) + p.grid.shape)])
+    A += A[:, 4:5] * e
+    A += e[:, None] * A[4:5]
+    # -(1/4) A_ab Gamma^a Gamma^b = -(1/4) sum_{a<b} A_ab [Gamma^a, Gamma^b]
+    gam = gamma_set(0.0, np.zeros(3)).upper
     kos = np.zeros_like(psi)
-    for mu in range(5):
-        for nu in range(5):
-            a = A[mu, nu]
-            if not np.any(a):
-                continue
-            block = np.einsum(
-                "ab...,bc...,c...->a...", gam.upper[mu], gam.upper[nu], psi
-            )
-            kos += -0.25 * a * block
+    for a, b in zip(*np.triu_indices(5, 1)):
+        comm = gam[a] @ gam[b] - gam[b] @ gam[a]
+        kos -= 0.25 * A[a, b] * np.einsum("ij,j...->i...", comm, psi)
 
     divX = np.trace(L[:5, :5])
     return transport + kos + DENSITY_WEIGHT * divX * psi

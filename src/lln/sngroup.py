@@ -40,7 +40,7 @@ from .fields import (
     shift_field,
     resample_separable,
 )
-from .geometry import GridPotential, TimeMap, generator_field, generator_matrix
+from .geometry import GridPotential, generator_field, generator_matrix
 
 __all__ = [
     "SnGroupElement",
@@ -233,10 +233,6 @@ class SnGroupElement:
             h=0.5 * rng.standard_normal(),
         )
 
-    def time_map(self) -> TimeMap:
-        """The induced reparametrization t -> (d t + e)/g (Schwarzian-free)."""
-        return TimeMap.affine(self.matrix[3, 3], self.matrix[3, 5])
-
 
 def _element(E) -> SnGroupElement:
     """The element whose matrix is E, read back off its blocks."""
@@ -405,7 +401,8 @@ def represent_pair(u: SnGroupElement, f: BispinorField, chi):
 def _represent_pair(u: SnGroupElement, f: BispinorField, chi):
     grid = f.grid
     nu = u.nu
-    t_hat = float(u.time_map()(f.time))
+    E = u.matrix
+    t_hat = float(E[3, 3] * f.time + E[3, 5])  # the affine t -> (d t + e)/g
     M, v, _, k, s_in = _pullback(u, t_hat)
     phi_p = _resample_linear(f.data, grid, M, v)
     upper, lower_left, lower_right = _rep_blocks(u)
@@ -466,7 +463,7 @@ def transform_potentials(u: SnGroupElement, p: GridPotential, t_hat=None) -> Gri
     grid = p.grid
     nu = u.nu
     if t_hat is None:
-        t_hat = float(u.time_map()(0.0))
+        t_hat = float(u.matrix[3, 5])  # the image (d 0 + e)/g of t = 0
     M, v = _pullback(u, t_hat)[:2]
     U_p = _resample_linear(p.U[None], grid, M, v)[0]
     w_p = _resample_linear(p.varpi, grid, M, v)

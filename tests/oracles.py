@@ -1,4 +1,6 @@
-"""Test-side oracles that more than one test module reads.
+"""Test-side oracles: observables that more than one test module reads, and
+the commutator form of the spinor connection that the closed form in
+:mod:`lln.geometry` is checked against.
 
 Not collected by pytest (no test_ prefix); test modules import it as
 ``oracles``, the tests directory being on the import path.
@@ -16,6 +18,18 @@ from lln.fields import (
     gradient,
     integrate,
     spin_density,
+)
+from lln.geometry import (
+    DENSITY_WEIGHT,
+    GammaSet,
+    GridPotential,
+    PotentialSample,
+    _metric_part,
+    brinkmann_metric,
+    christoffels,
+    gamma_set,
+    generator_field,
+    generator_matrix,
 )
 
 
@@ -46,3 +60,91 @@ def observables(f: BispinorField) -> Observables:
         edge_fraction=frac,
         edge_warning=frac > 1e-6,
     )
+
+
+############################################################
+# the spinor connection by commutators of the grid gammas
+############################################################
+
+
+def grid_gammas(p: GridPotential) -> GammaSet:
+    """gamma_set at the nodes, matrix axes leading, grid axes trailing:
+    (5, 4, 4) + grid shape, about 84 MB for both index positions at 32^3."""
+    gs = gamma_set(p.U, np.moveaxis(p.varpi, 0, -1))  # (grid, 5, 4, 4)
+    up = np.moveaxis(gs.upper, (-3, -2, -1), (0, 1, 2))
+    low = np.moveaxis(gs.lower, (-3, -2, -1), (0, 1, 2))
+    return GammaSet(upper=up, lower=low)
+
+
+def dgamma_lower(p: GridPotential, mu: int) -> np.ndarray:
+    """d_mu gamma_rho on the grid, shape (5, 4, 4) + grid; mu in 0..4.
+
+    The lowered matrices are affine in (U, varpi), so their derivative is
+    gamma_set(d_mu U, d_mu varpi).lower less its constant part.
+    """
+    if mu >= 3:  # static potentials, s-independent metric
+        return np.zeros((5, 4, 4) + p.grid.shape, dtype=complex)
+    low = gamma_set(p.dU[mu], np.moveaxis(p.dvarpi[mu], 0, -1)).lower
+    low -= gamma_set(0.0, np.zeros(3)).lower
+    return np.moveaxis(low, (-3, -2, -1), (0, 1, 2))
+
+
+def spin_connection_commutator(p: GridPotential) -> np.ndarray:
+    """omega_mu = -(1/8) [gamma^rho, d_mu gamma_rho - Gamma^sigma_{mu rho} gamma_sigma],
+    shape (5, 4, 4) + grid; omega_s = 0."""
+    gam = grid_gammas(p)
+    # christoffels at the nodes, index axes moved in front; static potentials
+    nodes = PotentialSample(
+        U=p.U,
+        varpi=np.moveaxis(p.varpi, 0, -1),
+        dU=np.moveaxis(p.dU, 0, -1),
+        dtU=np.zeros(p.grid.shape),
+        dvarpi=np.moveaxis(p.dvarpi, (0, 1), (-2, -1)),
+        dtvarpi=np.zeros(p.grid.shape + (3,)),
+    )
+    Gam = np.moveaxis(christoffels(nodes), (-3, -2, -1), (0, 1, 2))
+    out = np.zeros((5, 4, 4) + p.grid.shape, dtype=complex)
+    for mu in range(4):  # omega_s = 0
+        D = dgamma_lower(p, mu) - np.einsum(
+            "sr...,sab...->rab...", Gam[:, mu, :], gam.lower
+        )
+        comm = np.einsum("rab...,rbc...->ac...", gam.upper, D) - np.einsum(
+            "rab...,rbc...->ac...", D, gam.upper
+        )
+        out[mu] = -comm / 8.0
+    return out
+
+
+def covariant_spinor_derivative_commutator(psi, p: GridPotential, m, hbar, dt_psi, omega):
+    """nabla_mu psi, shape (5, 4) + grid, with omega from spin_connection_commutator."""
+    psi = np.asarray(psi, dtype=complex)
+    out = np.empty((5,) + psi.shape, dtype=complex)
+    out[:3] = gradient(psi, p.grid)
+    out[3] = dt_psi
+    out[4] = (1j * m / hbar) * psi
+    return out + np.einsum("mab...,b...->ma...", omega, psi)
+
+
+def lie_derivative_commutator(psi, p: GridPotential, X, nabla, t0=0.0):
+    """L_X psi = X^mu nabla_mu psi - (1/4) d_[mu X_nu] gamma^mu gamma^nu psi
+    + w (div X) psi on the s = 0 slice, with coordinate gammas on the grid
+    and nabla from covariant_spinor_derivative_commutator."""
+    psi = np.asarray(psi, dtype=complex)
+    L = generator_matrix(X)
+    Xup = generator_field(L, p.grid.mesh(), t0)
+    transport = np.einsum("m...,ma...->a...", Xup, nabla)
+    # d_mu X_nu = g_{nu lambda} L[lambda, mu] + (d_mu g_{nu lambda}) X^lambda
+    g = brinkmann_metric(p.U, np.moveaxis(p.varpi, 0, -1))
+    dX = np.einsum("...nl,lm->mn...", g, L[:5, :5])
+    dg = _metric_part(np.moveaxis(p.dU, 0, -1), np.moveaxis(p.dvarpi, (0, 1), (-2, -1)))
+    dX[:3] += np.einsum("...mnl,l...->mn...", dg, Xup)
+    A = 0.5 * (dX - np.swapaxes(dX, 0, 1))
+    up = grid_gammas(p).upper
+    kos = np.zeros_like(psi)
+    for mu in range(5):
+        for nu in range(5):
+            a = A[mu, nu]
+            if not np.any(a):
+                continue
+            kos += -0.25 * a * np.einsum("ab...,bc...,c...->a...", up[mu], up[nu], psi)
+    return transport + kos + DENSITY_WEIGHT * np.trace(L[:5, :5]) * psi

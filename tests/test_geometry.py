@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import dataclass
@@ -11,12 +13,10 @@ from lln.evolve import RunConfig, apply_hamiltonian, chi_from_phi, max_frequency
 from lln.fields import GridSpec, band_limited_noise
 from lln.geometry import (
     _connection_from_dg,
-    _dgamma_lower,
     _metric_at,
     DENSITY_WEIGHT,
     GridPotential,
     PotentialSample,
-    TimeMap,
     brinkmann_metric,
     brinkmann_metric_inverse,
     chirality_matrix,
@@ -27,10 +27,10 @@ from lln.geometry import (
     gamma_set,
     lie_derivative_spinor_density,
     ricci_constraint_residual,
-    schwarzian,
     spin_connection,
     volume_density,
 )
+import oracles
 
 RNG = np.random.default_rng(20260819)
 G32 = GridSpec(n=32, length=16.0)
@@ -163,8 +163,6 @@ def test_potential_without_varpi_shares_one_read_only_zero():
     f = fields.gaussian_packet(G16, sigma=1.2, spin=(0.6, 0.8j))
     for name in ("varpi", "dvarpi", "curl_varpi", "div_varpi", "omega2"):
         assert np.array_equal(getattr(bare, name), getattr(zero, name)), name
-    for part in ("upper", "lower"):
-        assert np.array_equal(getattr(bare.gammas, part), getattr(zero.gammas, part))
     x = RNG.uniform(-4.0, 4.0, (5, 3))
     sb, sz = bare.sample(x, derivatives=True), zero.sample(x, derivatives=True)
     for name in ("U", "varpi", "dU", "dvarpi", "dtU", "dtvarpi"):
@@ -239,6 +237,18 @@ def test_lowered_gamma_blocks():
         + up[..., 4, :, :]
     )
     assert np.max(np.abs(low[..., 3, :, :] - ref_t)) < 1e-13
+
+
+def test_gamma_set_is_the_frame_image_of_constant_gammas():
+    # gamma^mu = E^mu_a Gamma^a for the coframe theta^s = ds + varpi.dx - U dt:
+    # E is the identity but for its s row (-varpi, U, 1), and Gamma^a is
+    # gamma_set at zero potentials; spin_connection rests on this
+    U, w = random_uw(P=50)
+    E = np.broadcast_to(np.eye(5), U.shape + (5, 5)).copy()
+    E[..., 4, :3] = -w
+    E[..., 4, 3] = U
+    frame = np.einsum("...ma,aij->...mij", E, gamma_set(0.0, np.zeros(3)).upper)
+    assert np.max(np.abs(gamma_set(U, w).upper - frame)) < 1e-14
 
 
 ############################################################
@@ -458,71 +468,13 @@ def test_constraint_uniform_rotation():
 
 
 ############################################################
-# time reparametrization
-############################################################
-
-
-def test_schwarzian_affine_and_homography_vanish():
-    ts = np.linspace(-1.0, 2.0, 7)
-    assert np.max(np.abs(schwarzian(TimeMap.affine(2.0, -0.3), ts))) < 1e-12
-    hom = TimeMap.homography(1.0, 0.4, 0.3, 1.1)
-    assert np.max(np.abs(schwarzian(hom, ts))) < 1e-12
-    # finite-difference fallback sees the same zero at stencil accuracy
-    bare = TimeMap(f=hom.f)
-    assert np.max(np.abs(schwarzian(bare, ts, h=1e-3))) < 1e-5
-
-
-def test_schwarzian_power_law():
-    p = 1.7
-    tm = TimeMap.power(p)
-    ts = np.array([0.5, 1.0, 2.0, 3.0])
-    ref = (1.0 - p**2) / (2.0 * ts**2)
-    assert np.max(np.abs(schwarzian(tm, ts) - ref)) < 1e-12
-
-
-def test_schwarzian_cocycle():
-    # S(f o g) = (S(f) o g) g'^2 + S(g)
-    f = TimeMap.homography(2.0, 1.0, 0.5, 1.5)
-    g = TimeMap.power(1.3)
-
-    def cf(t):
-        return f.f(g.f(t))
-
-    def cdf(t):
-        return f.df(g.f(t)) * g.df(t)
-
-    def cd2f(t):
-        return f.d2f(g.f(t)) * g.df(t) ** 2 + f.df(g.f(t)) * g.d2f(t)
-
-    def cd3f(t):
-        return (
-            f.d3f(g.f(t)) * g.df(t) ** 3
-            + 3.0 * f.d2f(g.f(t)) * g.df(t) * g.d2f(t)
-            + f.df(g.f(t)) * g.d3f(t)
-        )
-
-    comp = TimeMap(f=cf, df=cdf, d2f=cd2f, d3f=cd3f)
-    ts = np.array([0.4, 1.0, 1.9])
-    lhs = schwarzian(comp, ts)
-    rhs = schwarzian(f, g.f(ts)) * g.df(ts) ** 2 + schwarzian(g, ts)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_schwarzian_orientation_guard():
-    with pytest.raises(ValueError):
-        TimeMap.affine(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        schwarzian(TimeMap(f=lambda t: -np.asarray(t)), np.array([0.0]))
-
-
-############################################################
 # spinor calculus
 ############################################################
 
 
-def four_spinor(seed=0):
-    re = band_limited_noise(G32, modes=3, seed=seed, comps=(4,))
-    im = band_limited_noise(G32, modes=3, seed=seed + 1000, comps=(4,))
+def four_spinor(seed=0, grid=G32):
+    re = band_limited_noise(grid, modes=3, seed=seed, comps=(4,))
+    im = band_limited_noise(grid, modes=3, seed=seed + 1000, comps=(4,))
     return (re + 1j * im).astype(complex)
 
 
@@ -562,7 +514,7 @@ def test_dgamma_lower_matches_the_hand_written_blocks():
     w = 0.1 * band_limited_noise(G16, modes=2, seed=12, comps=(3,))
     p = GridPotential(G16, U=U, varpi=w)
     for mu in range(5):
-        assert np.array_equal(_dgamma_lower(p, mu), _dgamma_lower_blocks(p, mu)), mu
+        assert np.array_equal(oracles.dgamma_lower(p, mu), _dgamma_lower_blocks(p, mu)), mu
 
 
 def test_spin_connection_contraction_closed_form():
@@ -571,12 +523,66 @@ def test_spin_connection_contraction_closed_form():
     U = 0.3 * band_limited_noise(G16, modes=2, seed=13)
     w = 0.15 * band_limited_noise(G16, modes=2, seed=14, comps=(3,))
     p = GridPotential(G16, U=U, varpi=w)
-    con = np.einsum("mab...,mbc...->ac...", p.gammas.upper, spin_connection(p))
+    up = np.moveaxis(gamma_set(p.U, np.moveaxis(p.varpi, 0, -1)).upper, (-3, -2, -1), (0, 1, 2))
+    con = np.einsum("mab...,mbc...->ac...", up, spin_connection(p))
     ref = 0.25j * np.einsum("jab,j...->ab...", PAULI, p.curl_varpi)
     assert np.max(np.abs(con[2:, :2] - ref)) < 1e-14
     con2 = con.copy()
     con2[2:, :2] = 0.0
     assert np.max(np.abs(con2)) < 1e-14
+
+
+@pytest.mark.parametrize("grid, aU, aw", [(G16, 0.3, 0.15), (G16, 3.0, 1.0), (G32, 0.3, 0.15)],
+                         ids=["16-weak", "16-strong", "32-weak"])
+def test_spinor_calculus_matches_the_commutator_oracle(grid, aU, aw):
+    # the closed-form connection, the covariant derivative and the Kosmann
+    # Lie derivative against the coordinate commutator form on grid gammas
+    # (measured at most 1.5e-16 relative)
+    U = aU * band_limited_noise(grid, modes=2, seed=17)
+    w = aw * band_limited_noise(grid, modes=2, seed=18, comps=(3,))
+    p = GridPotential(grid, U=U, varpi=w)
+    psi, dt_psi = four_spinor(19, grid), four_spinor(20, grid)
+    X = SimpleNamespace(omega=np.array([0.1, -0.2, 0.3]), beta=np.array([0.2, 0.1, -0.1]),
+                        gamma=np.array([0.3, 0.2, 0.1]), delta=0.05, eps=0.4, eta=0.3)
+    omega = oracles.spin_connection_commutator(p)
+    nabla = oracles.covariant_spinor_derivative_commutator(psi, p, 1.3, 0.8, dt_psi, omega)
+    pairs = [
+        (spin_connection(p), omega),
+        (covariant_spinor_derivative(psi, p, 1.3, 0.8, dt_psi), nabla),
+        (lie_derivative_spinor_density(psi, p, X, 1.3, 0.8, dt_psi=dt_psi, t0=0.4),
+         oracles.lie_derivative_commutator(psi, p, X, nabla, t0=0.4)),
+    ]
+    for got, ref in pairs:
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(database=None, deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**16), c=st.floats(-5.0, 5.0))
+def test_spin_connection_sees_only_grad_U_and_curl_varpi(seed, c):
+    # omega is built from the Newton-Cartan data alone: a gauge shift
+    # varpi -> varpi + grad theta and a constant U -> U + c leave it alone
+    U = 0.3 * band_limited_noise(G16, modes=2, seed=seed)
+    w = 0.15 * band_limited_noise(G16, modes=2, seed=seed + 1, comps=(3,))
+    theta = band_limited_noise(G16, modes=2, seed=seed + 2)
+    ref = spin_connection(GridPotential(G16, U=U, varpi=w))
+    scale = np.max(np.abs(ref))
+    for q in (GridPotential(G16, U=U, varpi=w + fields.gradient(theta, G16)),
+              GridPotential(G16, U=U + c, varpi=w)):
+        assert np.max(np.abs(spin_connection(q) - ref)) <= 1e-13 * scale
+
+
+def test_spin_connection_memory_at_32():
+    # constant gammas times grid fields: the 42 MB result and little beside
+    U = 0.3 * band_limited_noise(G32, modes=2, seed=15)
+    w = 0.15 * band_limited_noise(G32, modes=2, seed=16, comps=(3,))
+    p = GridPotential(G32, U=U, varpi=w)
+    tracemalloc.start()
+    try:
+        spin_connection(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60e6, peak
 
 
 def test_lie_derivative_vertical_generator():
