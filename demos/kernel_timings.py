@@ -8,7 +8,9 @@ under its own periodic potential. Each figure is the median over R calls
 its transforms ran with ("-": none). The two "1 comp." FFT rows call
 scipy.fft directly at 1 worker and at the LLN_THREADS budget, so the grain
 of `fields._workers` shows where a second worker starts to pay. numpy's
-OpenBLAS runs on one thread, as in `lln` (`cli._cap_blas_threads`). The
+OpenBLAS runs on one thread, as in `lln`: this script imports numpy before
+`lln`, so the OPENBLAS_NUM_THREADS=1 that `import lln` sets comes too late,
+and `cli._cap_blas_threads` caps the library instead. The
 kick phase is the one `run` builds (`evolve._kick_phase`). `compute_charges`
 is timed on the spin-up packet, whose zero component it skips, and on a
 two-component (0.6, 0.8i) packet. The sweep row times one call of the

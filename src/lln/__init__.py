@@ -7,6 +7,9 @@ gravitational sector, split-step and RK4 propagators, and the conserved
 charge ledger.
 """
 
+import os
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy: no BLAS thread pools
+
 from .fields import (
     BispinorField,
     GridSpec,

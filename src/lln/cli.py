@@ -485,11 +485,11 @@ _OPENBLAS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
 
 
 def _cap_blas_threads():
-    """Run numpy's OpenBLAS on one thread. Its calls here (the chunked
-    matmul of `fields.sample_points`, the `fields.resample_separable` einsum,
-    the `fields.first_moments` marginals) are too small to gain from threads,
-    whose spinning costs CPU. Returns why the cap could not be set, else
-    None; OPENBLAS_NUM_THREADS no longer acts once numpy is imported."""
+    """Run numpy's OpenBLAS on one thread: its calls here (`sample_points`,
+    `resample_separable`, `first_moments`) are too small to gain from threads.
+    `import lln` sets OPENBLAS_NUM_THREADS=1 when unset, which acts only if
+    numpy loads later; this cap covers processes that imported numpy first.
+    Returns why the cap could not be set, else None."""
     found = sorted(glob.glob(_OPENBLAS))
     if not found:
         return f"no library matches {_OPENBLAS}"

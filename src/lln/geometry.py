@@ -479,7 +479,12 @@ def covariant_spinor_derivative(
     out[:3] = gradient(psi, p.grid)
     out[3] = dt_psi
     out[4] = (1j * m / hbar) * psi
-    return out + np.einsum("mab...,b...->ma...", spin_connection(p), psi)
+    # omega psi = sum_f F_f (T_f psi), never building omega (42 MB at 32^3)
+    T, Tpsi = _connection_matrices().reshape(20, 4, 6), np.empty_like(out)
+    for f, F in enumerate((*p.dU, *p.curl_varpi)):
+        np.matmul(T[..., f], psi.reshape(4, -1), out=Tpsi.reshape(20, -1))
+        out += np.multiply(Tpsi, F, out=Tpsi)
+    return out
 
 
 def lie_derivative_spinor_density(
@@ -509,8 +514,8 @@ def lie_derivative_spinor_density(
         if np.any(Xup[3]):
             raise ValueError("generator moves time; dt_psi is required")
         dt_psi = np.zeros_like(psi)
-    nabla = covariant_spinor_derivative(psi, p, m, hbar, dt_psi)
-    transport = np.einsum("m...,ma...->a...", Xup, nabla)
+    transport = np.einsum("m...,ma...->a...", Xup,
+                          covariant_spinor_derivative(psi, p, m, hbar, dt_psi))
 
     # d_mu X_nu = g_{nu lambda} d_mu X^lambda + (d_mu g_{nu lambda}) X^lambda,
     # with d_mu X^lambda = L[lambda, mu] exactly: X^mu is affine, so only the
@@ -519,8 +524,10 @@ def lie_derivative_spinor_density(
     # potentials vary along x only, so only the rows d_i g enter.
     g = brinkmann_metric(p.U, np.moveaxis(p.varpi, 0, -1))  # grid axes first
     dX = np.einsum("...nl,lm->mn...", g, L[:5, :5])
-    dg = _metric_part(np.moveaxis(p.dU, 0, -1), np.moveaxis(p.dvarpi, (0, 1), (-2, -1)))
-    dX[:3] += np.einsum("...mnl,l...->mn...", dg, Xup)
+    del g  # each 5x5 grid array is 6.5 MB at 32^3,
+    for i in range(3):  # so the d_i g come one at a time
+        dg = _metric_part(p.dU[i], np.moveaxis(p.dvarpi[i], 0, -1))
+        dX[i] += np.einsum("...nl,l...->n...", dg, Xup)
 
     A = 0.5 * (dX - np.swapaxes(dX, 0, 1))
     # frame components A_ab = E^mu_a A_mu nu E^nu_b (see spin_connection):

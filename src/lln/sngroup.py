@@ -30,7 +30,6 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .fields import (
     PAULI,
@@ -301,6 +300,7 @@ def exp_element(X: LieParams, tau: float = 1.0) -> SnGroupElement:
     The action on (x, t, s) is affine, so the flow is a 6x6 homogeneous
     matrix exponential; the element parameters are read back off its blocks.
     """
+    from scipy.linalg import expm  # imported here: 0.1 s of start-up no CLI run needs
     return _element(expm(tau * generator_matrix(X)))
 
 

@@ -1,7 +1,8 @@
-"""Exercising the command line front end in process, plus one subprocess
-smoke test at the end that runs ``python -m lln`` and checks the ``lln``
-console-script declaration in pyproject.toml. Exit code contract: 0 pass,
-1 failed check or bad data, 2 usage/config errors."""
+"""Exercising the command line front end in process, plus two subprocess
+tests at the end: one runs ``python -m lln`` and checks the ``lln``
+console-script declaration in pyproject.toml, the other checks what a fresh
+``import lln.cli`` starts. Exit code contract: 0 pass, 1 failed check or bad
+data, 2 usage/config errors."""
 
 import copy
 import ctypes
@@ -940,3 +941,31 @@ def test_entry_point_subprocess():
     with open(pyproject, "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts["lln"] == "lln.cli:main"
+
+
+_STARTUP_PROBE = """
+import json, os, sys
+import lln.cli
+tasks = "/proc/self/task"
+print(json.dumps([os.environ["OPENBLAS_NUM_THREADS"], "scipy.linalg" in sys.modules,
+                  len(os.listdir(tasks)) if os.path.isdir(tasks) else None]))
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_import_starts_no_blas_threads_and_no_scipy_linalg(preset):
+    # a fresh interpreter: `import lln` must set OPENBLAS_NUM_THREADS before
+    # numpy loads, so the bundled OpenBLAS copies start no worker threads; an
+    # explicit setting wins. scipy.linalg (only `exp_element` needs it) stays out.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(lln.__file__).resolve().parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    value, linalg, threads = json.loads(proc.stdout)
+    assert value == (preset or "1")
+    assert not linalg
+    if preset is None and threads is not None:
+        assert threads == 1

@@ -72,6 +72,7 @@ PAPER_OBJECTS = (
     "current_and_continuity",  # the probability current and its continuity law
     "gauge_transform",  # the vertical gauge map of the Bargmann lift
     "lie_derivative_spinor_density",  # the Kosmann Lie derivative of a spinor density
+    "spin_connection",  # the spin connection omega_mu of the Bargmann coframe
     "act",  # the group action on Bargmann events
     "inverse",  # the group inverse
     "exp_element",  # the exponential map from the Lie algebra

@@ -585,6 +585,25 @@ def test_spin_connection_memory_at_32():
     assert peak <= 60e6, peak
 
 
+def test_lie_derivative_memory_at_32():
+    # omega is applied field by field, never built (42 MB at 32^3), and the
+    # Kosmann term's 5x5 grid arrays are freed early (35 MB measured; 68 MB
+    # when omega was built)
+    U = 0.3 * band_limited_noise(G32, modes=2, seed=15)
+    w = 0.15 * band_limited_noise(G32, modes=2, seed=16, comps=(3,))
+    p = GridPotential(G32, U=U, varpi=w)
+    psi, dt_psi = four_spinor(21), four_spinor(22)
+    X = SimpleNamespace(omega=np.array([0.1, -0.2, 0.3]), beta=np.array([0.2, 0.1, -0.1]),
+                        gamma=np.array([0.3, 0.2, 0.1]), delta=0.05, eps=0.4, eta=0.3)
+    tracemalloc.start()
+    try:
+        lie_derivative_spinor_density(psi, p, X, 1.3, 0.8, dt_psi=dt_psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45e6, peak
+
+
 def test_lie_derivative_vertical_generator():
     p = GridPotential(G32)
     psi = four_spinor(5)
