@@ -1,31 +1,36 @@
-"""CPU and wall milliseconds per call of the kernels a step is built from.
+"""CPU and wall milliseconds, and traced MB, per call of the kernels a step
+is built from.
 
     PYTHONPATH=src python demos/kernel_timings.py [--repeats R] [n ...]
 
 Grids default to n = 32 and 64 (box side 16), with a spin-up Gaussian packet
 under its own periodic potential. Each figure is the median over R calls
 (default 7) after warm-up calls, and each row names the FFT worker counts
-its transforms ran with ("-": none). The two "1 comp." FFT rows call
-scipy.fft directly at 1 worker and at the LLN_THREADS budget, so the grain
-of `fields._workers` shows where a second worker starts to pay. numpy's
-OpenBLAS runs on one thread, as in `lln`: this script imports numpy before
-`lln`, so the OPENBLAS_NUM_THREADS=1 that `import lln` sets comes too late,
-and `cli._cap_blas_threads` caps the library instead. The
-kick phase is the one `run` builds (`evolve._kick_phase`). `compute_charges`
-is timed on the spin-up packet, whose zero component it skips, and on a
-two-component (0.6, 0.8i) packet. The sweep row times one call of the
-imaginary-time sweep map (`evolve._sweep`, isolated gravity) on the packet's
-one real plane. A split step (self/periodic `run`) and an Anderson-mixed
-iteration (isolated `ground_state`: a sweep plus its mixing step) are the
-difference of two runs, so set-up is not counted. The two `represent` rows
-time the shift path (a translation) and the separable path (a quarter turn
-after a dilation); the dense path of a generic rotation is O(n^6) and is
-left out.
+its transforms ran with ("-": none). The MB column is the tracemalloc peak
+of one more call, in 10^6 bytes: what the call allocates on top of what it
+is given, its result included; for the split step and iteration rows it is
+that of the longer run, the run's field, potential and multipliers included.
+The two "1 comp." FFT rows call scipy.fft directly at 1 worker and at the
+LLN_THREADS budget, so the grain of `fields._workers` shows where a second
+worker starts to pay. numpy's OpenBLAS runs on one thread, as in `lln`: this
+script imports numpy before `lln`, so the OPENBLAS_NUM_THREADS=1 that
+`import lln` sets comes too late, and `cli._cap_blas_threads` caps the
+library instead. The kick phase is the one `run` builds
+(`evolve._kick_phase`). `compute_charges` is timed on the spin-up packet,
+whose zero component it skips, and on a two-component (0.6, 0.8i) packet.
+The sweep row times one call of the imaginary-time sweep map
+(`evolve._sweep`, isolated gravity) on the packet's one real plane. A split
+step (self/periodic `run`) and an Anderson-mixed iteration (isolated
+`ground_state`: a sweep plus its mixing step) are the difference of two
+runs, so set-up is not counted. The two `represent` rows time the shift path
+(a translation) and the separable path (a quarter turn after a dilation);
+the dense path of a generic rotation is O(n^6) and is left out.
 """
 
 import argparse
 import contextlib
 import time
+import tracemalloc
 
 import numpy as np
 import scipy.fft as sfft
@@ -61,6 +66,16 @@ def fft_workers():
     finally:
         for name, fn in originals.items():
             setattr(sfft, name, fn)
+
+
+def traced_mb(fn):
+    """The tracemalloc peak of one call of fn(), in 10^6 bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def timed(fn, repeats):
@@ -128,7 +143,7 @@ def kernels(n):
 
 
 def main(ns=(32, 64), repeats=7):
-    """Prints and returns {kernel: [(workers, CPU ms, wall ms) per n]}."""
+    """Prints and returns {kernel: [(workers, CPU ms, wall ms, MB) per n]}."""
     _cap_blas_threads()
     table = {}
     for n in ns:
@@ -137,12 +152,13 @@ def main(ns=(32, 64), repeats=7):
             if base:
                 _, cpu0, wall0 = timed(base, repeats)
                 cpu, wall = cpu - cpu0, wall - wall0
-            table.setdefault(name, []).append((workers, cpu / calls, wall / calls))
-    print(f"{'kernel (ms per call)':<28}"
-          + "".join(f"{f'n={n} workers':>14}{'CPU':>8}{'wall':>8}" for n in ns))
+            table.setdefault(name, []).append((workers, cpu / calls, wall / calls, traced_mb(fn)))
+    print(f"{'kernel (ms, MB per call)':<28}"
+          + "".join(f"{f'n={n} workers':>14}{'CPU':>8}{'wall':>8}{'MB':>8}" for n in ns))
     for name, row in table.items():
         print(f"{name:<28}" + "".join(
-            f"{','.join(map(str, w)) or '-':>14}{cpu:>8.2f}{wall:>8.2f}" for w, cpu, wall in row))
+            f"{','.join(map(str, w)) or '-':>14}{cpu:>8.2f}{wall:>8.2f}{mb:>8.2f}"
+            for w, cpu, wall, mb in row))
     return table
 
 

@@ -25,13 +25,14 @@ from .evolve import RunConfig, energy_expectation, run, sn_energy
 from .fields import (
     PAULI,
     BispinorField,
+    _marginals,
+    _partial,
     axial_vector,
     canonical_current,
     density,
     first_moments,
     integrate,
     norm2,
-    partials,
     spin_density,
 )
 from .geometry import GridPotential
@@ -76,15 +77,6 @@ def _columns(fld):
 CSV_COLUMNS = tuple(c for fld in fields(ChargeRecord) for c in _columns(fld))
 
 
-def _momentum_density(phi, gphi, p: Optional[GridPotential], m: float, hbar: float):
-    dens = hbar * canonical_current(phi, gphi)
-    if p is not None and p.coriolis:
-        dens = dens + 0.5 * hbar * m * np.cross(
-            np.moveaxis(p.varpi, 0, -1), np.moveaxis(spin_density(phi), 0, -1)
-        ).transpose(3, 0, 1, 2)
-    return dens
-
-
 def compute_charges(f: BispinorField, p: Optional[GridPotential] = None) -> ChargeRecord:
     """All twelve first integrals of one field snapshot; also the charge
     monitor of evolve.run, which collects the records it returns.
@@ -96,9 +88,10 @@ def compute_charges(f: BispinorField, p: Optional[GridPotential] = None) -> Char
     Each spectral partial d_j phi serves both its momentum-density row and
     its share of the kinetic energy T = (hbar^2/2m) sum_j |d_j phi|^2 dV,
     which equals -<phi, Delta phi> because spectral derivatives are
-    anti-Hermitian. The partials are folded in one at a time, so the
-    3 x 2 n^3 gradient is never held. Position moments come from 1-D
-    marginals; E_paper = <phi, H phi> is energy_expectation.
+    anti-Hermitian. Each partial is folded into T, its momentum-density row,
+    P and the row's 1-D marginals (for int x_a p_c), then dropped, and one
+    density serves M, W_pot, E_sn and G: about one live-component buffer per
+    call. E_paper = <phi, H phi> is energy_expectation.
 
     Every column is taken on the components run advances (evolve._live), as
     a zero one adds only exact zeros; a Coriolis-coupled pair stays whole.
@@ -106,31 +99,39 @@ def compute_charges(f: BispinorField, p: Optional[GridPotential] = None) -> Char
     grid, m, hbar = f.grid, f.m, f.hbar
     live = slice(0, 2) if p is not None and p.coriolis else evolve._live(f.data)
     phi = f.data[live]
+    E_paper = energy_expectation(phi, p, grid, m, hbar)
+
     rho = density(phi)
+    Mq = m * float(integrate(rho, grid))
+    W_pot = 0.0 if p is None else m * float(integrate(p.U * rho, grid))
+    E_sn = float("nan") if p is None or p.U_self is None else sn_energy(rho, p, grid, m, E_paper)
+    centroid = first_moments(rho, grid)
+    del rho
 
-    sq_norms = []
-
-    def tallied_partials():
-        for dphi in partials(phi, grid):
-            sq_norms.append(norm2(dphi, grid))
-            yield dphi
-
-    pdens = _momentum_density(phi, tallied_partials(), p, m, hbar)
+    # Coriolis adds (hbar m / 2)(varpi x s)_j to row j, s the spin density
+    coupling = None if p is None or not p.coriolis else 0.5 * hbar * m * np.cross(
+        np.moveaxis(p.varpi, 0, -1), np.moveaxis(spin_density(phi), 0, -1)).transpose(3, 0, 1, 2)
+    sq_norms, P, marg = [], np.empty(3), np.empty((3, 3, grid.n))
+    for j in range(3):
+        dphi = _partial(phi, grid, j)
+        sq_norms.append(norm2(dphi, grid))
+        row = canonical_current(phi, (dphi,))[0]
+        row *= hbar
+        if coupling is not None:
+            row += coupling[j]
+        P[j] = integrate(row, grid)
+        marg[:, j] = _marginals(row)
+        del dphi, row  # before the next partial is computed
     T_kin = hbar**2 / (2 * m) * sum(sq_norms)
-    P = integrate(pdens, grid)
-    xp = first_moments(pdens, grid)  # [a, c] = int x_a p_c
-    # int phi+ sigma_j phi from the Gram block of the live components
-    cphi = np.conj(phi)
-    gram = np.array([[np.sum(ca * b) for b in phi] for ca in cphi])
+    xp = first_moments(None, grid, marg)  # [a, c] = int x_a p_c
+    # int phi+ sigma_j phi from the Gram block of the live components (one buffer)
+    prod = np.empty_like(phi[0])
+    gram = np.array([[np.sum(np.multiply(np.conjugate(a, out=prod), b, out=prod)) for b in phi]
+                     for a in phi])
     spin = np.einsum("jab,ab->j", PAULI[:, live, live], gram).real * grid.dv
     J = axial_vector(xp) + 0.5 * hbar * spin
-    Mq = m * float(integrate(rho, grid))
 
-    W_pot = 0.0 if p is None else m * float(integrate(p.U * rho, grid))
-    E_paper = energy_expectation(phi, p, grid, m, hbar)
-    E_sn = float("nan") if p is None or p.U_self is None else sn_energy(phi, p, grid, m, E_paper)
-
-    Gb = f.time * P - m * first_moments(rho, grid)
+    Gb = f.time * P - m * centroid
     D = -5.0 * f.time * E_paper - 3.0 * float(np.trace(xp))
     return ChargeRecord(
         t=f.time,

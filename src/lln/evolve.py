@@ -85,9 +85,12 @@ def apply_hamiltonian(
     """H phi = (1/2m)(P - m varpi)^2 phi + m U phi - (hbar/4) sigma(curl varpi) phi.
 
     Hermitian on the grid: spectral derivatives are exactly antisymmetric.
+    The Laplacian's output is scaled in place and m U phi added slab by slab,
+    each product in its operand order: without Coriolis, one buffer of phi's size.
     """
     phi = np.asarray(phi, dtype=complex)
-    out = -(hbar**2 / (2.0 * m)) * laplacian(phi, grid)
+    out = laplacian(phi, grid)
+    np.multiply(-(hbar**2 / (2.0 * m)), out, out=out)
     if p is None:
         return out
     if p.coriolis:
@@ -100,13 +103,17 @@ def apply_hamiltonian(
         out = out + 1j * hbar * wgrad + 0.5j * hbar * divw * phi
         out = out + 0.5 * m * np.sum(w**2, axis=0) * phi
         out = out - 0.25 * hbar * sigma_dot(p.curl_varpi, phi)
-    out = out + m * p.U * phi
+    for i in range(grid.n):
+        out[..., i, :, :] += (m * p.U[i]) * phi[..., i, :, :]
     return out
 
 
 def energy_expectation(phi, p, grid, m, hbar) -> float:
+    """<phi, H phi>, with conj(phi) H phi formed slab by slab in H phi."""
     h = apply_hamiltonian(phi, p, grid, m, hbar)
-    return float(np.real(np.sum(np.conj(phi) * h)) * grid.dv)
+    for i in range(grid.n):
+        np.multiply(np.conj(phi[..., i, :, :]), h[..., i, :, :], out=h[..., i, :, :])
+    return float(np.real(np.sum(h)) * grid.dv)
 
 
 class StabilityError(RuntimeError):
@@ -157,6 +164,10 @@ class RunConfig:
         _check_modes(self, ("free", "external", "self"))
         if not (self.dt > 0) or self.steps < 0:
             raise ValueError("dt must be positive and steps nonnegative")
+        # a fractional steps fails mid-run; monitor_every=-1 records every step
+        counts = (self.steps, self.monitor_every)
+        if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in counts):
+            raise ValueError(f"steps and monitor_every must be counts, got {counts}")
 
 
 @dataclass
@@ -190,11 +201,11 @@ def self_potential(
                          dvarpi=vars(base).get("dvarpi"), U_self=U)
 
 
-def sn_energy(phi, pot: GridPotential, grid: GridSpec, m: float, e_paper: float) -> float:
-    """E_sn = E_paper - W_self/2, the conserved energy of the self-sourced
-    flow: <H> counts the pair interaction W_self twice, an external U once.
-    pot must carry U_self, as self_potential sets it."""
-    return e_paper - 0.5 * (float(np.sum(pot.U_self * density(phi)) * grid.dv) * m)
+def sn_energy(rho, pot: GridPotential, grid: GridSpec, m: float, e_paper: float) -> float:
+    """E_sn = E_paper - W_self/2 at density rho = |phi|^2, the conserved energy
+    of the self-sourced flow: <H> counts the pair interaction W_self twice, an
+    external U once. pot must carry U_self, as self_potential sets it."""
+    return e_paper - 0.5 * (float(np.sum(pot.U_self * rho) * grid.dv) * m)
 
 
 def _potential_for(phi, cfg, grid, m, p: Optional[GridPotential]):
@@ -490,7 +501,7 @@ def ground_state(f0: BispinorField, cfg: RelaxConfig,
         field=f, energy=E, iterations=it, converged=converged, potential=pot,
         residual=float(np.sqrt(norm2(h - E * live, grid) / norm2(live, grid))),
         fixed_point_residual=res, recentred_by=shift,
-        energy_sn=None if pot.U_self is None else sn_energy(psi, pot, grid, m, E),
+        energy_sn=None if pot.U_self is None else sn_energy(density(psi), pot, grid, m, E),
     )
 
 

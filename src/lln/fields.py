@@ -24,7 +24,6 @@ __all__ = [
     "BispinorField",
     "sigma_dot",
     "sigma_grad",
-    "partials",
     "gradient",
     "laplacian",
     "divergence",
@@ -189,9 +188,14 @@ def sigma_grad(phi, grid: GridSpec):
 
 
 def _spectral(f, multiplier, axes=(-3, -2, -1)):
-    """ifftn(multiplier * fftn(f)) over axes, real for real input."""
+    """ifftn(multiplier * fftn(f)) over axes, real for real input; a callable
+    multiplier gives the factor of slab i of the first grid axis alone."""
     F = fftn(f, axes=axes)
-    F *= multiplier
+    if callable(multiplier):
+        for i in range(F.shape[-3]):
+            F[..., i, :, :] *= multiplier(i)
+    else:
+        F *= multiplier
     out = ifftn(F, axes=axes, overwrite_x=True)
     return out.real if np.isrealobj(f) else out
 
@@ -202,23 +206,17 @@ def _partial(f, grid: GridSpec, j: int):
     return _spectral(f, 1j * grid.kvec[j], axes=(j - 3,))
 
 
-def partials(f, grid: GridSpec):
-    """d_1 f, d_2 f, d_3 f, each computed when it is consumed: a caller that
-    folds them away never holds the 3 x f.shape gradient."""
-    return (_partial(f, grid, j) for j in range(3))
-
-
 def gradient(f, grid: GridSpec):
     """Spectral gradient; returns shape (3,) + f.shape."""
     f = np.asarray(f)
     out = np.empty((3,) + f.shape, dtype=float if np.isrealobj(f) else complex)
-    for j, dfj in enumerate(partials(f, grid)):
-        out[j] = dfj
+    for j in range(3):
+        out[j] = _partial(f, grid, j)
     return out
 
 
 def laplacian(f, grid: GridSpec):
-    return _spectral(np.asarray(f), -grid.k2)
+    return _spectral(np.asarray(f), lambda i: -grid.k2[i])
 
 
 def divergence(v, grid: GridSpec):
@@ -245,13 +243,19 @@ def integrate(f, grid: GridSpec):
     return np.sum(f, axis=(-3, -2, -1)) * grid.dv
 
 
+def _abs2(a):
+    """|a|^2, squared in the buffer of |a| (np.abs(a) ** 2 makes a second)."""
+    sq = np.abs(a)
+    return np.multiply(sq, sq, out=sq)
+
+
 def norm2(a, grid: GridSpec) -> float:
-    return float(np.sum(np.abs(a) ** 2) * grid.dv)
+    return float(np.sum(_abs2(a)) * grid.dv)
 
 
 def density(phi):
     """|phi|^2 summed over the leading component axis."""
-    return np.sum(np.abs(phi) ** 2, axis=0)
+    return np.sum(_abs2(phi), axis=0)
 
 
 def spin_density(phi):
@@ -260,24 +264,30 @@ def spin_density(phi):
 
 
 def canonical_current(phi, gphi):
-    """Im(phi+ d_j phi) summed over components, from gphi = gradient of phi
-    or any iterable of its three partials, taken one at a time."""
-    cphi = np.conj(phi)
-    out = np.empty((3,) + phi.shape[1:])
+    """Im(phi+ d_j phi) summed over components, one row per partial in gphi
+    (the gradient of phi, or a sequence of some of its partials), formed
+    slab by slab along the first grid axis: no temporary of phi's size."""
+    out = np.empty((len(gphi),) + phi.shape[1:])
     for j, dphi in enumerate(gphi):
-        np.sum((cphi * dphi).imag, axis=0, out=out[j])
+        for i, slab in enumerate(out[j]):
+            np.sum((np.conj(phi[:, i]) * dphi[:, i]).imag, axis=0, out=slab)
     return out
 
 
-def first_moments(f, grid: GridSpec):
-    """int x_a f dV for a = 1, 2, 3 from the 1-D marginals of f.
+def _marginals(f):
+    """The 1-D marginals of f along grid axes 1, 2 and 3."""
+    s12 = np.sum(f, axis=-1)
+    return np.sum(s12, axis=-1), np.sum(s12, axis=-2), np.sum(f, axis=(-3, -2))
+
+
+def first_moments(f, grid: GridSpec, marg=None):
+    """int x_a f dV for a = 1, 2, 3 from the 1-D marginals of f (or marg,
+    its _marginals gathered row by row by the caller; f is then not read).
 
     Leading component axes of f are carried along: shape (3,) + f.shape[:-3].
     """
-    x = grid.axis()
-    s12 = np.sum(f, axis=-1)
-    marginals = (np.sum(s12, axis=-1), np.sum(s12, axis=-2), np.sum(f, axis=(-3, -2)))
-    return np.stack([mg @ x for mg in marginals]) * grid.dv
+    marg = _marginals(f) if marg is None else marg
+    return np.stack([mg @ grid.axis() for mg in marg]) * grid.dv
 
 
 ############################################################
@@ -344,16 +354,19 @@ def gaussian_packet(
     """
     if not sigma > 0:
         raise ValueError(f"packet width sigma must be positive, got {sigma}")
-    X = grid.mesh()
-    c = np.asarray(center, dtype=float)
-    k0 = np.asarray(k0, dtype=float)
-    dxv = X - c.reshape(3, 1, 1, 1)
-    r2 = np.sum(dxv**2, axis=0)
-    phase = np.einsum("j,j...->...", k0, dxv)
-    env = np.exp(-r2 / (4.0 * sigma**2) + 1j * phase)
-    data = np.asarray(spin, dtype=complex).reshape(2, 1, 1, 1) * env
-    f = BispinorField(grid=grid, data=data, m=m, hbar=hbar, time=time)
-    return f.normalized() if normalize else f
+    # |x - c|^2 and k0.(x - c) from 1-D terms broadcast, summed as the dense
+    # mesh's sum and einsum did (the phase from +0): the same bits, no mesh
+    d = [grid.axis() - ci for ci in np.asarray(center, dtype=float)]
+    kd = [kj * dj for kj, dj in zip(np.asarray(k0, dtype=float), d)]
+    env = np.empty(grid.shape, dtype=complex)
+    env.real = (d[0] ** 2)[:, None, None] + (d[1] ** 2)[None, :, None] + (d[2] ** 2)[None, None, :]
+    np.divide(np.negative(env.real, out=env.real), 4.0 * sigma**2, out=env.real)
+    env.imag = ((0.0 + kd[0])[:, None, None] + kd[1][None, :, None]) + kd[2][None, None, :]
+    data = np.asarray(spin, dtype=complex).reshape(2, 1, 1, 1) * np.exp(env, out=env)
+    del env
+    if normalize:
+        data /= _norm_divisor(data, grid)
+    return BispinorField(grid=grid, data=data, m=m, hbar=hbar, time=time)
 
 
 def band_limited_noise(grid: GridSpec, modes: int = 4, seed: int = 0, comps=(), real: bool = True):
@@ -505,10 +518,10 @@ def _write_snapshot(path, kind, grid, data, m, hbar, G, time, mass_tag=1.0, pois
     }
     if poisson is not None:
         header["poisson"] = poisson
-    payload = np.ascontiguousarray(np.transpose(data, (3, 2, 1, 0))).astype("<c16")
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(payload.tobytes())
+        for k in range(grid.n):  # one x3 slab at a time, never the whole payload
+            fh.write(np.ascontiguousarray(data[..., k].T, dtype="<c16"))
 
 
 def save_snapshot(path, f: BispinorField, G: float = 0.0, poisson=None):

@@ -26,7 +26,6 @@ from lln.geometry import GridPotential
 from lln.gravity import mass_density, poisson_periodic
 from lln.sngroup import SnGroupElement
 from lln.charges import (
-    _momentum_density,
     CSV_COLUMNS,
     ChargeRecord,
     compute_charges,
@@ -74,7 +73,7 @@ def test_plane_wave_charges():
     assert np.isnan(rec.E_sn)
     assert abs(rec.T_kin - rec.E_paper) < 1e-12
     # spin up along z: J_z picks up hbar/2 on top of the orbital part
-    pd = _momentum_density(f.data, gradient(f.data, G32), None, f.m, f.hbar)
+    pd = f.hbar * canonical_current(f.data, gradient(f.data, G32))
     assert pd.shape == (3,) + G32.shape
     assert np.max(np.abs(integrate(pd, G32) - rec.P)) < 1e-12
 
@@ -129,10 +128,20 @@ def test_compute_charges_matches_dense_formulas(kind):
     np.testing.assert_allclose(new, ref, rtol=1e-12, atol=0, equal_nan=True)
 
 
+def traced_peak(fn):
+    """The traced peak of fn() in bytes, tracemalloc running for that call."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_compute_charges_holds_one_partial_at_a_time():
     # T_kin and P come out as the full-gradient formulas give them, bit for
-    # bit, but the 3 x 2 n^3 gradient is never alive: the traced peak stays
-    # under 5 field sizes (6 while it was held)
+    # bit, but neither the 3 x 2 n^3 gradient nor two partials are ever
+    # alive: the traced peak is 1.50 field sizes, one partial and |d_j phi|^2
     f = gaussian_packet(G32, sigma=1.0, center=(0.7, -0.4, 0.3),
                         k0=(K1, -2 * K1, 0.5 * K1), spin=(0.8, 0.6j), m=1.3, hbar=0.9)
     U = poisson_periodic(mass_density(f.data, G32, f.m), G32)
@@ -142,13 +151,7 @@ def test_compute_charges_holds_one_partial_at_a_time():
     assert rec.T_kin == f.hbar**2 / (2 * f.m) * sum(norm2(g, G32) for g in gphi)
     assert np.array_equal(rec.P, integrate(f.hbar * canonical_current(f.data, gphi), G32))
     del gphi
-    tracemalloc.start()
-    try:
-        compute_charges(f, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * f.data.nbytes
+    assert traced_peak(lambda: compute_charges(f, p)) < 1.6 * f.data.nbytes
 
 
 def _live_case(spin, coriolis):
@@ -187,17 +190,22 @@ def test_compute_charges_runs_on_the_live_components(spin, coriolis, width, monk
 
 @pytest.mark.parametrize("spin", [(1, 0), (0, 1)])
 def test_compute_charges_of_a_basis_spinor_holds_one_component(spin):
-    # the traced peak is 2.88 field sizes on the live component; the whole
-    # pair took 4.50
+    # the traced peak is 0.79 field sizes on the live component: one partial
+    # and one real grid array
     f, p, _ = _live_case(spin, False)
     compute_charges(f, p)
-    tracemalloc.start()
-    try:
-        compute_charges(f, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.5 * f.data.nbytes
+    assert traced_peak(lambda: compute_charges(f, p)) < 1.0 * f.data.nbytes
+
+
+def test_monitored_run_peaks_no_higher_than_the_steps():
+    # a self/periodic run holds its field, U, the kick and the drift
+    # multiplier; the steps peak at 3.02 field sizes, and a record every 5
+    # steps lifts that to 3.04 only
+    f = gaussian_packet(G32, sigma=1.5, k0=(K1, 0, 0))
+    cfg = RunConfig(dt=1e-3, steps=10, source="self", poisson="periodic",
+                    monitor_every=5, monitor=compute_charges)
+    run(f, cfg)
+    assert traced_peak(lambda: run(f, cfg)) < 3.5 * f.data.nbytes
 
 
 def test_monitor_takes_e_paper_from_apply_hamiltonian(monkeypatch):

@@ -21,5 +21,11 @@ def test_kernel_timings_runs_at_n8(capsys):
         assert len(row) == 1 and np.isfinite(row[0][1:]).all()
     assert table["kick phase"][0][0] == ()  # no transform
     assert table["fft pair, 1 comp., 1 worker"][0][0] == (1,)
+    # the traced peak of a call holds at least its result: the kick phase's
+    # complex n^3, the Hamiltonian's 2 n^3
+    assert table["kick phase"][0][3] >= 8**3 * 16 / 1e6
+    assert table["apply_hamiltonian"][0][3] >= 2 * 8**3 * 16 / 1e6
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split()[-4:] == ["n=8", "workers", "CPU", "wall"] and len(lines) == 16
+    assert lines[0].split()[-5:] == ["n=8", "workers", "CPU", "wall", "MB"] and len(lines) == 16
+    assert float(lines[1 + list(table).index("kick phase")].split()[-1]) == round(
+        table["kick phase"][0][3], 2)
