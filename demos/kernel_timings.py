@@ -25,10 +25,19 @@ step (self/periodic `run`) and an Anderson-mixed iteration (isolated
 runs, so set-up is not counted. The two `represent` rows time the shift path
 (a translation) and the separable path (a quarter turn after a dilation);
 the dense path of a generic rotation is O(n^6) and is left out.
+The last row is the whole process: one fresh `python -m lln evolve` per n on
+a self/periodic config (10 steps, charges every 5), with its CPU and wall
+time and, in the MB column, its ru_maxrss / 1024 (as perfbench's
+peak_rss_mb).
 """
 
 import argparse
 import contextlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -142,6 +151,41 @@ def kernels(n):
     ]
 
 
+# Linux carries a process's RSS high-water mark across exec, so a child forked
+# from this process would report this process's peak as its own: a small
+# launcher starts the child, reports that child's rusage alone and exits
+# with the child's exit code.
+_LAUNCHER = """import os, subprocess, sys, time
+w0 = time.perf_counter()
+p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, u = os.wait4(p.pid, 0)
+print(u.ru_utime + u.ru_stime, time.perf_counter() - w0, u.ru_maxrss)
+sys.exit(os.waitstatus_to_exitcode(status))"""
+
+
+def evolve_process(n):
+    """(workers, CPU ms, wall ms, MB) of one fresh `python -m lln evolve`
+    process on an n^3 self/periodic config: no transform of this process,
+    the child's CPU and wall time, and its ru_maxrss / 1024."""
+    cfg = {"grid": {"n": n, "length": 16.0},
+           "initial": {"kind": "gaussian", "sigma": 1.5},
+           "evolver": {"kind": "split", "dt": 1e-3, "steps": 10, "source": "self",
+                       "poisson": "periodic"},
+           "outputs": {"charges_every": 5}}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fields.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory() as d:
+        config = os.path.join(d, "evolve.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out = subprocess.run(
+            [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "lln", "evolve",
+             "--config", config], cwd=d, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=True).stdout
+    cpu, wall, maxrss = out.split()
+    return (), 1e3 * float(cpu), 1e3 * float(wall), int(maxrss) / 1024
+
+
 def main(ns=(32, 64), repeats=7):
     """Prints and returns {kernel: [(workers, CPU ms, wall ms, MB) per n]}."""
     _cap_blas_threads()
@@ -153,6 +197,7 @@ def main(ns=(32, 64), repeats=7):
                 _, cpu0, wall0 = timed(base, repeats)
                 cpu, wall = cpu - cpu0, wall - wall0
             table.setdefault(name, []).append((workers, cpu / calls, wall / calls, traced_mb(fn)))
+        table.setdefault("lln evolve (process)", []).append(evolve_process(n))
     print(f"{'kernel (ms, MB per call)':<28}"
           + "".join(f"{f'n={n} workers':>14}{'CPU':>8}{'wall':>8}{'MB':>8}" for n in ns))
     for name, row in table.items():

@@ -372,7 +372,9 @@ def cmd_evolve(args) -> int:
     if every:
         rcfg.monitor = charges_mod.compute_charges
 
-    result = evolve_mod.run(f0, rcfg, pot)
+    norm0 = f0.norm2
+    handed, f0 = [f0], None  # from a list, f0 is freed once run has its own copy
+    result = evolve_mod.run(handed.pop(), rcfg, pot)
     report = {"steps": rcfg.steps, "dt": rcfg.dt, "final_time": result.field.time,
               "final_norm2": result.field.norm2}
     failures = []
@@ -389,7 +391,7 @@ def cmd_evolve(args) -> int:
         if "charges_csv" in paths:
             charges_mod.write_csv(result.records, paths["charges_csv"])
     if norm_tol is not None:
-        drift = abs(result.field.norm2 - f0.norm2)
+        drift = abs(result.field.norm2 - norm0)
         report["norm_drift"] = drift
         if not (drift <= norm_tol):
             failures.append(f"norm drift {drift:.3e} exceeds {norm_tol}")

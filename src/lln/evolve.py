@@ -162,8 +162,8 @@ class RunConfig:
         if self.evolver not in ("split", "rk4"):
             raise ValueError(f"unknown evolver {self.evolver!r}")
         _check_modes(self, ("free", "external", "self"))
-        if not (self.dt > 0) or self.steps < 0:
-            raise ValueError("dt must be positive and steps nonnegative")
+        if not (0 < self.dt < np.inf and np.isfinite(self.G)) or self.steps < 0:
+            raise ValueError("dt must be finite and positive, G finite and steps nonnegative")
         # a fractional steps fails mid-run; monitor_every=-1 records every step
         counts = (self.steps, self.monitor_every)
         if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in counts):
@@ -237,17 +237,19 @@ def _drift(live, multiplier):
     step, and the operand order keeps the rounding of multiplier * F."""
     F = fftn(live, overwrite_x=True)
     np.multiply(multiplier, F, out=F)
-    live[...] = ifftn(F, overwrite_x=True)  # a no-op when scipy wrote in place
+    F = ifftn(F, overwrite_x=True)
+    if not np.may_share_memory(F, live):  # in place, live[...] = F copies via a temporary
+        live[...] = F
 
 
-def _kick_phase(pot: Optional[GridPotential], m, hbar, dt):
+def _kick_phase(pot: Optional[GridPotential], m, hbar, dt, kick=None):
     """The half-kick phase exp(-i m U dt / 2 hbar) (None without a potential)
     as cos + i sin of the real angle (U * -m/hbar) * dt/2, written into the
-    real and imaginary planes of one buffer: the complex exp's values."""
+    real and imaginary planes of one buffer: kick, the spent phase, if given."""
     if pot is None:
         return None
     theta = pot.U * (-m / hbar) * (dt / 2.0)
-    kick = np.empty(theta.shape, dtype=complex)
+    kick = np.empty(theta.shape, dtype=complex) if kick is None else kick
     np.cos(theta, out=kick.real)
     np.sin(theta, out=kick.imag)
     return kick
@@ -265,6 +267,8 @@ def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> 
     Kicks, drifts and the Poisson source touch only the components that are
     not identically zero at entry (a view into f.data, so monitors and the
     result see the full pair), with results bit-identical to advancing both.
+    Between steps it holds its copy of f, the drift multiplier, the kick
+    phase and U alone: a caller that keeps no reference frees f at the copy.
     rk4: classical Runge-Kutta on the full H, any potentials; refuses steps
     beyond the stability bound with a suggested dt.
     """
@@ -282,8 +286,7 @@ def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> 
             raise ValueError(
                 "split-step requires vanishing Coriolis potential; use rk4"
             )
-        k2 = grid.k2
-        drift = np.exp(-1j * hbar * k2 * cfg.dt / (2.0 * m))
+        drift = np.exp(-1j * hbar * grid.k2 * cfg.dt / (2.0 * m))
 
         live = f.data[_live(f.data)]
         pot = _potential_for(live, cfg, grid, m, p)
@@ -295,8 +298,9 @@ def run(f: BispinorField, cfg: RunConfig, p: Optional[GridPotential] = None) -> 
                 live *= kick
             _drift(live, drift)
             if cfg.source == "self":
+                del pot  # the spent U goes before the next solve
                 pot = _potential_for(live, cfg, grid, m, p)
-                kick = _kick_phase(pot, m, hbar, cfg.dt)
+                kick = _kick_phase(pot, m, hbar, cfg.dt, kick)
             if kick is not None:
                 live *= kick
             f.time += cfg.dt
@@ -360,8 +364,9 @@ class RelaxConfig:
 
     def __post_init__(self):
         _check_modes(self, ("self", "external"))
-        if not (self.dtau > 0 and self.tol >= 0 and self.max_iter >= 1):
-            raise ValueError("ground_state needs dtau > 0, tol >= 0 and max_iter >= 1")
+        if not (0 < self.dtau < np.inf and 0 <= self.tol < np.inf and np.isfinite(self.G)
+                and isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+            raise ValueError("ground_state needs finite dtau > 0, tol >= 0, G and max_iter >= 1")
 
 
 @dataclass
@@ -452,8 +457,8 @@ def ground_state(f0: BispinorField, cfg: RelaxConfig,
         if np.any(shift):
             psi = shift_field(psi, grid, shift)
             psi /= _norm_divisor(psi, grid)
-    k2 = grid.k2[..., : grid.n // 2 + 1]
-    decay = np.exp(-hbar * k2 * cfg.dtau / (2.0 * m))
+    half = grid.n // 2 + 1  # k^2 is built where used: a kept slice pins it whole
+    decay = np.exp(-hbar * grid.k2[..., :half] * cfg.dtau / (2.0 * m))
     # ring buffers of the last differences of S(psi) and of the residual r;
     # the Gram matrix of the residual differences and their products b with r
     dG = np.empty((_ANDERSON_DEPTH, psi.size))
@@ -490,7 +495,7 @@ def ground_state(f0: BispinorField, cfg: RelaxConfig,
     # weights of T on the half spectrum, which holds the k_z = 0 and Nyquist
     # planes once and every other plane for itself and its conjugate
     w = np.r_[1.0, np.full(grid.n // 2 - 1, 2.0), 1.0]
-    wk2 = (hbar**2 / (2.0 * m) * grid.dv / grid.n**3) * w * k2
+    wk2 = (hbar**2 / (2.0 * m) * grid.dv / grid.n**3) * w * grid.k2[..., :half]
     F = rfftn(psi)
     T = float(np.sum(wk2 * (F.real**2 + F.imag**2)))
     E = T + m * float(np.sum(pot.U * density(psi))) * grid.dv

@@ -161,8 +161,9 @@ class GridSpec:
             k.reshape(1, 1, -1),
         )
 
-    @cached_property
+    @property
     def k2(self) -> np.ndarray:
+        """|k|^2 on the full spectrum, built on each access, never cached."""
         k1, k2, k3 = self.kvec
         return k1**2 + k2**2 + k3**2
 
@@ -216,7 +217,10 @@ def gradient(f, grid: GridSpec):
 
 
 def laplacian(f, grid: GridSpec):
-    return _spectral(np.asarray(f), lambda i: -grid.k2[i])
+    """Spectral Laplacian, -k^2 summed per slab in GridSpec.k2's order."""
+    s1, s2, s3 = (k.ravel() ** 2 for k in grid.kvec)
+    s12 = -(s1[:, None] + s2)  # s12 - s3 is -(s1 + s2 + s3): rounding is sign-symmetric
+    return _spectral(np.asarray(f), lambda i: s12[i, :, None] - s3)
 
 
 def divergence(v, grid: GridSpec):
@@ -562,13 +566,15 @@ def load_snapshot(path) -> Snapshot:
             raise ValueError(f"{path}: only cubic grids are supported")
         grid = GridSpec(n=int(n1), length=float(header["length"]))
         C = int(header["components"])
-        raw = np.fromfile(fh, dtype="<c16")
-    expect = C * grid.n**3
-    if raw.size != expect:
-        raise ValueError(
-            f"{path}: payload has {raw.size} values, expected {expect}"
-        )
-    data = np.transpose(raw.reshape(n3, n2, n1, C), (3, 2, 1, 0)).copy()
+        size = (os.fstat(fh.fileno()).st_size - fh.tell()) // 16
+        expect = C * grid.n**3
+        if size != expect:
+            raise ValueError(f"{path}: payload has {size} values, expected {expect}")
+        data = np.empty((C,) + grid.shape, dtype=complex)
+        slab = np.empty((grid.n, grid.n, C), dtype="<c16")
+        for k in range(grid.n):  # one x3 slab at a time, as _write_snapshot wrote
+            fh.readinto(slab)
+            data[..., k] = slab.T
     if not np.all(np.isfinite(data)):
         raise SnapshotDataError(f"{path}: snapshot contains non-finite values")
     kind = header["kind"]

@@ -28,13 +28,14 @@ def mass_density(phi, grid: GridSpec, m: float):
 
     The self-consistent coupling is written for a unit-norm spinor; dividing
     by the actual norm keeps the source physical for any amplitude and is
-    what the anisotropic dilation covariance requires.
+    what the anisotropic dilation covariance requires. Scaled in place.
     """
     dens = density(phi)
     total = dens.sum() * grid.dv
     if total <= 0:
         raise ValueError("cannot normalize a zero field")
-    return m * (dens / total)
+    dens /= total  # the values of m * (dens / total)
+    return np.multiply(dens, m, out=dens)
 
 
 def inverse_laplacian(f, grid: GridSpec):
@@ -54,7 +55,8 @@ def poisson_periodic(rho, grid: GridSpec, G: float = 1.0):
     mean and satisfies Delta U = 4 pi G (rho - rho_mean) exactly in the
     spectral sense.
     """
-    return inverse_laplacian(rho, grid) * (4.0 * np.pi * G)
+    U = inverse_laplacian(rho, grid)
+    return np.multiply(U, 4.0 * np.pi * G, out=U)
 
 
 def constraint_potential(grid: GridSpec, rho, varpi_curl2=0.0, G: float = 1.0):

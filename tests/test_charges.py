@@ -199,8 +199,9 @@ def test_compute_charges_of_a_basis_spinor_holds_one_component(spin):
 
 def test_monitored_run_peaks_no_higher_than_the_steps():
     # a self/periodic run holds its field, U, the kick and the drift
-    # multiplier; the steps peak at 3.02 field sizes, and a record every 5
-    # steps lifts that to 3.04 only
+    # multiplier; the steps peak at 2.77 field sizes (see
+    # test_self_run_holds_one_field_and_its_multipliers), and a record every
+    # 5 steps lifts that to 3.04: one partial and its momentum row on top
     f = gaussian_packet(G32, sigma=1.5, k0=(K1, 0, 0))
     cfg = RunConfig(dt=1e-3, steps=10, source="self", poisson="periodic",
                     monitor_every=5, monitor=compute_charges)

@@ -203,6 +203,31 @@ def test_run_config_refuses_what_is_not_a_count(kw):
     assert RunConfig(dt=1e-3, steps=np.int64(5), monitor_every=np.int64(2)).steps == 5
 
 
+@pytest.mark.parametrize("kw", [{"dt": np.inf}, {"G": np.nan}])
+def test_run_config_refuses_non_finite_values(kw):
+    # each ran every step and then raised StabilityError on non-finite
+    # amplitudes
+    with pytest.raises(ValueError, match="dt must be finite and positive, G finite"):
+        RunConfig(**{"dt": 1e-3, "steps": 5, "source": "self", **kw})
+
+
+def test_self_run_holds_one_field_and_its_multipliers():
+    # a self/periodic run holds its copy of the field, the drift multiplier,
+    # the kick phase and U: 2.25 field sizes. A step peaks at 2.77 at 32^3,
+    # in the Poisson solve (3.02 with k^2 cached on the grid, a fresh kick
+    # buffer per U and the spent U alive through the solve)
+    f = gaussian_packet(G32, sigma=1.5, k0=(2 * np.pi / G32.length, 0, 0))
+    cfg = RunConfig(dt=1e-3, steps=10, source="self", poisson="periodic")
+    run(f, cfg)
+    tracemalloc.start()
+    try:
+        run(f, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.85 * f.data.nbytes
+
+
 def test_external_mode_needs_potential():
     f = gaussian_packet(G16, sigma=1.2)
     with pytest.raises(ValueError):
@@ -643,6 +668,16 @@ def test_ground_state_guards():
     for bad in ({"max_iter": 0}, {"dtau": 0.0}, {"dtau": -0.05}, {"tol": -1e-9}):
         with pytest.raises(ValueError, match="ground_state needs"):
             ground_state(f, RelaxConfig(**bad))
+
+
+@pytest.mark.parametrize("kw", [{"tol": np.inf}, {"max_iter": 2.5}, {"dtau": np.inf},
+                                {"G": np.nan}])
+def test_relax_config_fails_closed(kw):
+    # tol = inf reported converged=True after one sweep, max_iter = 2.5
+    # raised TypeError mid-run, and dtau = inf and G = nan failed mid-run on
+    # "cannot normalize a field of norm^2 nan"
+    with pytest.raises(ValueError, match="ground_state needs"):
+        RelaxConfig(**kw)
 
 
 def test_ground_state_harmonic_trap():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -271,6 +273,23 @@ def test_snapshot_files_round_trip(tmp_path, n, length, seed, scale, m, hbar, G,
         "potential", grid, m, hbar, G, time)
     U2, w2 = snap.to_potentials()
     assert np.array_equal(U2, U) and np.array_equal(w2, w)
+
+
+def test_load_snapshot_fills_one_field_size_buffer(tmp_path):
+    # the payload is read one x3 slab at a time into the final layout: the
+    # traced peak is 1.10 field sizes at 32^3 (2.07 with the whole payload
+    # read and then transposed into a copy)
+    f = gaussian_packet(G32, sigma=1.5, spin=(0.6, 0.8j))
+    path = tmp_path / "s.lls"
+    save_snapshot(path, f)
+    assert np.array_equal(load_snapshot(path).data, f.data)
+    tracemalloc.start()
+    try:
+        load_snapshot(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * f.data.nbytes
 
 
 def test_snapshot_rejects_nan(tmp_path):
