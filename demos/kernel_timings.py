@@ -13,11 +13,11 @@ that of the longer run, the run's field, potential and multipliers included.
 The two "1 comp." FFT rows call scipy.fft directly at 1 worker and at the
 LLN_THREADS budget, so the grain of `fields._workers` shows where a second
 worker starts to pay. numpy's OpenBLAS runs on one thread, as in `lln`: this
-script imports numpy before `lln`, so the OPENBLAS_NUM_THREADS=1 that
-`import lln` sets comes too late, and `cli._cap_blas_threads` caps the
-library instead. The kick phase is the one `run` builds
-(`evolve._kick_phase`). `compute_charges` is timed on the spin-up packet,
-whose zero component it skips, and on a two-component (0.6, 0.8i) packet.
+script imports numpy before `lln`, so it sets the OPENBLAS_NUM_THREADS=1
+default itself (an explicit setting wins). The kick phase is the one `run`
+builds (`evolve._kick_phase`). `compute_charges` is timed on the spin-up
+packet, whose zero component it skips, and on a two-component (0.6, 0.8i)
+packet.
 The sweep row times one call of the imaginary-time sweep map
 (`evolve._sweep`, isolated gravity) on the packet's one real plane. A split
 step (self/periodic `run`) and an Anderson-mixed iteration (isolated
@@ -41,12 +41,12 @@ import tempfile
 import time
 import tracemalloc
 
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy, as `import lln` does
 import numpy as np
 import scipy.fft as sfft
 
 from lln import fields
 from lln.charges import compute_charges
-from lln.cli import _cap_blas_threads
 from lln.evolve import (
     RelaxConfig, RunConfig, _kick_phase, _sweep, apply_hamiltonian, ground_state, run,
     self_potential,
@@ -188,7 +188,6 @@ def evolve_process(n):
 
 def main(ns=(32, 64), repeats=7):
     """Prints and returns {kernel: [(workers, CPU ms, wall ms, MB) per n]}."""
-    _cap_blas_threads()
     table = {}
     for n in ns:
         for name, fn, base, calls in kernels(n):

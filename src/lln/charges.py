@@ -215,7 +215,7 @@ def covariance_test(
     Returns the relative L2 discrepancy and both final fields.
     """
     nu = u.nu
-    res_a = run(f0.copy(), cfg, p)
+    res_a = run(f0, cfg, p)
     legA = represent(u, res_a.field)
 
     f0_hat = represent(u, f0)

@@ -12,16 +12,15 @@ failed:` line), 2 usage or configuration errors.
 
 Environment: LLN_THREADS (a positive integer, default every CPU) caps the
 FFT worker threads; a transform gets one worker per `fields.GRAIN` points
-within that cap. LLN_OUTDIR prefixes relative output paths. numpy's OpenBLAS
-runs on one thread: its products here are too small to gain from more.
+within that cap. LLN_OUTDIR prefixes relative output paths. `import lln`
+sets OPENBLAS_NUM_THREADS=1 where unset: numpy's products here are too small
+to gain from BLAS threads, and an explicit setting wins.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
-import glob
 import json
 import math
 import os
@@ -481,29 +480,6 @@ def cmd_symmetry_check(args) -> int:
     return _finish(report, failures, paths.get("report"))
 
 
-# the OpenBLAS that numpy wheels bundle, next to the numpy package
-_OPENBLAS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                         "numpy.libs", "libscipy_openblas*")
-
-
-def _cap_blas_threads():
-    """Run numpy's OpenBLAS on one thread: its calls here (`sample_points`,
-    `resample_separable`, `first_moments`) are too small to gain from threads.
-    `import lln` sets OPENBLAS_NUM_THREADS=1 when unset, which acts only if
-    numpy loads later; this cap covers processes that imported numpy first.
-    Returns why the cap could not be set, else None."""
-    found = sorted(glob.glob(_OPENBLAS))
-    if not found:
-        return f"no library matches {_OPENBLAS}"
-    try:
-        setter = ctypes.CDLL(found[0]).scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError) as exc:
-        return str(exc)
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    setter(1)
-    return None
-
-
 ############################################################
 # entry point
 ############################################################
@@ -557,9 +533,6 @@ def main(argv=None) -> int:
     try:
         with _config_phase("environment"):
             fields._budget()
-        why = _cap_blas_threads()
-        if why:
-            print(f"note: OpenBLAS threads not capped: {why}", file=sys.stderr)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

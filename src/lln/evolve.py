@@ -12,12 +12,12 @@ component that starts at zero stays exactly zero: `run` advances only the
 components that are not identically zero, as a view into the field, kicked
 by cos + i sin of a real angle. In imaginary time every factor of a sweep is
 real too, so `ground_state` relaxes the nonzero real and imaginary parts of
-the components as real planes, with real FFTs and a Parseval kinetic energy.
+the components as real planes, with real FFTs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -139,6 +139,11 @@ def max_frequency(p: Optional[GridPotential], grid: GridSpec, m: float, hbar: fl
 ############################################################
 
 
+def _is_count(v):
+    """An int or numpy integer, but not a bool, which subclasses int."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _check_modes(cfg, sources):
     """The source and Poisson names of a RunConfig or RelaxConfig."""
     if cfg.source not in sources:
@@ -166,7 +171,7 @@ class RunConfig:
             raise ValueError("dt must be finite and positive, G finite and steps nonnegative")
         # a fractional steps fails mid-run; monitor_every=-1 records every step
         counts = (self.steps, self.monitor_every)
-        if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in counts):
+        if not all(_is_count(v) and v >= 0 for v in counts):
             raise ValueError(f"steps and monitor_every must be counts, got {counts}")
 
 
@@ -365,7 +370,7 @@ class RelaxConfig:
     def __post_init__(self):
         _check_modes(self, ("self", "external"))
         if not (0 < self.dtau < np.inf and 0 <= self.tol < np.inf and np.isfinite(self.G)
-                and isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+                and _is_count(self.max_iter) and self.max_iter >= 1):
             raise ValueError("ground_state needs finite dtau > 0, tol >= 0, G and max_iter >= 1")
 
 
@@ -434,10 +439,10 @@ def ground_state(f0: BispinorField, cfg: RelaxConfig,
     It stops at the first psi whose fixed-point residual ||S(psi) - psi||
     (L2 with dv) is below tol and returns that psi; iterations counts
     evaluations of S, and after max_iter of them the last psi evaluated is
-    returned unconverged. The energy is <H> of the returned state under its
-    own U (T by Parseval from one rfftn), and the residual
-    ||H phi - E phi|| / ||phi|| is taken there too; S's fixed point is
-    O(dtau^2) off the eigenstate, so that residual does not fall with tol.
+    returned unconverged. The energy is <phi, H phi> of the returned state
+    under its own U, and the residual ||H phi - E phi|| / ||phi|| comes from
+    the same H phi; S's fixed point is O(dtau^2) off the eigenstate, so that
+    residual does not fall with tol.
 
     With a self source and no external potential, a start between lattice
     nodes would slide toward one far more slowly than it relaxes, so it is
@@ -446,7 +451,7 @@ def ground_state(f0: BispinorField, cfg: RelaxConfig,
     """
     if p is not None and p.coriolis:
         raise ValueError("imaginary-time split-step requires vanishing varpi")
-    f = f0.copy().normalized()
+    f = f0.normalized()
     grid, m, hbar = f.grid, f.m, f.hbar
     # views into f.data, which the relaxed planes are written back through
     planes = [q for part in (f.data.real, f.data.imag) for q in part if np.any(q)]
@@ -457,8 +462,8 @@ def ground_state(f0: BispinorField, cfg: RelaxConfig,
         if np.any(shift):
             psi = shift_field(psi, grid, shift)
             psi /= _norm_divisor(psi, grid)
-    half = grid.n // 2 + 1  # k^2 is built where used: a kept slice pins it whole
-    decay = np.exp(-hbar * grid.k2[..., :half] * cfg.dtau / (2.0 * m))
+    # k^2 is built here and dropped: a kept slice would pin it whole
+    decay = np.exp(-hbar * grid.k2[..., :grid.n // 2 + 1] * cfg.dtau / (2.0 * m))
     # ring buffers of the last differences of S(psi) and of the residual r;
     # the Gram matrix of the residual differences and their products b with r
     dG = np.empty((_ANDERSON_DEPTH, psi.size))
@@ -492,16 +497,11 @@ def ground_state(f0: BispinorField, cfg: RelaxConfig,
     converged = res < cfg.tol
     for q, x in zip(planes, psi):
         q[...] = x
-    # weights of T on the half spectrum, which holds the k_z = 0 and Nyquist
-    # planes once and every other plane for itself and its conjugate
-    w = np.r_[1.0, np.full(grid.n // 2 - 1, 2.0), 1.0]
-    wk2 = (hbar**2 / (2.0 * m) * grid.dv / grid.n**3) * w * grid.k2[..., :half]
-    F = rfftn(psi)
-    T = float(np.sum(wk2 * (F.real**2 + F.imag**2)))
-    E = T + m * float(np.sum(pot.U * density(psi))) * grid.dv
-    # residual on the nonzero components: the whole pair doubles peak memory
+    # <H> and the residual from one H phi on the nonzero components: the
+    # whole pair doubles peak memory
     live = f.data[_live(f.data)]
     h = apply_hamiltonian(live, pot, grid, m, hbar)
+    E = float(np.vdot(live, h).real) * grid.dv
     return GroundStateResult(
         field=f, energy=E, iterations=it, converged=converged, potential=pot,
         residual=float(np.sqrt(norm2(h - E * live, grid) / norm2(live, grid))),
@@ -566,8 +566,7 @@ def gauge_transform(f: BispinorField, p: Optional[GridPotential], theta, dt_thet
     grid = f.grid
     theta = np.asarray(theta, dtype=float)
     U, varpi = (np.zeros(grid.shape), 0.0) if p is None else (p.U, p.varpi)
-    f2 = f.copy()
-    f2.data = np.exp(1j * f.m / f.hbar * theta) * f.data
+    f2 = replace(f, data=np.exp(1j * f.m / f.hbar * theta) * f.data)
     U2 = U - (0.0 if dt_theta is None else np.asarray(dt_theta))
     p2 = GridPotential(grid, U=U2, varpi=varpi + gradient(theta, grid))
     return f2, p2

@@ -415,7 +415,9 @@ def test_covariance_rotation_free():
     f = gaussian_packet(G32, sigma=1.0, center=(1.0, 0.5, -0.5), k0=(K1, 0, 0))
     u = SnGroupElement.rotation((0, 0, 1), np.pi / 2)
     cfg = RunConfig(dt=1e-3, steps=5, evolver="split", source="free")
+    data = f.data.copy()
     out = covariance_test(f, u, cfg)
+    assert np.array_equal(f.data, data) and f.time == 0.0  # leg A ran a copy
     assert out["rel_l2"] < 1e-12
     assert abs(out["final_time_A"] - out["final_time_B"]) < 1e-15
     assert set(out) == {"rel_l2", "legA", "legB", "final_time_A", "final_time_B"}

@@ -1,12 +1,10 @@
 """Exercising the command line front end in process, plus two subprocess
 tests at the end: one runs ``python -m lln`` and checks the ``lln``
-console-script declaration in pyproject.toml, the other checks what a fresh
-``import lln.cli`` starts. Exit code contract: 0 pass, 1 failed check or bad
-data, 2 usage/config errors."""
+console-script declaration in pyproject.toml, the other checks what a
+fresh ``import lln.cli`` and one ``lln.cli.main`` run start. Exit code
+contract: 0 pass, 1 failed check or bad data, 2 usage/config errors."""
 
 import copy
-import ctypes
-import glob
 import json
 import os
 import string
@@ -799,39 +797,6 @@ def test_lln_threads_is_config_error(value, solver_calls, monkeypatch, capsys):
     assert "LLN_THREADS" in capsys.readouterr().err
 
 
-@pytest.fixture
-def openblas():
-    """numpy's bundled OpenBLAS, its thread count restored afterwards."""
-    found = sorted(glob.glob(cli._OPENBLAS))
-    if not found:
-        pytest.skip("numpy has no bundled scipy-openblas here")
-    lib = ctypes.CDLL(found[0])
-    lib.scipy_openblas_get_num_threads64_.argtypes = []
-    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-    lib.scipy_openblas_set_num_threads64_.restype = None
-    before = lib.scipy_openblas_get_num_threads64_()
-    yield lib
-    lib.scipy_openblas_set_num_threads64_(before)
-
-
-def test_main_runs_openblas_on_one_thread(tmp_path, openblas, capsys):
-    openblas.scipy_openblas_set_num_threads64_(2)
-    path = evolve_config(tmp_path, evolver={"kind": "split", "dt": 1e-3, "steps": 2})
-    assert main(["evolve", "--config", path]) == 0
-    assert openblas.scipy_openblas_get_num_threads64_() == 1
-    assert capsys.readouterr().err == ""
-
-
-def test_main_runs_without_openblas(tmp_path, openblas, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_OPENBLAS", str(tmp_path / "libscipy_openblas*"))
-    openblas.scipy_openblas_set_num_threads64_(2)
-    path = evolve_config(tmp_path, evolver={"kind": "split", "dt": 1e-3, "steps": 2})
-    assert main(["evolve", "--config", path]) == 0
-    assert openblas.scipy_openblas_get_num_threads64_() == 2  # left alone
-    assert "OpenBLAS threads not capped" in capsys.readouterr().err
-
-
 # fuzz bases: together they reach every section, every outputs and checks
 # key, each potentials form and both element forms
 FUZZ_BASES = [
@@ -967,28 +932,51 @@ def test_entry_point_subprocess():
 
 
 _STARTUP_PROBE = """
-import json, os, sys
+import ctypes, glob, json, os, sys
 import lln.cli
-tasks = "/proc/self/task"
-print(json.dumps([os.environ["OPENBLAS_NUM_THREADS"], "scipy.linalg" in sys.modules,
-                  len(os.listdir(tasks)) if os.path.isdir(tasks) else None]))
+import numpy as np
+
+def threads():
+    tasks = "/proc/self/task"
+    return len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+
+# the OpenBLAS that numpy wheels bundle, next to the numpy package
+found = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                      "numpy.libs", "libscipy_openblas*")))
+get = None
+if found:
+    get = ctypes.CDLL(found[0]).scipy_openblas_get_num_threads64_
+    get.restype = ctypes.c_int
+linalg, before, blas_before = "scipy.linalg" in sys.modules, threads(), get and get()
+code = lln.cli.main(["evolve", "--config", sys.argv[1]])
+cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+print(json.dumps([os.environ["OPENBLAS_NUM_THREADS"], linalg, before, blas_before,
+                  code, threads(), get and get(), cpus]))
 """
 
 
 @pytest.mark.parametrize("preset", [None, "3"])
-def test_import_starts_no_blas_threads_and_no_scipy_linalg(preset):
+def test_import_starts_no_blas_threads_and_no_scipy_linalg(preset, tmp_path):
     # a fresh interpreter: `import lln` must set OPENBLAS_NUM_THREADS before
     # numpy loads, so the bundled OpenBLAS copies start no worker threads; an
-    # explicit setting wins. scipy.linalg (only `exp_element` needs it) stays out.
+    # explicit setting wins, also through `lln.cli.main`, which leaves the
+    # BLAS thread count as it found it. scipy.linalg (only `exp_element`
+    # needs it) stays out.
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(Path(lln.__file__).resolve().parents[1])
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE],
+    path = evolve_config(tmp_path, evolver={"kind": "split", "dt": 1e-3, "steps": 2})
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, path], cwd=tmp_path,
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    value, linalg, threads = json.loads(proc.stdout)
-    assert value == (preset or "1")
+    assert proc.stderr == ""
+    value, linalg, before, blas_before, code, after, blas, cpus = json.loads(
+        proc.stdout.splitlines()[-1])
+    assert value == (preset or "1") and code == 0
     assert not linalg
-    if preset is None and threads is not None:
-        assert threads == 1
+    if preset is None and before is not None:
+        assert before == after == 1
+    if blas is not None:
+        # OpenBLAS runs at most one thread per CPU it may use
+        assert blas_before == blas == (1 if preset is None else min(3, cpus))
