@@ -169,7 +169,8 @@ class RunConfig:
         _check_modes(self, ("free", "external", "self"))
         if not (0 < self.dt < np.inf and np.isfinite(self.G)) or self.steps < 0:
             raise ValueError("dt must be finite and positive, G finite and steps nonnegative")
-        # a fractional steps fails mid-run; monitor_every=-1 records every step
+        # a fractional steps fails mid-run and a negative monitor_every is refused;
+        # monitor_every=1 records every step, 0 records nothing
         counts = (self.steps, self.monitor_every)
         if not all(_is_count(v) and v >= 0 for v in counts):
             raise ValueError(f"steps and monitor_every must be counts, got {counts}")

@@ -5,7 +5,6 @@ from __future__ import annotations
 from functools import cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .fields import GridSpec, density, fftn, ifftn, irfftn, rfftn
 from .geometry import GridPotential
@@ -74,19 +73,10 @@ def constraint_potential(grid: GridSpec, rho, varpi_curl2=0.0, G: float = 1.0):
 # isolated (free-space) Poisson via doubled-grid convolution
 ############################################################
 
-@cache
 def self_cell_coefficient() -> float:
-    """Mean of 1/|x| over the unit cube [-1/2, 1/2]^3 (dimensionless).
-
-    Computed once by Gauss-Legendre quadrature on the positive octant; sets
-    the singular cell of the free-space kernel to its cell-averaged value.
-    """
-    x, w = leggauss(48)
-    xm = 0.25 * (x + 1.0)  # (0, 1/2)
-    wm = 0.25 * w
-    X, Y, Z = np.meshgrid(xm, xm, xm, indexing="ij")
-    W = wm.reshape(-1, 1, 1) * wm.reshape(1, -1, 1) * wm.reshape(1, 1, -1)
-    return float(8.0 * np.sum(W / np.sqrt(X**2 + Y**2 + Z**2)))
+    """Mean of 1/|x| over the unit cube [-1/2, 1/2]^3 (dimensionless), in
+    closed form; the singular cell of the free-space kernel takes this mean."""
+    return float(3.0 * np.log(2.0 + np.sqrt(3.0)) - 0.5 * np.pi)
 
 
 @cache

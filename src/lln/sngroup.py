@@ -18,8 +18,9 @@ inverse and exp_element read their parameters back off E1 E2, E^-1 and
 expm(tau L), and the representation reads its pull-back (input point, input
 time and boost phase exponent) off the rows of the inverse matrix.
 
-The spinor representation rescales mass by nu and acts on the Pauli pair by a
-lower-triangular 2x2-block matrix; see :func:`represent`.
+The spinor representation rescales mass by nu and acts on the 4-component
+spinor (phi, chi) by one 4x4 block lower-triangular matrix, after one
+resample of the stacked components; see :func:`represent`.
 """
 
 from __future__ import annotations
@@ -247,16 +248,11 @@ def _element(E) -> SnGroupElement:
 ############################################################
 
 
-def _apply(E, x, t=0.0, s=0.0):
-    """E (x, t, s, 1) for a 6x6 affine E; x is (..., 3), t and s broadcast
-    against its batch shape. Returns (x_hat (..., 3), t_hat, s_hat)."""
-    out = generator_field(E, np.moveaxis(np.asarray(x, dtype=float), -1, 0), t, s)
-    return np.moveaxis(out[:3], 0, -1), out[3], out[4]
-
-
 def act(u: SnGroupElement, x, t=0.0, s=0.0):
-    """Apply u to event coordinates; x may carry leading batch axes (..., 3)."""
-    return _apply(u.matrix, x, t, s)
+    """Apply u to event coordinates; x may carry leading batch axes (..., 3),
+    t and s broadcast against them. Returns (x_hat (..., 3), t_hat, s_hat)."""
+    out = generator_field(u.matrix, np.moveaxis(np.asarray(x, dtype=float), -1, 0), t, s)
+    return np.moveaxis(out[:3], 0, -1), out[3], out[4]
 
 
 def compose(u1: SnGroupElement, u2: SnGroupElement) -> SnGroupElement:
@@ -309,15 +305,15 @@ def exp_element(X: LieParams, tau: float = 1.0) -> SnGroupElement:
 ############################################################
 
 
-def _rep_blocks(u: SnGroupElement):
-    """Pauli blocks (upper, lower_left, lower_right) of the block lower
-    triangular representation matrix."""
+def _rep_matrix(u: SnGroupElement) -> np.ndarray:
+    """The 4x4 block lower-triangular representation matrix on (phi, chi)."""
     nu = u.nu
     a = su2_from_quat(u.quat)
-    upper = nu**5 * a  # nu^6 * (a / nu)
-    lower_left = nu**6 * (-0.5j) * np.einsum("j,jab,bc->ac", nu * u.b, PAULI, a)
-    lower_right = nu**7 * a  # nu^6 * nu
-    return upper, lower_left, lower_right
+    R = np.zeros((4, 4), dtype=complex)
+    R[:2, :2] = nu**5 * a  # nu^6 * (a / nu)
+    R[2:, :2] = nu**6 * (-0.5j) * np.einsum("j,jab,bc->ac", nu * u.b, PAULI, a)
+    R[2:, 2:] = nu**7 * a  # nu^6 * nu
+    return R
 
 
 def _pullback(u: SnGroupElement, t_out: float):
@@ -404,29 +400,16 @@ def _represent_pair(u: SnGroupElement, f: BispinorField, chi):
     E = u.matrix
     t_hat = float(E[3, 3] * f.time + E[3, 5])  # the affine t -> (d t + e)/g
     M, v, _, k, s_in = _pullback(u, t_hat)
-    phi_p = _resample_linear(f.data, grid, M, v)
-    upper, lower_left, lower_right = _rep_blocks(u)
+    psi = f.data if chi is None else np.concatenate([f.data, np.asarray(chi, dtype=complex)])
+    c = len(psi)
+    out = np.einsum("ab,b...->a...", _rep_matrix(u)[:c, :c], _resample_linear(psi, grid, M, v))
     # the boost phase exp(i m (k.x + s_in)/hbar) is 1 without boost or s-shift
-    boosted = np.any(k) or s_in != 0
-    if boosted:
+    if np.any(k) or s_in != 0:
         phase = np.exp(1j * f.m / f.hbar * (np.einsum("j,j...->...", k, grid.mesh()) + s_in))
-    data = np.einsum("ab,b...->a...", upper, phi_p)
-    out = BispinorField(
-        grid=grid,
-        data=phase * data if boosted else data,
-        m=nu * f.m,
-        hbar=f.hbar,
-        time=t_hat,
-        mass_tag=nu * f.mass_tag,
-    )
-    if chi is None:
-        return out, None
-    chi_p = _resample_linear(np.asarray(chi, dtype=complex), grid, M, v)
-    chi_out = (
-        np.einsum("ab,b...->a...", lower_left, phi_p)
-        + np.einsum("ab,b...->a...", lower_right, chi_p)
-    )
-    return out, phase * chi_out if boosted else chi_out
+        out = phase * out
+    field = BispinorField(grid=grid, data=out[:2], m=nu * f.m, hbar=f.hbar, time=t_hat,
+                          mass_tag=nu * f.mass_tag)
+    return field, None if chi is None else out[2:]
 
 
 def represent_fn(u: SnGroupElement, fn, m: float, hbar: float):
@@ -434,7 +417,7 @@ def represent_fn(u: SnGroupElement, fn, m: float, hbar: float):
 
     Returns (new_fn, new_mass); chain the mass when composing by hand.
     """
-    upper = _rep_blocks(u)[0]
+    upper = _rep_matrix(u)[:2, :2]
 
     def out(x, t):
         x = np.asarray(x, dtype=float)
@@ -465,8 +448,8 @@ def transform_potentials(u: SnGroupElement, p: GridPotential, t_hat=None) -> Gri
     if t_hat is None:
         t_hat = float(u.matrix[3, 5])  # the image (d 0 + e)/g of t = 0
     M, v = _pullback(u, t_hat)[:2]
-    U_p = _resample_linear(p.U[None], grid, M, v)[0]
-    w_p = _resample_linear(p.varpi, grid, M, v)
+    Uw = _resample_linear(np.concatenate([p.U[None], p.varpi]), grid, M, v)
+    U_p, w_p = Uw[0], Uw[1:]
     Atb = u.A.T @ u.b
     U_hat = nu**4 * (U_p + np.einsum("j...,j->...", w_p, Atb))
     w_hat = nu**2 * np.einsum("ij,j...->i...", u.A, w_p)

@@ -1,10 +1,13 @@
-"""Export hygiene: every name a module exports exists and is used outside
-the tests (or is one of the paper's objects the library keeps), and the
-package namespace re-exports only names its source modules export."""
+"""Export and checkout hygiene: every name a module exports exists and is
+used outside the tests (or is one of the paper's objects the library keeps),
+the package namespace re-exports only names its source modules export, and a
+pytest run under the repository's settings leaves no cache directories."""
 
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,3 +92,17 @@ def test_every_export_is_used_outside_the_tests():
     assert set(PAPER_OBJECTS) <= exported, "PAPER_OBJECTS lists a name no module exports"
     unused = _unread_exports(("src", "demos", "perfbench"), PAPER_OBJECTS)
     assert not unused, f"exported but read only by tests: {unused}"
+
+
+def test_pytest_run_leaves_no_cache_directories(tmp_path):
+    # pyproject.toml's addopts turn off the cache provider and the installed
+    # pytest-benchmark plugin, each of which makes a directory in the rootdir
+    (tmp_path / "pyproject.toml").write_bytes((ROOT / "pyproject.toml").read_bytes())
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_one.py").write_text("def test_one():\n    pass\n")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 passed" in proc.stdout
+    left = [p.name for p in tmp_path.iterdir() if p.name in (".benchmarks", ".pytest_cache")]
+    assert not left, f"the run left {left}"

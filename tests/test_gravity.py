@@ -21,7 +21,7 @@ from lln.gravity import (
 
 G32 = GridSpec(n=32, length=16.0)
 
-SELF_CELL = 2.3800777378  # mean of 1/|x| over the unit cube
+SELF_CELL = 2.380077363979553  # 3 ln(2 + sqrt 3) - pi/2, mean of 1/|x| over the unit cube
 
 
 def test_poisson_periodic_residual():
@@ -79,8 +79,15 @@ def test_isolated_gaussian_profile():
 
 
 def test_self_cell_coefficient():
+    from scipy.integrate import dblquad
+
     c = self_cell_coefficient()
-    assert abs(c - SELF_CELL) < 1e-8
+    assert abs(c - SELF_CELL) < 1e-15
+    # independent face-integral oracle: 1/|x| is homogeneous of degree -1, so
+    # by the divergence theorem the cube mean is 3 int_[0,1]^2 (1+u^2+v^2)^-1/2
+    face = dblquad(lambda v, u: (1.0 + u * u + v * v) ** -0.5, 0.0, 1.0, 0.0, 1.0,
+                   epsabs=1e-14, epsrel=1e-14)[0]
+    assert abs(3.0 * face - c) < 1e-14
     # independent midpoint-rule oracle, second order in the cell count
     for m, tol in ((64, 2e-4), (128, 5e-5)):
         ax = (np.arange(m) + 0.5) / m - 0.5

@@ -637,6 +637,54 @@ def test_representation_derivative_richardson():
     assert 3.5 < e1 / e2 < 4.5  # O(h^2), measured ratio 4.000
 
 
+def _element_classes():
+    k1 = 2 * np.pi / G16.length
+    return {
+        "translation": SnGroupElement.translation(c=[0.31, -0.2, 1.05], e=0.2, h=0.4),
+        "boost": SnGroupElement.boost(k1 * np.array([1.0, -2.0, 0.0])),
+        "dilation": SnGroupElement.dilation(1.07),
+        "quarter_turn": SnGroupElement.rotation([0, 1, 0], np.pi / 2),
+        "rotation": SnGroupElement.rotation([1.0, 2.0, -1.0], 0.7),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_element_classes()))
+def test_represent_pair_carries_represent_bit_for_bit(kind):
+    # phi goes through the same pull-back, resample and upper block whether
+    # or not chi rides along in the stacked resample
+    from lln.fields import BispinorField
+
+    psi = four_spinor_field(G16, 65)
+    f = BispinorField(grid=G16, data=psi[:2], time=0.3)
+    u = _element_classes()[kind]
+    fo, chi_out = represent_pair(u, f, psi[2:])
+    assert np.array_equal(represent(u, f).data, fo.data)
+    assert chi_out.shape == (2,) + G16.shape
+
+
+@pytest.mark.parametrize("kind", list(_element_classes()))
+def test_stacked_fields_resample_in_one_call(kind, monkeypatch):
+    # (phi, chi) and (U, varpi) are each pulled back by one resample
+    from lln.fields import BispinorField
+
+    calls = []
+    resample = sngroup._resample_linear
+
+    def counted(data, *args):
+        calls.append(data.shape[0])
+        return resample(data, *args)
+
+    monkeypatch.setattr(sngroup, "_resample_linear", counted)
+    psi = four_spinor_field(G16, 66)
+    u = _element_classes()[kind]
+    represent_pair(u, BispinorField(grid=G16, data=psi[:2]), psi[2:])
+    assert calls == [4]
+    calls.clear()
+    p = GridPotential(G16, U=psi[0].real, varpi=psi[1:].imag)
+    transform_potentials(u, p, t_hat=0.4)
+    assert calls == [4]
+
+
 ############################################################
 # induced action on potentials
 ############################################################
