@@ -7,12 +7,13 @@ coordinate order (x1, x2, x3, t, s),
 
 with xi = d/ds the covariantly constant null direction. g is its constant
 entries plus `_metric_part(U, varpi)`, which also gives dg, g being affine in
-the potentials. The Levi-Civita connection, d_mu X_nu of a generator and the
-spinor covariant derivative nabla are each written once. Spinors are Dirac
-4-spinors built from two Pauli pairs (phi over chi); equal-weight densities
-carry the conformal weight 2/5. All pointwise algebra below is vectorized
-over arbitrary leading axes; field-level operators act on grids from
-:mod:`lln.fields`.
+the potentials. The spinor calculus lives on the coframe theta^i = dx^i,
+theta^t = dt, theta^s = ds + varpi.dx - U dt: gamma_set, the spin connection
+and the Kosmann term all come from its constant gammas `_GAMMA`. Spinors are
+Dirac 4-spinors built from two Pauli pairs (phi over chi); equal-weight
+densities carry the conformal weight 2/5. All pointwise algebra below is
+vectorized over arbitrary leading axes; field-level operators act on grids
+from :mod:`lln.fields`.
 """
 
 from __future__ import annotations
@@ -64,7 +65,13 @@ __all__ = [
 # weight of an equal-scaling spinor density in dimension 5: (N - 1)/(2N)
 DENSITY_WEIGHT = 0.4
 
-_I2 = np.eye(2, dtype=complex)
+# frame gammas Gamma^a, a = (1, 2, 3, t, s): Gamma^j = diag(-i sigma_j, i sigma_j),
+# Gamma^t and Gamma^s are I2 lower left and -2 I2 upper right
+_GAMMA = np.zeros((5, 4, 4), dtype=complex)
+_GAMMA[:3, :2, :2] = -1j * PAULI
+_GAMMA[:3, 2:, 2:] = 1j * PAULI
+_GAMMA[3, [2, 3], [0, 1]] = 1.0
+_GAMMA[4, [0, 1], [2, 3]] = -2.0
 
 
 ############################################################
@@ -86,15 +93,6 @@ class PotentialSample:
     dtU: Optional[np.ndarray] = None
     dvarpi: Optional[np.ndarray] = None
     dtvarpi: Optional[np.ndarray] = None
-
-    @property
-    def has_derivatives(self) -> bool:
-        return not (
-            self.dU is None
-            or self.dtU is None
-            or self.dvarpi is None
-            or self.dtvarpi is None
-        )
 
 
 _ZERO = np.zeros(())  # the varpi of every GridPotential built without one
@@ -225,24 +223,18 @@ class GammaSet:
 
 
 def gamma_set(U, varpi) -> GammaSet:
-    """Curved-space gamma matrices adapted to the Brinkmann frame.
+    """Curved-space gamma matrices, the frame image gamma^mu = E^mu_a Gamma^a.
 
-    The spatial gamma^j are block diagonal (-i sigma_j, +i sigma_j); gamma^t
-    has the identity in the lower-left Pauli block; gamma^s carries the
-    potentials. Lowered matrices are produced with the metric numerically.
+    The frame e_i = d_i - varpi_i d_s, e_t = d_t + U d_s, e_s = d_s moves only
+    the s row: gamma^s = Gamma^s + U Gamma^t - varpi_j Gamma^j carries the
+    potentials and every other gamma^mu is the constant Gamma^mu. Lowered
+    matrices are produced with the metric numerically.
     """
     U, w = np.asarray(U), np.asarray(varpi)
     base = np.broadcast_shapes(U.shape, w.shape[:-1])
-    up = np.zeros(base + (5, 4, 4), dtype=complex)
-    for j in range(3):
-        up[..., j, :2, :2] = -1j * PAULI[j]
-        up[..., j, 2:, 2:] = 1j * PAULI[j]
-    up[..., 3, 2:, :2] = _I2
-    sw = np.einsum("...j,jab->...ab", w, PAULI)
-    up[..., 4, :2, :2] = 1j * sw
-    up[..., 4, :2, 2:] = -2.0 * _I2
-    up[..., 4, 2:, 2:] = -1j * sw
-    up[..., 4, 2:, :2] = U[..., None, None] * _I2
+    up = np.broadcast_to(_GAMMA, base + (5, 4, 4)).copy()
+    up[..., 4, :, :] += U[..., None, None] * _GAMMA[3]
+    up[..., 4, :, :] -= np.einsum("...j,jab->...ab", w, _GAMMA[:3])
     g = brinkmann_metric(U, w)
     low = np.einsum("...mn,...nab->...mab", g, up)
     return GammaSet(upper=up, lower=low)
@@ -294,7 +286,7 @@ def christoffels(sample: PotentialSample) -> np.ndarray:
     Non-vanishing families only: Gamma^i_tt, Gamma^i_jt, Gamma^s_ij,
     Gamma^s_it, Gamma^s_tt. Requires a sample with first derivatives.
     """
-    if not sample.has_derivatives:
+    if any(d is None for d in (sample.dU, sample.dtU, sample.dvarpi, sample.dtvarpi)):
         raise ValueError("christoffels requires a sample carrying derivatives")
     dtU = np.asarray(sample.dtU)[..., None]
     dtw = np.asarray(sample.dtvarpi)[..., None, :]
@@ -426,9 +418,8 @@ def _connection_matrices() -> np.ndarray:
     eps = np.zeros((3, 3, 3))  # Omega_ij = eps_ijk (curl varpi)_k
     eps[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
     eps[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
-    gam = gamma_set(0.0, np.zeros(3)).upper  # the frame gammas Gamma^a
-    sp = gam[:3]
-    C = gam[3] @ sp - sp @ gam[3]  # [Gamma^t, Gamma^i]
+    sp = _GAMMA[:3]
+    C = _GAMMA[3] @ sp - sp @ _GAMMA[3]  # [Gamma^t, Gamma^i]
     T = np.zeros((5, 4, 4, 6), dtype=complex)
     T[:3, ..., 3:] = -0.125 * np.einsum("ijk,iab->jabk", eps, C)
     T[3, ..., :3] = 0.25 * np.moveaxis(C, 0, -1)
@@ -442,10 +433,9 @@ def spin_connection(p: GridPotential) -> np.ndarray:
     nabla_mu psi = d_mu psi + omega_mu psi. The coframe theta^i = dx^i,
     theta^t = dt, theta^s = ds + varpi.dx - U dt is orthonormal for g
     (g = theta^i theta^i + 2 theta^t theta^s), and gamma_set is its frame
-    image: gamma^mu = E^mu_a Gamma^a with the constant Gamma^a = gamma_set at
-    zero potentials. With Omega_ij = d_i varpi_j - d_j varpi_i the only
-    non-closed coframe form has d theta^s = (1/2) Omega_ij dx^i ^ dx^j -
-    dU ^ dt, and Cartan's structure equation gives
+    image gamma^mu = E^mu_a Gamma^a (Gamma^a = `_GAMMA`). With Omega_ij =
+    d_i varpi_j - d_j varpi_i the only non-closed coframe form has d theta^s =
+    (1/2) Omega_ij dx^i ^ dx^j - dU ^ dt, and Cartan's structure equation gives
 
         omega_j = -(1/8) Omega_ij [Gamma^t, Gamma^i],
         omega_t = (1/4) d_i U [Gamma^t, Gamma^i] + (1/8) Omega_ij Gamma^i Gamma^j,
@@ -464,16 +454,14 @@ def covariant_spinor_derivative(
     p: GridPotential,
     m: float,
     hbar: float,
-    dt_psi=None,
+    dt_psi,
 ) -> np.ndarray:
     """nabla_mu psi for a 4-spinor grid field, shape (5, 4, grid).
 
     The field is understood as the s-equivariant lift psi * exp(i m s / hbar),
     so the s slot is algebraic: nabla_s psi = (i m / hbar) psi. The t slot
-    needs dt_psi (raises when absent), spatial slots are spectral.
+    is dt_psi, spatial slots are spectral.
     """
-    if dt_psi is None:
-        raise ValueError("covariant t-derivative needs dt_psi")
     psi = np.asarray(psi, dtype=complex)
     out = np.empty((5,) + psi.shape, dtype=complex)
     out[:3] = gradient(psi, p.grid)
@@ -500,11 +488,13 @@ def lie_derivative_spinor_density(
 
     X is any object :func:`generator_matrix` accepts. Implements
     L_X = X^mu nabla_mu - (1/4) d_[mu X_nu] gamma^mu gamma^nu + w (div X),
-    w = DENSITY_WEIGHT; indices are lowered with the full Brinkmann metric,
-    so potential terms are included. The s-linear part of X^s acts through (im/hbar) s and drops
-    on the s = 0 slice; its trace survives in div X. dt_psi is required
-    whenever X^t is not identically zero at the field's time slice (pass the
-    PDE right-hand side or a finite-difference stamp).
+    w = DENSITY_WEIGHT. The Kosmann term is taken in the constant frame of
+    :func:`spin_connection`, where d_[mu X_nu] has the closed-form components
+    (1/2) dX_flat(e_a, e_b) of Cartan's formula, potential terms included.
+    The s-linear part of X^s acts through (im/hbar) s and drops on the s = 0
+    slice; its trace survives in div X. dt_psi is required whenever X^t is not
+    identically zero at the field's time slice (pass the PDE right-hand side
+    or a finite-difference stamp).
     """
     psi = np.asarray(psi, dtype=complex)
     L = generator_matrix(X)
@@ -517,34 +507,24 @@ def lie_derivative_spinor_density(
     transport = np.einsum("m...,ma...->a...", Xup,
                           covariant_spinor_derivative(psi, p, m, hbar, dt_psi))
 
-    # d_mu X_nu = g_{nu lambda} d_mu X^lambda + (d_mu g_{nu lambda}) X^lambda,
-    # with d_mu X^lambda = L[lambda, mu] exactly: X^mu is affine, so only the
-    # potentials are differentiated (spectrally); taking an FFT derivative of
-    # the linear-in-x pieces themselves would alias on the torus. Static
-    # potentials vary along x only, so only the rows d_i g enter.
-    g = brinkmann_metric(p.U, np.moveaxis(p.varpi, 0, -1))  # grid axes first
-    dX = np.einsum("...nl,lm->mn...", g, L[:5, :5])
-    del g  # each 5x5 grid array is 6.5 MB at 32^3,
-    for i in range(3):  # so the d_i g come one at a time
-        dg = _metric_part(p.dU[i], np.moveaxis(p.dvarpi[i], 0, -1))
-        dX[i] += np.einsum("...nl,l...->n...", dg, Xup)
-
-    A = 0.5 * (dX - np.swapaxes(dX, 0, 1))
-    # frame components A_ab = E^mu_a A_mu nu E^nu_b (see spin_connection):
-    # E differs from the identity only in its s row, by e = (-varpi, U, 0),
-    # so E^T A E adds multiples of the s column and then of the s row
-    e = np.concatenate([-p.varpi, p.U[None], np.zeros((1,) + p.grid.shape)])
-    A += A[:, 4:5] * e
-    A += e[:, None] * A[4:5]
+    # frame components A_ab = (1/2) dX_flat(e_a, e_b) (see spin_connection) by
+    # Cartan's formula on X_flat = X^i dx^i + X^t theta^s + (X^s + varpi.X - U X^t) dt.
+    # d_nu X^mu = L[mu, nu] exactly, so only the potentials are differentiated
+    # (an FFT derivative of affine X would alias on the torus); A_is = 0.
+    Xt, w, dw = Xup[3], p.varpi, p.dvarpi
+    A = {(3, 4): 0.5 * (L[3, 3] - L[4, 4])}
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        A[i, j] = 0.5 * (L[j, i] - L[i, j] + Xt * (dw[i, j] - dw[j, i]))
+    for i in range(3):
+        A[i, 3] = 0.5 * (L[4, i] - L[i, 3] - L[4, 4] * w[i] + np.einsum("k,k...->...", L[:3, i], w)
+                         + np.einsum("k...,k...->...", dw[i], Xup[:3]) - 2.0 * Xt * p.dU[i])
     # -(1/4) A_ab Gamma^a Gamma^b = -(1/4) sum_{a<b} A_ab [Gamma^a, Gamma^b]
-    gam = gamma_set(0.0, np.zeros(3)).upper
     kos = np.zeros_like(psi)
-    for a, b in zip(*np.triu_indices(5, 1)):
-        comm = gam[a] @ gam[b] - gam[b] @ gam[a]
-        kos -= 0.25 * A[a, b] * np.einsum("ij,j...->i...", comm, psi)
+    for (a, b), Aab in A.items():
+        comm = _GAMMA[a] @ _GAMMA[b] - _GAMMA[b] @ _GAMMA[a]
+        kos -= 0.25 * Aab * np.einsum("ij,j...->i...", comm, psi)
 
-    divX = np.trace(L[:5, :5])
-    return transport + kos + DENSITY_WEIGHT * divX * psi
+    return transport + kos + DENSITY_WEIGHT * np.trace(L[:5, :5]) * psi
 
 
 def dirac_residual(

@@ -224,7 +224,7 @@ class SnGroupElement:
         q /= np.linalg.norm(q)
         nu = float(np.exp(0.5 * rng.uniform(-1, 1)))
         return cls(
-            A=matrix_from_quat(quat_sign_fix(q)),
+            A=matrix_from_quat(q),
             b=0.5 * rng.standard_normal(3),
             c=0.5 * rng.standard_normal(3),
             d=nu**-2,

@@ -251,6 +251,31 @@ def test_gamma_set_is_the_frame_image_of_constant_gammas():
     assert np.max(np.abs(gamma_set(U, w).upper - frame)) < 1e-14
 
 
+def _pauli_block_gammas(U, w):
+    """gamma^mu written out in Pauli blocks: gamma^j = diag(-i sigma_j, i sigma_j),
+    gamma^t = I2 lower left, gamma^s = (i sigma.w, -2 I2; U I2, -i sigma.w)."""
+    I2 = np.eye(2, dtype=complex)
+    up = np.zeros(U.shape + (5, 4, 4), dtype=complex)
+    for j in range(3):
+        up[..., j, :2, :2] = -1j * PAULI[j]
+        up[..., j, 2:, 2:] = 1j * PAULI[j]
+    up[..., 3, 2:, :2] = I2
+    sw = np.einsum("...j,jab->...ab", w, PAULI)
+    up[..., 4, :2, :2] = 1j * sw
+    up[..., 4, :2, 2:] = -2.0 * I2
+    up[..., 4, 2:, 2:] = -1j * sw
+    up[..., 4, 2:, :2] = U[..., None, None] * I2
+    return up
+
+
+def test_gamma_set_matches_the_pauli_blocks():
+    U, w = random_uw(P=50)
+    gam = gamma_set(U, w)
+    up = _pauli_block_gammas(U, w)
+    assert np.array_equal(gam.upper, up)
+    assert np.array_equal(gam.lower, np.einsum("...mn,...nab->...mab", brinkmann_metric(U, w), up))
+
+
 ############################################################
 # connection
 ############################################################
@@ -483,7 +508,7 @@ def test_covariant_derivative_vertical_slot():
     psi = four_spinor(1)
     out = covariant_spinor_derivative(psi, p, m=1.4, hbar=0.9, dt_psi=np.zeros_like(psi))
     assert np.max(np.abs(out[4] - (1j * 1.4 / 0.9) * psi)) < 1e-14
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # dt_psi is a required argument
         covariant_spinor_derivative(psi, p, m=1.0, hbar=1.0)
 
 
@@ -587,8 +612,8 @@ def test_spin_connection_memory_at_32():
 
 def test_lie_derivative_memory_at_32():
     # omega is applied field by field, never built (42 MB at 32^3), and the
-    # Kosmann term's 5x5 grid arrays are freed early (35 MB measured; 68 MB
-    # when omega was built)
+    # Kosmann term holds six frame components, no 5x5 grid arrays (27.8 MB
+    # measured)
     U = 0.3 * band_limited_noise(G32, modes=2, seed=15)
     w = 0.15 * band_limited_noise(G32, modes=2, seed=16, comps=(3,))
     p = GridPotential(G32, U=U, varpi=w)
@@ -601,7 +626,7 @@ def test_lie_derivative_memory_at_32():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 45e6, peak
+    assert peak <= 31e6, peak
 
 
 def test_lie_derivative_vertical_generator():
