@@ -15,7 +15,11 @@ LLN_THREADS budget, so the grain of `fields._workers` shows where a second
 worker starts to pay. numpy's OpenBLAS runs on one thread, as in `lln`: this
 script imports numpy before `lln`, so it sets the OPENBLAS_NUM_THREADS=1
 default itself (an explicit setting wins). The kick phase is the one `run`
-builds (`evolve._kick_phase`). `compute_charges` is timed on the spin-up
+builds (`evolve._kick_phase`). One RK4 stage on a Coriolis base is
+`self_potential` on a band-limited varpi, then `apply_hamiltonian`: the
+stage shares the base's Jacobian, taken once in warm-up, so the row is
+that Hamiltonian's Coriolis terms plus a Poisson solve, and no spectral
+Jacobian. `compute_charges` is timed on the spin-up
 packet, whose zero component it skips, and on a two-component (0.6, 0.8i)
 packet.
 The sweep row times one call of the imaginary-time sweep map
@@ -51,7 +55,8 @@ from lln.evolve import (
     RelaxConfig, RunConfig, _kick_phase, _sweep, apply_hamiltonian, ground_state, run,
     self_potential,
 )
-from lln.fields import GridSpec, fftn, gaussian_packet, ifftn
+from lln.fields import GridSpec, band_limited_noise, fftn, gaussian_packet, ifftn
+from lln.geometry import GridPotential
 from lln.gravity import mass_density, poisson_isolated, poisson_periodic
 from lln.sngroup import SnGroupElement, compose, represent
 
@@ -114,6 +119,11 @@ def kernels(n):
     k = 4  # steps or iterations beyond the shorter run's one
     shift = SnGroupElement.translation(c=(0.3, -0.2, 0.1))
     turn = compose(SnGroupElement.rotation([0, 0, 1], np.pi / 2), SnGroupElement.dilation(1.05))
+    coriolis = GridPotential(grid, varpi=0.25 * band_limited_noise(grid, 2, 5, comps=(3,)))
+
+    def rk4_stage():
+        p = self_potential(f.data, grid, f.m, 1.0, "periodic", coriolis)
+        return apply_hamiltonian(f.data, p, grid, f.m, f.hbar)
 
     def steps(s):
         return lambda: run(f, RunConfig(dt=1e-3, steps=s, source="self", poisson="periodic"))
@@ -141,6 +151,7 @@ def kernels(n):
         ("poisson_isolated", lambda: poisson_isolated(rho, grid), None, 1),
         ("kick phase", lambda: _kick_phase(pot, f.m, f.hbar, 1e-3), None, 1),
         ("apply_hamiltonian", lambda: apply_hamiltonian(f.data, pot, grid, 1.0, 1.0), None, 1),
+        ("RK4 stage, Coriolis base", rk4_stage, None, 1),
         ("compute_charges, spin-up", lambda: compute_charges(f, pot), None, 1),
         ("compute_charges, 2 comp.", lambda: compute_charges(f2, pot2), None, 1),
         ("split step (run)", steps(1 + k), steps(1), k),

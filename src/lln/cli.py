@@ -3,9 +3,10 @@
 Subcommands: verify-geometry, evolve, ground-state, charges, symmetry-check.
 Run configs are single JSON documents validated fail-closed: unknown keys,
 wrongly typed values (booleans or fractions as counts, NaN or infinite
-numbers, non-string paths), output paths in a missing directory and
-settings that could not take effect are errors. Each subcommand reads and
-checks every setting, LLN_THREADS included, before it computes anything.
+numbers, non-string paths, vectors of the wrong length), output paths in a
+missing directory and settings that could not take effect are errors. Each
+subcommand reads and checks every setting, LLN_THREADS included, before it
+computes anything.
 Exit codes: 0 all checks pass, 1 a check or computation failed (including
 non-finite snapshot data; a failed computation prints one `<subcommand>
 failed:` line), 2 usage or configuration errors.
@@ -93,6 +94,13 @@ def _num(value, where, integral=False):
     return int(value) if integral else float(value)
 
 
+def _vec(value, where, size=3) -> list:
+    """A list of exactly `size` finite numbers: extra entries are an error."""
+    _expect(isinstance(value, list) and len(value) == size, value, where,
+            f"a list of {size} numbers")
+    return [_num(v, where) for v in value]
+
+
 def _flag(value, where) -> bool:
     return _expect(isinstance(value, bool), value, where, "true or false")
 
@@ -137,11 +145,7 @@ def _build_potentials(cfg, grid):
     U, varpi, kw = None, None, {}
     if preset == "uniform":
         om = cfg.get("Omega0", 1.0)
-        if isinstance(om, list):
-            _expect(len(om) == 3, om, "potentials.Omega0", "a number or a list of three")
-            om = [_num(v, "potentials.Omega0") for v in om]
-        else:
-            om = _num(om, "potentials.Omega0")
+        om = (_vec if isinstance(om, list) else _num)(om, "potentials.Omega0")
         pot = gravity.uniform_rotation_potential(grid, om)
         varpi, kw = pot.varpi, {"dvarpi": pot.dvarpi}
     elif preset == "taubnut":
@@ -181,11 +185,10 @@ def _build_initial(cfg, grid, phys) -> fields.BispinorField:
         return fields.gaussian_packet(
             grid,
             sigma=_num(cfg.get("sigma", 1.0), "initial.sigma"),
-            center=[_num(v, "initial.center") for v in cfg.get("center", (0.0, 0.0, 0.0))],
-            k0=[_num(v, "initial.k0") for v in cfg.get("k0", (0.0, 0.0, 0.0))],
-            spin=[_num(s[0], "initial.spin") + 1j * _num(s[1], "initial.spin")
-                  if isinstance(s, list) else _num(s, "initial.spin")
-                  for s in cfg.get("spin", [1.0, 0.0])],
+            center=_vec(cfg.get("center", [0.0, 0.0, 0.0]), "initial.center"),
+            k0=_vec(cfg.get("k0", [0.0, 0.0, 0.0]), "initial.k0"),
+            spin=[complex(*_vec(s, "initial.spin", 2)) if isinstance(s, list)
+                  else _num(s, "initial.spin") for s in cfg.get("spin", [1.0, 0.0])],
             m=phys["m"],
             hbar=phys["hbar"],
             normalize=_flag(cfg.get("normalize", True), "initial.normalize"),
@@ -315,7 +318,7 @@ def cmd_verify_geometry(args) -> int:
     rho = fields.band_limited_noise(grid, modes=3, seed=7)
     rho = rho - rho.mean()
     Usol = gravity.constraint_potential(grid, rho, varpi_curl2=pot.omega2, G=args.G)
-    solved = geometry.GridPotential(grid, U=Usol, varpi=pot.varpi)
+    solved = geometry.GridPotential(grid, U=Usol, varpi=pot.varpi, dvarpi=pot.dvarpi)
     chk = geometry.ricci_constraint_residual(solved, rho=rho, G=args.G)
     report["constraint_scalar"] = chk.scalar_max_meanfree
     report["constraint_vector_uniform"] = float(

@@ -191,7 +191,9 @@ def self_potential(
     """Self-consistent potential of phi: U solves Delta U = 4 pi G m |phi|^2
     (per unit norm) with the "periodic" or "isolated" solver, and is the
     result's U_self, the part phi sources; a base potential is added on top
-    when given."""
+    when given. A base with a Coriolis sector lends its varpi and dvarpi by
+    reference: its Jacobian, exact or spectral, is taken at most once, on the
+    base, however many stages reuse it."""
     rho = mass_density(phi, grid, m)
     if poisson == "periodic":
         U = poisson_periodic(rho, grid, G)
@@ -201,10 +203,8 @@ def self_potential(
         raise ValueError(f"unknown poisson mode {poisson!r}")
     if base is None:
         return GridPotential(grid, U=U, U_self=U)
-    # the base's exact varpi derivatives carry over (see GridPotential); a
-    # Jacobian the base has not computed is not computed here
-    return GridPotential(grid, U=U + base.U, varpi=base.varpi,
-                         dvarpi=vars(base).get("dvarpi"), U_self=U)
+    kw = {"varpi": base.varpi, "dvarpi": base.dvarpi} if base.coriolis else {}
+    return GridPotential(grid, U=U + base.U, U_self=U, **kw)
 
 
 def sn_energy(rho, pot: GridPotential, grid: GridSpec, m: float, e_paper: float) -> float:

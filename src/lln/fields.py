@@ -540,6 +540,16 @@ def save_potentials(path, grid: GridSpec, U, varpi, m=1.0, hbar=1.0, G=0.0, time
     _write_snapshot(path, "potential", grid, data, m, hbar, G, time)
 
 
+def _header_number(path, key, val, integral=False):
+    """A header value held to the config rules: a JSON number, never a string
+    or a boolean, and whole where it counts."""
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or (integral and isinstance(val, float) and not val.is_integer())):
+        raise ValueError(f"{path}: snapshot header {key} = {val!r} must be "
+                         + ("a whole number" if integral else "a number"))
+    return int(val) if integral else float(val)
+
+
 def load_snapshot(path) -> Snapshot:
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -554,18 +564,22 @@ def load_snapshot(path) -> Snapshot:
             raise ValueError(f"{path}: not a recognized snapshot file")
         if header.get("poisson", "periodic") not in ("periodic", "isolated"):
             raise ValueError(f"{path}: unknown poisson mode {header['poisson']!r}")
-        scalars = {key: float(header[key]) for key in ("m", "hbar", "G", "time")}
-        scalars["mass_tag"] = float(header.get("mass_tag", 1.0))
+        scalars = {key: _header_number(path, key, header[key])
+                   for key in ("m", "hbar", "G", "time")}
+        scalars["mass_tag"] = _header_number(path, "mass_tag", header.get("mass_tag", 1.0))
         for key, val in scalars.items():
             positive = key in ("m", "hbar", "mass_tag")
             if not (np.isfinite(val) and (val > 0 or not positive)):
                 raise ValueError(f"{path}: snapshot header {key} = {val} must be finite"
                                  + (" and > 0" if positive else ""))
-        n1, n2, n3 = header["n"]
+        n = header["n"]
+        if not (isinstance(n, list) and len(n) == 3):
+            raise ValueError(f"{path}: snapshot header n = {n!r} must list three sizes")
+        n1, n2, n3 = (_header_number(path, "n", v, integral=True) for v in n)
         if not (n1 == n2 == n3):
             raise ValueError(f"{path}: only cubic grids are supported")
-        grid = GridSpec(n=int(n1), length=float(header["length"]))
-        C = int(header["components"])
+        grid = GridSpec(n=n1, length=_header_number(path, "length", header["length"]))
+        C = _header_number(path, "components", header["components"], integral=True)
         size = (os.fstat(fh.fileno()).st_size - fh.tell()) // 16
         expect = C * grid.n**3
         if size != expect:

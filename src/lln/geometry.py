@@ -95,7 +95,7 @@ class PotentialSample:
     dtvarpi: Optional[np.ndarray] = None
 
 
-_ZERO = np.zeros(())  # the varpi of every GridPotential built without one
+_ZERO = np.zeros(())  # varpi and dvarpi of every GridPotential without a Coriolis sector
 
 
 class GridPotential:
@@ -104,34 +104,30 @@ class GridPotential:
     Spatial derivatives are spectral and cached; time derivatives are zero.
     Off-lattice samples come from the trigonometric interpolant. U_self is
     the part of U its state sources (evolve.self_potential sets it); None
-    marks a purely external U. Without a varpi, varpi is a read-only view
-    of one shared zero and coriolis is False from the start.
+    marks a purely external U. coriolis is decided here, once: without a
+    nonzero varpi, varpi and dvarpi are read-only views of one shared zero,
+    so no Jacobian of zeros is ever taken. Pass another potential's dvarpi
+    with its varpi to share its Jacobian.
     """
 
     def __init__(self, grid: GridSpec, U=None, varpi=None, dvarpi=None, U_self=None):
         self.grid = grid
         self.U_self = U_self
         self.U = np.zeros(grid.shape) if U is None else np.asarray(U, dtype=float)
-        if varpi is None:
-            self.varpi = np.broadcast_to(_ZERO, (3,) + grid.shape)
-            self.coriolis = False
-        else:
-            self.varpi = np.asarray(varpi, dtype=float)
+        zero = np.broadcast_to(_ZERO, (3,) + grid.shape)
+        self.varpi = zero if varpi is None else np.asarray(varpi, dtype=float)
         if self.U.shape != grid.shape or self.varpi.shape != (3,) + grid.shape:
             raise ValueError("potential arrays do not match the grid")
-        # exact derivatives may be supplied for a varpi that is not periodic
-        # (a rigid rotation's varpi is linear in x, so its spectral gradient
-        # would ring at the seam); curl and divergence then derive from them
-        if dvarpi is not None:
-            dvarpi = np.asarray(dvarpi, dtype=float)
-            if dvarpi.shape != (3, 3) + grid.shape:
+        self.coriolis = varpi is not None and bool(np.any(self.varpi))
+        if not self.coriolis:
+            self.varpi, self.dvarpi = zero, np.broadcast_to(_ZERO, (3, 3) + grid.shape)
+        elif dvarpi is not None:
+            # exact derivatives for a varpi that is not periodic (a rigid
+            # rotation's is linear in x, so its spectral gradient would ring
+            # at the seam); curl and divergence then derive from them
+            self.dvarpi = np.asarray(dvarpi, dtype=float)
+            if self.dvarpi.shape != (3, 3) + grid.shape:
                 raise ValueError("dvarpi override must have shape (3, 3) + grid shape")
-            self.dvarpi = dvarpi
-
-    @cached_property
-    def coriolis(self) -> bool:
-        """Whether varpi is nonzero anywhere: without it H has no Coriolis terms."""
-        return bool(np.any(self.varpi))
 
     @cached_property
     def dU(self):
@@ -469,7 +465,7 @@ def covariant_spinor_derivative(
     out[4] = (1j * m / hbar) * psi
     # omega psi = sum_f F_f (T_f psi), never building omega (42 MB at 32^3)
     T, Tpsi = _connection_matrices().reshape(20, 4, 6), np.empty_like(out)
-    for f, F in enumerate((*p.dU, *p.curl_varpi)):
+    for f, F in enumerate((*p.dU, *(p.curl_varpi if p.coriolis else ()))):
         np.matmul(T[..., f], psi.reshape(4, -1), out=Tpsi.reshape(20, -1))
         out += np.multiply(Tpsi, F, out=Tpsi)
     return out

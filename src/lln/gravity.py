@@ -186,7 +186,5 @@ def uniform_rotation_potential(grid: GridSpec, Omega0) -> GridPotential:
         om = np.array([0.0, 0.0, float(om)])
     varpi = 0.5 * np.cross(om, np.moveaxis(grid.mesh(), 0, -1)).transpose(3, 0, 1, 2)
     dw = 0.5 * np.cross(om, np.eye(3))  # d_i varpi_j = (Omega x e_i)_j / 2
-    dvarpi = np.broadcast_to(
-        dw[:, :, None, None, None], (3, 3) + grid.shape
-    ).copy()
+    dvarpi = np.broadcast_to(dw[:, :, None, None, None], (3, 3) + grid.shape)
     return GridPotential(grid, U=None, varpi=varpi, dvarpi=dvarpi)

@@ -441,13 +441,16 @@ def transform_potentials(u: SnGroupElement, p: GridPotential, t_hat=None) -> Gri
     at the pulled-back event. For a static input the output slice is taken
     at t_hat (default e/g, which pulls back to the t = 0 slice); elements
     with a boost make a static potential time dependent, so pick the slice
-    you mean.
+    you mean. Without a Coriolis sector only U is resampled, and the image
+    has none either.
     """
     grid = p.grid
     nu = u.nu
     if t_hat is None:
         t_hat = float(u.matrix[3, 5])  # the image (d 0 + e)/g of t = 0
     M, v = _pullback(u, t_hat)[:2]
+    if not p.coriolis:
+        return GridPotential(grid, U=nu**4 * _resample_linear(p.U[None], grid, M, v)[0])
     Uw = _resample_linear(np.concatenate([p.U[None], p.varpi]), grid, M, v)
     U_p, w_p = Uw[0], Uw[1:]
     Atb = u.A.T @ u.b

@@ -367,6 +367,10 @@ def _snapshot_with_header(tmp_path, **edits):
 @pytest.mark.parametrize("key, value", [
     ("m", float("nan")), ("m", 0.0), ("hbar", -1.0), ("mass_tag", float("inf")),
     ("G", float("nan")), ("time", float("inf")),
+    # held to the config rules: whole JSON numbers for sizes, JSON numbers for
+    # scalars, never a string or a boolean coerced to one
+    ("n", [16.7, 16.7, 16.7]), ("n", ["16", "16", "16"]), ("n", 16), ("components", 2.9),
+    ("length", "16.0"), ("length", True), ("m", "1"), ("time", "0"),
 ])
 def test_unusable_snapshot_header_is_config_error(tmp_path, monkeypatch, capsys, key, value):
     # both readers of a bispinor snapshot refuse the header before any compute
@@ -653,6 +657,9 @@ def test_config_bases_reach_the_solvers(solver_calls, capsys):
     ("evolve", {"initial.spin": ["j", "1"]}),
     ("evolve", {"initial.k0": ["0.5", 0, 0]}),
     ("evolve", {"initial.center": ["nan", 0, 0], "initial.normalize": False}),
+    ("evolve", {"initial.center": [0, 0, 0, 7]}),
+    ("evolve", {"initial.k0": [0, 0, 0, 9]}),
+    ("evolve", {"initial.spin": [[1, 0, 5], 0]}),
 ])
 def test_malformed_value_is_config_error(command, edits, solver_calls, capsys):
     _assert_config_error(command, edits, solver_calls, capsys)

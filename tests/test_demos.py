@@ -16,7 +16,7 @@ def test_kernel_timings_runs_at_n8(capsys):
     t0 = time.process_time()
     table = mod.main(ns=(8,), repeats=1)
     assert time.process_time() - t0 < 2.0
-    assert len(table) == 16
+    assert len(table) == 17
     for row in table.values():
         assert len(row) == 1 and np.isfinite(row[0][1:]).all()
     assert table["kick phase"][0][0] == ()  # no transform
@@ -29,6 +29,6 @@ def test_kernel_timings_runs_at_n8(capsys):
     # with numpy and scipy at least
     assert table["lln evolve (process)"][0][0] == () and table["lln evolve (process)"][0][3] > 20
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split()[-5:] == ["n=8", "workers", "CPU", "wall", "MB"] and len(lines) == 17
+    assert lines[0].split()[-5:] == ["n=8", "workers", "CPU", "wall", "MB"] and len(lines) == 18
     assert float(lines[1 + list(table).index("kick phase")].split()[-1]) == round(
         table["kick phase"][0][3], 2)

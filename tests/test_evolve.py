@@ -472,10 +472,20 @@ def test_potential_in_force_keeps_the_base_derivatives():
     h, h_exact = (apply_hamiltonian(f.data, q, G16, f.m, f.hbar) for q in (pot, exact))
     assert np.linalg.norm(h - h_exact) <= 1e-12 * np.linalg.norm(h_exact)
     assert max_frequency(pot, G16, f.m, f.hbar) == max_frequency(exact, G16, f.m, f.hbar)
-    # a base without a Jacobian of its own gets none computed
+    # the self potential shares the base's Jacobian rather than taking its own
     plain = bandlimited_potential(G16, 5)
-    self_potential(f.data, G16, f.m, 1.0, "periodic", plain)
-    assert "dvarpi" not in vars(plain)
+    assert np.shares_memory(self_potential(f.data, G16, f.m, 1.0, "periodic", plain).dvarpi,
+                            plain.dvarpi)
+
+
+def test_self_run_takes_the_base_jacobian_once(jacobian_calls):
+    # every RK4 stage and every monitor call builds a self potential on the
+    # base's varpi; the spectral Jacobian of it is taken once, on the base
+    base = bandlimited_potential(G16, 7)
+    cfg = RunConfig(dt=1e-3, steps=5, evolver="rk4", source="self", monitor_every=1,
+                    monitor=lambda field, pot: compute_charges(field, pot))
+    run(gaussian_packet(G16, sigma=1.0), cfg, base)
+    assert jacobian_calls == [1]
 
 
 def test_strang_self_consistent_second_order():

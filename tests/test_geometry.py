@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 from hypothesis import given, settings, strategies as st
 
-from lln import fields, gravity
+from lln import fields, geometry, gravity
 from lln.evolve import RunConfig, apply_hamiltonian, chi_from_phi, max_frequency, run
 from lln.fields import GridSpec, band_limited_noise
 from lln.geometry import (
@@ -172,6 +172,29 @@ def test_potential_without_varpi_shares_one_read_only_zero():
     assert max_frequency(bare, G16, f.m, f.hbar) == max_frequency(zero, G16, f.m, f.hbar)
     cfg = RunConfig(dt=2e-3, steps=3, source="external")
     assert np.array_equal(run(f, cfg, bare).field.data, run(f, cfg, zero).field.data)
+
+
+def test_all_zero_varpi_is_the_shared_read_only_zero():
+    p = GridPotential(G16, varpi=np.zeros((3,) + G16.shape))
+    for name in ("varpi", "dvarpi"):
+        view = getattr(p, name)
+        assert not view.flags.writeable and np.shares_memory(view, geometry._ZERO), name
+    assert p.dvarpi.shape == (3, 3) + G16.shape
+
+
+@pytest.mark.parametrize("varpi", [None, "zeros"])
+def test_no_jacobian_without_a_coriolis_sector(varpi, jacobian_calls):
+    # the spinor calculus on a potential without varpi reads the shared zero
+    # derivatives and never takes a spectral Jacobian
+    w = None if varpi is None else np.zeros((3,) + G16.shape)
+    p = GridPotential(G16, U=0.3 * band_limited_noise(G16, modes=2, seed=44), varpi=w)
+    psi = band_limited_noise(G16, 2, 45, comps=(4,), real=False)
+    X = SimpleNamespace(omega=[0.1, -0.2, 0.3], beta=[0.2, 0.0, -0.1], gamma=[0.0, 0.4, 0.0],
+                        delta=0.05, eps=0.0, eta=0.0)
+    lie_derivative_spinor_density(psi, p, X, 1.0, 1.0)
+    covariant_spinor_derivative(psi, p, 1.0, 1.0, np.zeros_like(psi))
+    spin_connection(p)
+    assert jacobian_calls == []
 
 
 ############################################################

@@ -235,6 +235,13 @@ def test_uniform_rotation_potential_exact_derivatives():
     assert abs(p.dvarpi[1, 0, 3, 3, 3] + 0.35) < 1e-15
 
 
+def test_uniform_rotation_jacobian_is_one_read_only_view():
+    # the constant d_i varpi_j is broadcast over the grid, never copied into it
+    p = uniform_rotation_potential(G32, [0.2, -0.4, 0.7])
+    assert not p.dvarpi.flags.writeable
+    assert p.dvarpi.strides[2:] == (0, 0, 0)
+
+
 def test_taub_nut_monopole_field():
     # curl varpi = -2a x / r^3, so |curl|^2 = 4 a^2 / r^4; div varpi = 0
     a = 0.8

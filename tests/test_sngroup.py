@@ -685,6 +685,27 @@ def test_stacked_fields_resample_in_one_call(kind, monkeypatch):
     assert calls == [4]
 
 
+@pytest.mark.parametrize("kind", list(_element_classes()))
+def test_potential_without_varpi_resamples_u_alone(kind, monkeypatch, jacobian_calls):
+    # no Coriolis sector in, none out: U is pulled back by itself, with the
+    # bits of the stacked (U, 0) resample, and no Jacobian is taken
+    calls, resample = [], sngroup._resample_linear
+
+    def counted(data, *args):
+        calls.append(data.shape[0])
+        return resample(data, *args)
+
+    monkeypatch.setattr(sngroup, "_resample_linear", counted)
+    U = 0.3 * band_limited_noise(G16, modes=3, seed=76)
+    u = _element_classes()[kind]
+    out = transform_potentials(u, GridPotential(G16, U=U), t_hat=0.4)
+    assert calls == [1] and not out.coriolis
+    assert not np.any(out.curl_varpi) and jacobian_calls == []
+    M, v = sngroup._pullback(u, 0.4)[:2]
+    stacked = resample(np.concatenate([U[None], np.zeros((3,) + G16.shape)]), G16, M, v)
+    assert np.array_equal(out.U, u.nu**4 * stacked[0])
+
+
 ############################################################
 # induced action on potentials
 ############################################################
