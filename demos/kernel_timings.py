@@ -18,8 +18,8 @@ default itself (an explicit setting wins). The kick phase is the one `run`
 builds (`evolve._kick_phase`). One RK4 stage on a Coriolis base is
 `self_potential` on a band-limited varpi, then `apply_hamiltonian`: the
 stage shares the base's Jacobian, taken once in warm-up, so the row is
-that Hamiltonian's Coriolis terms plus a Poisson solve, and no spectral
-Jacobian. `compute_charges` is timed on the spin-up
+that Hamiltonian's Coriolis branch (six 1-D transform pairs and the spin
+term) plus a Poisson solve, and no spectral Jacobian. `compute_charges` is timed on the spin-up
 packet, whose zero component it skips, and on a two-component (0.6, 0.8i)
 packet.
 The sweep row times one call of the imaginary-time sweep map

@@ -142,14 +142,13 @@ def _build_potentials(cfg, grid):
     if "snapshot" in cfg:
         return _snapshot_potential(_path(cfg["snapshot"], "potentials.snapshot"), grid)
     preset = cfg.get("preset", "none")
-    U, varpi, kw = None, None, {}
+    U, varpi, kw, frame = None, None, {}, None
     if preset == "uniform":
         om = cfg.get("Omega0", 1.0)
         om = (_vec if isinstance(om, list) else _num)(om, "potentials.Omega0")
-        pot = gravity.uniform_rotation_potential(grid, om)
-        varpi, kw = pot.varpi, {"dvarpi": pot.dvarpi}
+        frame = gravity.uniform_rotation_potential(grid, om)
     elif preset == "taubnut":
-        varpi, _ = gravity.taub_nut_grid(grid, **{
+        frame, _ = gravity.taub_nut_grid(grid, **{
             k: _num(cfg[k], f"potentials.{k}", integral=k == "sign")
             for k in ("a", "sign", "r_cut") if k in cfg})
     elif preset == "gradient":
@@ -163,6 +162,8 @@ def _build_potentials(cfg, grid):
         varpi = fields.gradient(amp * np.exp(-r2 / (2.0 * sigma**2)), grid)
     elif preset != "none":
         raise ConfigError(f"potentials: unknown preset {preset!r}")
+    if frame is not None:  # both frames carry their exact Jacobian
+        varpi, kw = frame.varpi, {"dvarpi": frame.dvarpi}
     if "U_point_mass" in cfg:
         pm = cfg["U_point_mass"]
         _check_keys(pm, {"GM", "soften"}, {"GM"}, "potentials.U_point_mass")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from math import prod
@@ -542,9 +543,10 @@ def save_potentials(path, grid: GridSpec, U, varpi, m=1.0, hbar=1.0, G=0.0, time
 
 def _header_number(path, key, val, integral=False):
     """A header value held to the config rules: a JSON number, never a string
-    or a boolean, and whole where it counts."""
+    or a boolean, whole where it counts, and in the float range where not."""
     if (isinstance(val, bool) or not isinstance(val, (int, float))
-            or (integral and isinstance(val, float) and not val.is_integer())):
+            or (integral and isinstance(val, float) and not val.is_integer())
+            or (not integral and isinstance(val, int) and abs(val) > sys.float_info.max)):
         raise ValueError(f"{path}: snapshot header {key} = {val!r} must be "
                          + ("a whole number" if integral else "a number"))
     return int(val) if integral else float(val)

@@ -106,8 +106,9 @@ class GridPotential:
     the part of U its state sources (evolve.self_potential sets it); None
     marks a purely external U. coriolis is decided here, once: without a
     nonzero varpi, varpi and dvarpi are read-only views of one shared zero,
-    so no Jacobian of zeros is ever taken. Pass another potential's dvarpi
-    with its varpi to share its Jacobian.
+    so no Jacobian of zeros is ever taken. The Jacobian feeds only curl
+    varpi, omega2 and the spin connection. Pass exact derivatives for a
+    non-periodic varpi, or another potential's dvarpi to share its Jacobian.
     """
 
     def __init__(self, grid: GridSpec, U=None, varpi=None, dvarpi=None, U_self=None):
@@ -122,9 +123,6 @@ class GridPotential:
         if not self.coriolis:
             self.varpi, self.dvarpi = zero, np.broadcast_to(_ZERO, (3, 3) + grid.shape)
         elif dvarpi is not None:
-            # exact derivatives for a varpi that is not periodic (a rigid
-            # rotation's is linear in x, so its spectral gradient would ring
-            # at the seam); curl and divergence then derive from them
             self.dvarpi = np.asarray(dvarpi, dtype=float)
             if self.dvarpi.shape != (3, 3) + grid.shape:
                 raise ValueError("dvarpi override must have shape (3, 3) + grid shape")
@@ -141,10 +139,6 @@ class GridPotential:
     @cached_property
     def curl_varpi(self):
         return axial_vector(self.dvarpi)
-
-    @cached_property
-    def div_varpi(self):
-        return np.trace(self.dvarpi)
 
     @cached_property
     def omega2(self):

@@ -151,26 +151,31 @@ def taub_nut_varpi(x, a: float = 1.0, sign: int = +1):
 
 
 def taub_nut_grid(grid: GridSpec, a: float = 1.0, sign: int = +1, r_cut=None):
-    """The Taub-NUT varpi on a grid; returns (varpi, valid_mask).
+    """The Taub-NUT frame on a grid; returns (GridPotential, valid_mask).
 
     sign = +1 puts the string on the negative z axis; r_cut (default 2 cells)
-    masks the axis tube and the origin, where varpi is set to zero. Periodic
-    derivatives of this field are untrustworthy near the masked region; use
-    `taub_nut_varpi` for pointwise work.
+    masks the axis tube and the origin, where varpi and its Jacobian are set
+    to zero. This varpi jumps at the mask and the seam, so its closed-form
+    Jacobian is passed through, as `uniform_rotation_potential` does.
     """
     r_cut = 2.0 * grid.dx if r_cut is None else r_cut
     if sign not in (1, -1):
         raise ValueError(f"taub-NUT sign must be +1 or -1, got {sign!r}")
     if not r_cut > 0:
         raise ValueError(f"taub-NUT r_cut must be > 0, got {r_cut!r}")
-    pts = np.moveaxis(grid.mesh(), 0, -1)
-    r = np.sqrt(np.sum(pts**2, axis=-1))
-    axis_dist = np.sqrt(pts[..., 0] ** 2 + pts[..., 1] ** 2)
-    on_string = (sign * pts[..., 2] < 0) & (axis_dist < r_cut)
-    mask = (r > r_cut) & ~on_string
-    safe = np.where(mask[..., None], pts, np.array([1.0, 1.0, 1.0]))
-    varpi = np.moveaxis(taub_nut_varpi(safe, a=a, sign=sign), -1, 0)
-    return np.where(mask[None], varpi, 0.0), mask
+    x = grid.mesh()
+    on_string = (sign * x[2] < 0) & (np.sqrt(x[0] ** 2 + x[1] ** 2) < r_cut)
+    mask = (np.sqrt(np.sum(x**2, axis=0)) > r_cut) & ~on_string
+    x = np.where(mask, x, 1.0)  # masked points stand in at (1, 1, 1)
+    varpi = np.moveaxis(taub_nut_varpi(np.moveaxis(x, 0, -1), a=a, sign=sign), -1, 0)
+    # varpi = 2a v / D: d_i varpi_j = (2a d_i v_j - varpi_j d_i D) / D, v = x cross e3
+    r = np.sqrt(np.sum(x**2, axis=0))
+    dden = x * (x[2] / r + 2.0 * sign)
+    dden[2] += r
+    dv = np.cross(np.eye(3), [0.0, 0.0, 1.0])[:, :, None, None, None]
+    dvarpi = (2.0 * a * dv - dden[:, None] * varpi) / (r * (x[2] + sign * r))
+    return GridPotential(grid, varpi=np.where(mask, varpi, 0.0),
+                         dvarpi=np.where(mask, dvarpi, 0.0)), mask
 
 
 def uniform_rotation_potential(grid: GridSpec, Omega0) -> GridPotential:

@@ -1,14 +1,17 @@
-"""Test-side oracles: observables that more than one test module reads, and
-the commutator form of the spinor connection that the closed form in
-:mod:`lln.geometry` is checked against.
+"""Test-side oracles: observables that more than one test module reads, the
+commutator form of the spinor connection that the closed form in
+:mod:`lln.geometry` is checked against, and the radial self-gravitating
+ground state.
 
 Not collected by pytest (no test_ prefix); test modules import it as
 ``oracles``, the tests directory being on the import path.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from lln.fields import (
     BispinorField,
@@ -148,3 +151,44 @@ def lie_derivative_commutator(psi, p: GridPotential, X, nabla, t0=0.0):
                 continue
             kos += -0.25 * a * np.einsum("ab...,bc...,c...->a...", up[mu], up[nu], psi)
     return transport + kos + DENSITY_WEIGHT * np.trace(L[:5, :5]) * psi
+
+
+############################################################
+# the spherical self-gravitating ground state
+############################################################
+
+
+@cache
+def radial_ground_state(G: float = 4.0, radius: float = 30.0, intervals=(8000, 16000)):
+    """(mu, E, r_rms) of the lowest spherical state of -(1/2) Delta phi
+    + U phi = mu phi, Delta U = 4 pi G |phi|^2, int |phi|^2 = 1 (m = hbar = 1),
+    isolated: U is -G times the enclosed mass over r plus the shell integral
+    of 4 pi r |phi|^2 outside r. E = mu - W/2 with W = int U |phi|^2.
+
+    Solved on u = r phi with u(0) = u(radius) = 0 by the three-point
+    Laplacian and trapezoid potential integrals, each h^2 accurate: the
+    lowest eigenpair of the tridiagonal matrix, iterated with the potential
+    of its own density to a fixed mu, then h^2 Richardson extrapolation over
+    the two interval counts. At G = 4 this gives mu = -2.604307325,
+    E = -0.868102442 (E/mu = 1/3 to 2e-11, the virial law) and
+    r_rms = 1.158803; radius 40 and intervals (4000, 8000) agree to 4e-9.
+    """
+
+    def solve(n):
+        h = radius / n
+        r = h * np.arange(1, n)
+        w, mu_prev = r**2 * np.exp(-(r**2)), 0.0  # w: 4 pi u^2, the mass per dr
+        for _ in range(200):
+            w /= np.sum(w) * h
+            q = w / r
+            U = -G * h * ((np.cumsum(w) - 0.5 * w) / r + np.cumsum(q[::-1])[::-1] - 0.5 * q)
+            (mu,), u = eigh_tridiagonal(1.0 / h**2 + U, np.full(n - 2, -0.5 / h**2),
+                                        select="i", select_range=(0, 0))
+            if abs(mu - mu_prev) < 1e-14 * abs(mu):
+                break
+            w, mu_prev = u[:, 0] ** 2, mu
+        W = h * np.sum(w * U)  # w is the density U was taken from
+        return np.array([mu, mu - 0.5 * W, np.sqrt(h * np.sum(w * r**2))])
+
+    coarse, fine = (solve(n) for n in intervals)
+    return tuple(float(v) for v in (4.0 * fine - coarse) / 3.0)

@@ -371,6 +371,9 @@ def _snapshot_with_header(tmp_path, **edits):
     # scalars, never a string or a boolean coerced to one
     ("n", [16.7, 16.7, 16.7]), ("n", ["16", "16", "16"]), ("n", 16), ("components", 2.9),
     ("length", "16.0"), ("length", True), ("m", "1"), ("time", "0"),
+    # a JSON integer beyond the float range is no number either
+    pytest.param("time", 10**400, id="time-1e400"),
+    pytest.param("length", -10**400, id="length--1e400"),
 ])
 def test_unusable_snapshot_header_is_config_error(tmp_path, monkeypatch, capsys, key, value):
     # both readers of a bispinor snapshot refuse the header before any compute
@@ -380,6 +383,8 @@ def test_unusable_snapshot_header_is_config_error(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(charges_mod, "compute_charges", solver)
     monkeypatch.setattr(evolve_mod, "run", solver)
     snap = _snapshot_with_header(tmp_path, **{key: value})
+    with pytest.raises(ValueError, match=f"snapshot header {key} = "):
+        fields.load_snapshot(str(snap))
     assert main(["charges", "--snapshot", str(snap)]) == 2
     cfg = {"grid": dict(G16), "initial": {"kind": "snapshot", "path": str(snap)},
            "evolver": {"dt": 1e-3, "steps": 1}}

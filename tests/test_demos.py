@@ -1,4 +1,5 @@
-"""Smoke test of the kernel timing script on a tiny grid."""
+"""Smoke tests of the demo scripts on tiny grids, and the oracle values
+they quote."""
 
 import importlib.util
 import time
@@ -6,13 +7,20 @@ from pathlib import Path
 
 import numpy as np
 
-SCRIPT = Path(__file__).resolve().parents[1] / "demos" / "kernel_timings.py"
+from oracles import radial_ground_state
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, DEMOS / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def test_kernel_timings_runs_at_n8(capsys):
-    spec = importlib.util.spec_from_file_location("kernel_timings", SCRIPT)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
+    mod = _load("kernel_timings")
     t0 = time.process_time()
     table = mod.main(ns=(8,), repeats=1)
     assert time.process_time() - t0 < 2.0
@@ -32,3 +40,19 @@ def test_kernel_timings_runs_at_n8(capsys):
     assert lines[0].split()[-5:] == ["n=8", "workers", "CPU", "wall", "MB"] and len(lines) == 18
     assert float(lines[1 + list(table).index("kick phase")].split()[-1]) == round(
         table["kick phase"][0][3], 2)
+
+
+def test_taub_nut_frame_grid_rows_at_n16(capsys):
+    # the preset's closed-form Jacobian gives the monopole curl to round-off
+    # off the mask; the spectral Jacobian of the same varpi is O(1) off
+    table = _load("taub_nut_frame").main(ns=(16,))
+    exact_max, exact_med, spectral_max, spectral_med = table[16]
+    assert exact_max < 1e-12 and exact_med < 1e-14
+    assert spectral_med > 0.1
+    assert "spectral med" in capsys.readouterr().out
+
+
+def test_virial_demo_quotes_the_radial_oracle():
+    mu, E, rms = _load("ground_state_virial").RADIAL
+    mu0, E0, rms0 = radial_ground_state(G=4.0)
+    assert abs(mu - mu0) < 1e-9 and abs(E - E0) < 1e-9 and abs(rms - rms0) < 1e-6

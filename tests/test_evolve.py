@@ -1,6 +1,6 @@
 """Hamiltonian forms, integrators, the coupled first-order system,
 continuity, gauge maps, spin precession, and the self-gravitating
-ground state against a radial shooting oracle."""
+ground state against a radial oracle."""
 
 import json
 import tracemalloc
@@ -24,7 +24,7 @@ from lln.fields import (
     sigma_grad,
 )
 from lln.geometry import GridPotential, dirac_residual
-from lln.gravity import mass_density, poisson_isolated, uniform_rotation_potential
+from lln.gravity import mass_density, poisson_isolated, taub_nut_grid, uniform_rotation_potential
 from lln.evolve import (
     RelaxConfig,
     RunConfig,
@@ -43,7 +43,7 @@ from lln import evolve
 from lln.charges import compute_charges
 from lln.cli import main
 from lln.sngroup import SnGroupElement, compose, represent_pair, transform_potentials
-from oracles import observables
+from oracles import observables, radial_ground_state
 
 G16 = GridSpec(16, 16.0)
 G32 = GridSpec(32, 16.0)
@@ -109,19 +109,31 @@ def test_hamiltonian_forms_agree_gaussian():
 
 
 def test_hamiltonian_hermitian():
-    p = bandlimited_potential(G16, 23)
+    # each D_j = d_j - i (m/hbar) varpi_j is anti-Hermitian on the grid, so
+    # H is Hermitian to round-off whatever Jacobian the potential carries:
+    # the exact Taub-NUT one, and Gaussian packets that are not band-limited
+    # (the expanded square with div varpi read 5.3e-9 on the band-limited
+    # varpi and 2.0e-6 on the exact Taub-NUT Jacobian with these packets).
+    # The developed oracle is Hermitian on band-limited inputs only
     m, hbar = 1.1, 0.8
-    worst = 0.0
-    for s in range(4):
-        a = bandlimited_spinor(G16, 100 + s)
-        b = bandlimited_spinor(G16, 200 + s)
-        for H in (apply_hamiltonian, _developed_hamiltonian):
-            ha = H(a, p, G16, m, hbar)
-            hb = H(b, p, G16, m, hbar)
-            lhs = np.sum(np.conj(a) * hb) * G16.dv
-            rhs = np.sum(np.conj(ha) * b) * G16.dv
-            worst = max(worst, abs(lhs - rhs))
-    assert worst < 1e-12
+    spinors = [(bandlimited_spinor(G16, 100 + s), bandlimited_spinor(G16, 200 + s))
+               for s in range(4)]
+    packets = [(gaussian_packet(G32, sigma=1.0, center=(2.5, 0.5, 2.5), spin=(0.6, 0.8j)).data,
+                gaussian_packet(G32, sigma=1.2, center=(1.5, -0.5, 2.0), spin=(1.0, 0.3)).data)]
+    cases = {
+        "band-limited, 16^3": (G16, bandlimited_potential(G16, 23), spinors,
+                               (apply_hamiltonian, _developed_hamiltonian)),
+        "band-limited": (G32, bandlimited_potential(G32, 23), packets, (apply_hamiltonian,)),
+        "rotation": (G32, uniform_rotation_potential(G32, (0.1, -0.2, 0.5)), packets,
+                     (apply_hamiltonian,)),
+        "taub-NUT": (G32, taub_nut_grid(G32, a=0.2)[0], packets, (apply_hamiltonian,)),
+    }
+    for case, (grid, p, pairs, forms) in cases.items():
+        for a, b in pairs:
+            for H in forms:
+                lhs = np.vdot(a, H(b, p, grid, m, hbar))
+                rhs = np.vdot(H(a, p, grid, m, hbar), b)
+                assert abs(lhs - rhs) < 1e-13 * abs(lhs), (case, H.__name__)
 
 
 @pytest.mark.parametrize("width, bound", [(2, 1.25), (1, 0.65)])
@@ -140,6 +152,22 @@ def test_apply_hamiltonian_holds_one_buffer(width, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * f.data.nbytes
+
+
+def test_coriolis_hamiltonian_holds_four_buffers():
+    # the square as sum_j D_j D_j holds the sum, D_j phi, its transform and
+    # one product: a traced peak of 3.6 field sizes at 32^3 (the expanded
+    # square with its gradient and einsum held 7.5)
+    f = gaussian_packet(G32, sigma=1.5, spin=(0.6, 0.8j))
+    pot = uniform_rotation_potential(G32, (0.1, -0.2, 0.5))
+    apply_hamiltonian(f.data, pot, G32, f.m, f.hbar)
+    tracemalloc.start()
+    try:
+        apply_hamiltonian(f.data, pot, G32, f.m, f.hbar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0 * f.data.nbytes
 
 
 def test_hamiltonian_form_and_dealias_guards(tmp_path, capsys):
@@ -776,18 +804,26 @@ def test_ground_state_sweep_reference_for_every_spinor(poisson, spin):
 
 
 def test_ground_state_self_gravity_oracle():
-    # radial shooting oracle (scaled to M = hbar = 1, isolated boundary):
-    # G = 4 gives chemical potential -2.60436, particle energy -0.87698
+    # radial oracle (M = hbar = m = 1, isolated boundary): G = 4 gives
+    # chemical potential -2.604307325, particle energy -0.868102442 and
+    # r_rms 1.158803; the 32^3 grid reads -2.5237682, -0.8509607 and
+    # 1.1900, 3.1%, 2.0% and 2.7% off at dx = 0.5
+    mu0, E0, rms0 = radial_ground_state(G=4.0)
+    assert abs(E0 / mu0 - 1.0 / 3.0) < 1e-9  # the virial law
     f0 = gaussian_packet(G32, sigma=1.2)
     res = ground_state(f0, RelaxConfig(G=4.0, dtau=0.02, tol=1e-9, poisson="isolated"))
     assert res.converged
     assert res.iterations > 10
     mu = res.energy
-    assert abs(mu - (-2.60436)) / 2.60436 < 0.05  # grid value -2.52, 3.1% off
+    assert abs(mu - mu0) / abs(mu0) < 0.04
     assert res.energy_sn is not None and res.energy_sn < 0
     assert res.energy_sn > mu  # E = mu - W/2 and W < 0
+    assert abs(res.energy_sn - E0) / abs(E0) < 0.03
     # virial: E/mu = 1/3 for the scale-free self-coupled cloud
     assert abs(res.energy_sn / mu - 1.0 / 3.0) < 0.01
+    rho = np.sum(np.abs(res.field.data) ** 2, axis=0)
+    rms = np.sqrt(float(integrate(rho * np.sum(G32.mesh() ** 2, axis=0), G32)))
+    assert abs(rms - rms0) / rms0 < 0.04
     # the sweep's fixed point is O(dtau^2) off the eigenstate: 3.3e-4 here
     assert 1e-4 < res.residual < 1e-3
 

@@ -228,7 +228,7 @@ def test_uniform_rotation_potential_exact_derivatives():
     om = np.array([0.0, 0.0, 0.7])
     p = uniform_rotation_potential(G32, om)
     assert np.max(np.abs(p.curl_varpi - om.reshape(3, 1, 1, 1))) == 0.0
-    assert np.max(np.abs(p.div_varpi)) == 0.0
+    assert np.max(np.abs(np.trace(p.dvarpi))) == 0.0
     assert np.max(np.abs(p.omega2 - 0.49)) < 1e-15
     # dvarpi override carries the constant matrix (1/2) eps_ijk Omega_k
     assert abs(p.dvarpi[0, 1, 3, 3, 3] - 0.35) < 1e-15
@@ -269,16 +269,35 @@ def test_taub_nut_string_position():
 
 
 def test_taub_nut_preset_mask():
-    varpi, mask = taub_nut_grid(G32, a=1.0, sign=+1, r_cut=1.0)
+    p, mask = taub_nut_grid(G32, a=1.0, sign=+1, r_cut=1.0)
     assert not mask.all()
-    assert np.all(varpi[:, ~mask] == 0.0)
-    assert np.all(np.isfinite(varpi))
+    assert np.all(p.varpi[:, ~mask] == 0.0) and np.all(p.dvarpi[:, :, ~mask] == 0.0)
+    assert np.all(np.isfinite(p.varpi)) and np.all(np.isfinite(p.dvarpi))
     # mask keeps points near the +z axis but cuts the -z tube
     i0 = G32.n // 2
     k_up = i0 + 4  # x3 = +2
     k_dn = i0 - 4
     assert mask[i0 + 1, i0, k_up]
     assert not mask[i0, i0, k_dn]
+
+
+@pytest.mark.parametrize("n, sign", [(32, +1), (64, -1)])
+def test_taub_nut_preset_exact_jacobian(n, sign):
+    # off the mask the closed-form Jacobian gives the monopole curl
+    # -2a x / r^3 and zero divergence to round-off (measured 1.5e-14 and
+    # 2.4e-13 for the curl, 3e-16 for the divergence); the spectral Jacobian
+    # of the masked, non-periodic varpi was 0.2-0.6 relative off at the median
+    grid, a = GridSpec(n, 16.0), 0.2
+    p, mask = taub_nut_grid(grid, a=a, sign=sign)
+    pts = grid.mesh()
+    x = pts[:, mask]
+    mono = -2.0 * a * x / np.sqrt(np.sum(x**2, axis=0)) ** 3
+    assert np.max(np.abs(p.curl_varpi[:, mask] - mono)) < 1e-12
+    assert np.max(np.abs(np.trace(p.dvarpi)[mask])) < 1e-12
+    # and it is the derivative of the pointwise varpi
+    for i in np.flatnonzero(mask)[:: mask.sum() // 7]:
+        J = _fd_jacobian(lambda y: taub_nut_varpi(y, a=a, sign=sign), pts.reshape(3, -1)[:, i])
+        assert np.max(np.abs(p.dvarpi.reshape(3, 3, -1)[:, :, i] - J)) < 1e-7
 
 
 def test_gradient_preset_is_curl_free():
