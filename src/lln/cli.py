@@ -87,9 +87,11 @@ def _expect(ok, value, where, what):
 
 def _num(value, where, integral=False):
     """A finite JSON number as float, or as int where integral; booleans,
-    NaN, infinities and fractional counts are rejected rather than coerced."""
+    NaN, infinities, integers beyond the float range and fractional counts
+    are rejected rather than coerced (NaN fails the range test too)."""
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and (not integral or float(value).is_integer()),
+            and abs(value) <= sys.float_info.max
+            and (not integral or float(value).is_integer()),
             value, where, "an integer" if integral else "a finite number")
     return int(value) if integral else float(value)
 
@@ -234,11 +236,14 @@ def _solver_settings(cfg, name, allowed, count, required=()) -> dict:
             for k, v in _section(cfg, name, allowed, required).items()}
 
 
-def _build_runconfig(cfg, G, monitor_every=0) -> evolve_mod.RunConfig:
+def _build_runconfig(cfg, G, pot, monitor_every=0) -> evolve_mod.RunConfig:
     kw = _solver_settings(cfg, "evolver", {"kind", "dt", "steps", "source", "poisson"},
                           "steps", {"dt", "steps"})
-    return evolve_mod.RunConfig(evolver=kw.pop("kind", "split"), G=G,
+    rcfg = evolve_mod.RunConfig(evolver=kw.pop("kind", "split"), G=G,
                                 monitor_every=monitor_every, **kw)
+    if rcfg.source == "free" and pot is not None:
+        raise ConfigError("evolver.source: free source mode takes no potential")
+    return rcfg
 
 
 def _write_report(path, payload):
@@ -371,7 +376,7 @@ def cmd_evolve(args) -> int:
             raise ConfigError("checks.charge_tols and outputs.charges_csv need "
                               "outputs.charges_every > 0")
         norm_tol = _num(checks["norm_tol"], "checks.norm_tol") if "norm_tol" in checks else None
-        rcfg = _build_runconfig(cfg, phys["G"], monitor_every=every)
+        rcfg = _build_runconfig(cfg, phys["G"], pot, monitor_every=every)
     if every:
         rcfg.monitor = charges_mod.compute_charges
 
@@ -436,6 +441,8 @@ def cmd_charges(args) -> int:
     if args.mode == "external" and not args.potentials:
         raise ConfigError("--mode external: external source mode needs a potential "
                           "(--potentials)")
+    if args.mode == "free" and args.potentials:
+        raise ConfigError("--mode free: free source mode takes no potential (--potentials)")
     if args.poisson and args.mode != "self":
         raise ConfigError("--poisson: only --mode self solves a Poisson equation")
     with _config_phase(f"--snapshot {args.snapshot}"):
@@ -473,7 +480,7 @@ def cmd_symmetry_check(args) -> int:
             u = sngroup.element_from_dict(cfg["element"])
         else:
             u = sngroup.load_element(_path(cfg["element_path"], "element_path"))
-        rcfg = _build_runconfig(cfg, phys["G"])
+        rcfg = _build_runconfig(cfg, phys["G"], pot)
         tol = _num(_section(cfg, "checks", {"tol"}).get("tol", 1e-3), "checks.tol")
         paths = _out_paths(_section(cfg, "outputs", {"report"}))
 

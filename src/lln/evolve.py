@@ -217,6 +217,8 @@ def _potential_for(phi, cfg, grid, m, p: Optional[GridPotential]):
         return self_potential(phi, grid, m, cfg.G, cfg.poisson, p)
     if cfg.source == "external" and p is None:
         raise ValueError("external source mode needs a potential")
+    if cfg.source == "free" and p is not None:
+        raise ValueError("free source mode takes no potential")
     return p
 
 

@@ -19,8 +19,10 @@ expm(tau L), and the representation reads its pull-back (input point, input
 time and boost phase exponent) off the rows of the inverse matrix.
 
 The spinor representation rescales mass by nu and acts on the 4-component
-spinor (phi, chi) by one 4x4 block lower-triangular matrix, after one
-resample of the stacked components; see :func:`represent`.
+spinor (phi, chi) by one 4x4 block lower-triangular matrix; the induced
+action on (U, varpi) is one real 4x4 matrix. Both take one pushforward: a
+resample of the stacked components at the pulled-back points, then the
+matrix; see :func:`represent` and :func:`transform_potentials`.
 """
 
 from __future__ import annotations
@@ -358,20 +360,12 @@ def _resample_linear(data, grid: GridSpec, M, v):
     return vals.reshape(data.shape[:-3] + grid.shape)
 
 
-def _commensurate_warning(u: SnGroupElement, f: BispinorField):
-    # stacklevel 3 names the caller of represent or represent_pair, so each
-    # of them calls this directly
-    if not np.any(u.b):
-        return
-    kb = f.m * u.g * u.b / f.hbar
-    base = 2.0 * np.pi / f.grid.length
-    ratio = kb / base
-    if np.max(np.abs(ratio - np.round(ratio))) > 1e-8:
-        warnings.warn(
-            "boost phase wavevector m g b / hbar is not a lattice mode; "
-            "the represented field is discontinuous across the periodic seam",
-            stacklevel=3,
-        )
+def _pushforward(u: SnGroupElement, data, grid: GridSpec, t_out: float, R):
+    """R applied to the stacked components of data resampled at the pull-back
+    of the t_out slice, the step shared by spinors and (U, varpi); returns
+    (out, k, s_in), with the boost phase exponent of that pull-back."""
+    M, v, _, k, s_in = _pullback(u, t_out)
+    return np.einsum("ab,b...->a...", R, _resample_linear(data, grid, M, v)), k, s_in
 
 
 def represent(u: SnGroupElement, f: BispinorField) -> BispinorField:
@@ -381,7 +375,6 @@ def represent(u: SnGroupElement, f: BispinorField) -> BispinorField:
     upper Pauli pair transforms among itself (the representation matrix is
     block lower triangular); use represent_pair to transport a derived chi.
     """
-    _commensurate_warning(u, f)
     return _represent_pair(u, f, None)[0]
 
 
@@ -390,25 +383,25 @@ def represent_pair(u: SnGroupElement, f: BispinorField, chi):
 
     With chi None only phi is transported and chi_out is None.
     """
-    _commensurate_warning(u, f)
     return _represent_pair(u, f, chi)
 
 
 def _represent_pair(u: SnGroupElement, f: BispinorField, chi):
     grid = f.grid
-    nu = u.nu
-    E = u.matrix
-    t_hat = float(E[3, 3] * f.time + E[3, 5])  # the affine t -> (d t + e)/g
-    M, v, _, k, s_in = _pullback(u, t_hat)
+    t_hat = float(u.matrix[3, 3] * f.time + u.matrix[3, 5])  # the affine t -> (d t + e)/g
     psi = f.data if chi is None else np.concatenate([f.data, np.asarray(chi, dtype=complex)])
-    c = len(psi)
-    out = np.einsum("ab,b...->a...", _rep_matrix(u)[:c, :c], _resample_linear(psi, grid, M, v))
+    out, k, s_in = _pushforward(u, psi, grid, t_hat, _rep_matrix(u)[:len(psi), :len(psi)])
     # the boost phase exp(i m (k.x + s_in)/hbar) is 1 without boost or s-shift
     if np.any(k) or s_in != 0:
+        ratio = f.m * k / f.hbar / (2.0 * np.pi / grid.length)  # k = g b
+        if np.max(np.abs(ratio - np.round(ratio))) > 1e-8:  # level 3: represent's caller
+            warnings.warn("boost phase wavevector m g b / hbar is not a lattice mode; the "
+                          "represented field is discontinuous across the periodic seam",
+                          stacklevel=3)
         phase = np.exp(1j * f.m / f.hbar * (np.einsum("j,j...->...", k, grid.mesh()) + s_in))
         out = phase * out
-    field = BispinorField(grid=grid, data=out[:2], m=nu * f.m, hbar=f.hbar, time=t_hat,
-                          mass_tag=nu * f.mass_tag)
+    field = BispinorField(grid=grid, data=out[:2], m=u.nu * f.m, hbar=f.hbar, time=t_hat,
+                          mass_tag=u.nu * f.mass_tag)
     return field, None if chi is None else out[2:]
 
 
@@ -438,25 +431,21 @@ def transform_potentials(u: SnGroupElement, p: GridPotential, t_hat=None) -> Gri
     """Pull a static (U, varpi) pair through u.
 
     U -> nu^4 (U + varpi . A^T b) and varpi -> nu^2 A varpi, both evaluated
-    at the pulled-back event. For a static input the output slice is taken
-    at t_hat (default e/g, which pulls back to the t = 0 slice); elements
-    with a boost make a static potential time dependent, so pick the slice
-    you mean. Without a Coriolis sector only U is resampled, and the image
-    has none either.
+    at the pulled-back event: one constant 4x4 matrix, pushed forward as for
+    spinors. For a static input the output slice is taken at t_hat (default
+    e/g, which pulls back to the t = 0 slice); elements with a boost make a
+    static potential time dependent, so pick the slice you mean. Without a
+    Coriolis sector only U is resampled, and the image has none either.
     """
-    grid = p.grid
     nu = u.nu
     if t_hat is None:
         t_hat = float(u.matrix[3, 5])  # the image (d 0 + e)/g of t = 0
-    M, v = _pullback(u, t_hat)[:2]
-    if not p.coriolis:
-        return GridPotential(grid, U=nu**4 * _resample_linear(p.U[None], grid, M, v)[0])
-    Uw = _resample_linear(np.concatenate([p.U[None], p.varpi]), grid, M, v)
-    U_p, w_p = Uw[0], Uw[1:]
-    Atb = u.A.T @ u.b
-    U_hat = nu**4 * (U_p + np.einsum("j...,j->...", w_p, Atb))
-    w_hat = nu**2 * np.einsum("ij,j...->i...", u.A, w_p)
-    return GridPotential(grid, U=U_hat, varpi=w_hat)
+    R = np.zeros((4, 4))
+    R[0] = nu**4 * np.concatenate([[1.0], u.A.T @ u.b])
+    R[1:, 1:] = nu**2 * u.A
+    data = np.concatenate([p.U[None], p.varpi]) if p.coriolis else p.U[None]
+    out = _pushforward(u, data, p.grid, t_hat, R[:len(data), :len(data)])[0]
+    return GridPotential(p.grid, U=out[0], varpi=out[1:] if p.coriolis else None)
 
 
 ############################################################

@@ -414,6 +414,7 @@ def test_charges_external_mode_needs_potentials(tmp_path, monkeypatch, capsys):
     (["--out", "no-such-dir/row.csv"], "--out"),
     (["--mode", "free", "--poisson", "isolated"], "--poisson"),
     (["--mode", "external", "--potentials", "POTS", "--poisson", "periodic"], "--poisson"),
+    (["--mode", "free", "--potentials", "POTS"], "--mode free"),
 ])
 def test_charges_usage_error_exits_2_before_compute(tmp_path, monkeypatch, capsys, extra, flag):
     # an output path in a missing directory, or a Poisson solver the mode
@@ -700,6 +701,9 @@ _NAN_ELEMENT = dict(BASES["symmetry-check"]["element"], d=float("nan"), g=float(
     ("evolve", {"potentials": {"U_point_mass": {"GM": 1.0, "soften": 1e-200}}}),
     # abs(nan - nu) > tol is false: the declared nu must be compared the other way
     ("symmetry-check", {"element.nu": float("nan")}),
+    # the bases leave evolver.source at "free", where a potential cannot act
+    ("evolve", {"potentials": {"U_point_mass": {"GM": 1.0}}}),
+    ("symmetry-check", {"potentials": {"preset": "uniform"}}),
 ])
 def test_value_that_cannot_run_is_config_error(command, edits, solver_calls, capsys):
     _assert_config_error(command, edits, solver_calls, capsys)
@@ -723,10 +727,11 @@ def test_shipped_configs_reach_their_solver(path, solver_calls, capsys):
 
 
 @pytest.mark.parametrize("command, edits", [
-    ("evolve", {"potentials": {"preset": "uniform"}}),  # split needs varpi = 0
+    # split needs varpi = 0
+    ("evolve", {"potentials": {"preset": "uniform"}, "evolver.source": "external"}),
     ("evolve", {"evolver": {"kind": "rk4", "dt": 1.0, "steps": 1}}),  # unstable
     ("ground-state", {"potentials": {"preset": "uniform"}}),
-    ("symmetry-check", {"potentials": {"preset": "uniform"}}),
+    ("symmetry-check", {"potentials": {"preset": "uniform"}, "evolver.source": "external"}),
 ])
 def test_compute_failure_exits_1_with_one_line(command, edits, tmp_path, monkeypatch,
                                                 capsys):
@@ -800,6 +805,18 @@ def test_relax_source_is_checked_before_compute(solver_calls, capsys):
     _assert_config_error("ground-state", {"relax.source": "free"}, solver_calls, capsys)
 
 
+@pytest.mark.parametrize("key, what", [("evolver.dt", "a finite number"),
+                                       ("grid.n", "an integer"),
+                                       ("grid.length", "a finite number")])
+def test_integer_beyond_the_float_range_names_its_key(key, what, solver_calls, capsys):
+    # 10**400 has no float: refused by the check that names the key, not by
+    # an OverflowError from float()
+    assert _run_config("evolve", _with(BASES["evolve"], {key: 10**400})) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: expected {what}, got 1000"), err
+    assert solver_calls == []
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
 def test_lln_threads_is_config_error(value, solver_calls, monkeypatch, capsys):
     monkeypatch.setenv("LLN_THREADS", value)
@@ -849,7 +866,7 @@ FUZZ_BASES = [
         "grid": dict(G16),
         "potentials": {"preset": "uniform", "Omega0": 0.5, "U_point_mass": {"GM": 1.0}},
         "initial": {"kind": "gaussian"},
-        "evolver": {"dt": 1e-3, "steps": 2},
+        "evolver": {"dt": 1e-3, "steps": 2, "source": "external"},
         "element_path": "elem.json",
     }),
 ]

@@ -264,6 +264,15 @@ def test_external_mode_needs_potential():
         run(f, RunConfig(dt=1e-3, steps=1, source="external"))
 
 
+@pytest.mark.parametrize("evolver", ["split", "rk4"])
+def test_free_mode_takes_no_potential(evolver):
+    # a free run that moved in the potential it was handed would not be free
+    f = gaussian_packet(G16, sigma=1.2)
+    p = GridPotential(G16, U=0.1 * np.sum(G16.mesh()**2, axis=0))
+    with pytest.raises(ValueError, match="free source mode takes no potential"):
+        run(f, RunConfig(dt=1e-3, steps=1, evolver=evolver), p)
+
+
 def test_split_rejects_coriolis():
     f = gaussian_packet(G16, sigma=1.2)
     p = uniform_rotation_potential(G16, (0, 0, 0.5))

@@ -425,6 +425,25 @@ def test_incommensurate_boost_warning_names_the_caller(entry):
     assert caught[0].filename == __file__
 
 
+@pytest.mark.parametrize("lattice", ["g b", "b"])
+def test_boost_warning_follows_the_applied_phase_under_dilation(lattice):
+    # with g != 1 the phase wavevector is m g b / hbar, not m b / hbar: only
+    # the first being a lattice mode keeps the image periodic
+    nu, k1 = 1.1, 2 * np.pi / G16.length
+    b = k1 * np.array([1.0, -2.0, 0.0]) / (nu**3 if lattice == "g b" else 1.0)
+    u = compose(SnGroupElement.dilation(nu), SnGroupElement.boost(b))
+    assert abs(u.g - nu**3) < 1e-12 and np.max(np.abs(u.b - b)) < 1e-12
+    f = gaussian_packet(G16, sigma=1.2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = represent(u, f)
+    # at t = 0 the boost adds only its phase to the dilated field
+    phase = np.exp(1j * f.m / f.hbar * np.einsum("j,j...->...", u.g * u.b, G16.mesh()))
+    ref = phase * represent(SnGroupElement.dilation(nu), f).data
+    assert np.max(np.abs(out.data - ref)) < 1e-12 * np.max(np.abs(ref))
+    assert len(caught) == (lattice == "b")
+
+
 def test_represent_quarter_turn():
     f = gaussian_packet(G32, sigma=1.0, center=(1.0, -0.5, 0.0),
                         k0=(2 * np.pi / 16, 0, 0))
@@ -726,6 +745,46 @@ def test_transform_potentials_static_closure():
     direct = transform_potentials(compose(u1, u2), p)
     assert np.max(np.abs(seq.U - direct.U)) < 1e-10
     assert np.max(np.abs(seq.varpi - direct.varpi)) < 1e-10
+
+
+def _expanded_transform_potentials(u, p, t_hat):
+    # the induced action written out line by line on the same resample:
+    # U -> nu^4 (U + varpi . A^T b), varpi -> nu^2 A varpi
+    M, v = sngroup._pullback(u, t_hat)[:2]
+    if not p.coriolis:
+        return u.nu**4 * sngroup._resample_linear(p.U[None], p.grid, M, v)[0], None
+    Uw = sngroup._resample_linear(np.concatenate([p.U[None], p.varpi]), p.grid, M, v)
+    U_hat = u.nu**4 * (Uw[0] + np.einsum("j...,j->...", Uw[1:], u.A.T @ u.b))
+    return U_hat, u.nu**2 * np.einsum("ij,j...->i...", u.A, Uw[1:])
+
+
+def _potential_elements():
+    k1 = 2 * np.pi / G16.length
+    return {
+        "translation": SnGroupElement.translation(c=[0.31, -0.2, 1.05], e=0.2, h=0.4),
+        "boost": SnGroupElement.boost([0.3, -0.1, 0.2]),
+        "dilation": SnGroupElement.dilation(1.07),
+        "quarter_turn_after_boost": compose(SnGroupElement.rotation([1, 0, 0], -np.pi / 2),
+                                            SnGroupElement.boost(k1 * np.array([1.0, 0, -2]))),
+        "rotation": SnGroupElement.rotation([1.0, 2.0, -1.0], 0.7),
+        "random5": SnGroupElement.random(5),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_potential_elements()))
+def test_transform_potentials_matches_the_expanded_form(kind):
+    # one 4x4 matrix on the stacked (U, varpi) against the two formulas
+    u = _potential_elements()[kind]
+    U = 0.3 * band_limited_noise(G16, modes=3, seed=91)
+    w = 0.2 * band_limited_noise(G16, modes=3, seed=92, comps=(3,))
+    p = GridPotential(G16, U=U, varpi=w)
+    out = transform_potentials(u, p, t_hat=0.4)
+    U_ref, w_ref = _expanded_transform_potentials(u, p, 0.4)
+    assert np.max(np.abs(out.U - U_ref)) <= 1e-15 * np.max(np.abs(U_ref))
+    assert np.max(np.abs(out.varpi - w_ref)) <= 1e-15 * np.max(np.abs(w_ref))
+    bare = GridPotential(G16, U=U)
+    assert np.array_equal(transform_potentials(u, bare, t_hat=0.4).U,
+                          _expanded_transform_potentials(u, bare, 0.4)[0])
 
 
 def test_transform_potentials_boost_term():
