@@ -26,7 +26,6 @@ from .fields import (
     PAULI,
     BispinorField,
     _marginals,
-    _partial,
     axial_vector,
     canonical_current,
     density,
@@ -35,7 +34,7 @@ from .fields import (
     norm2,
     spin_density,
 )
-from .geometry import GridPotential
+from .geometry import GridPotential, _covariant_partial
 from .sngroup import SnGroupElement, represent, transform_potentials
 
 __all__ = [
@@ -85,13 +84,14 @@ def compute_charges(f: BispinorField, p: Optional[GridPotential] = None) -> Char
     self-sourced flow, the solved U; the run monitor hands it over). E_sn
     is taken iff p carries U_self.
 
-    Each spectral partial d_j phi serves both its momentum-density row and
-    its share of the kinetic energy T = (hbar^2/2m) sum_j |d_j phi|^2 dV,
-    which equals -<phi, Delta phi> because spectral derivatives are
-    anti-Hermitian. Each partial is folded into T, its momentum-density row,
-    P and the row's 1-D marginals (for int x_a p_c), then dropped, and one
-    density serves M, W_pot, E_sn and G: about one live-component buffer per
-    call. E_paper = <phi, H phi> is energy_expectation.
+    Each covariant partial D_j phi (geometry._covariant_partial) serves both
+    its momentum-density row and its share of T = (hbar^2/2m) sum_j |D_j phi|^2 dV,
+    the kinetic term of <phi, H phi>: gauge invariant. P and J, and G and D
+    built on them, stay canonical (rows hbar Im(phi+ d_j phi) + (hbar m / 2)
+    (varpi x s)_j), so under Coriolis they move under evolve.gauge_transform.
+    Each partial is folded into T, its row, P and the row's 1-D marginals (for
+    int x_a p_c), then dropped, and one density serves M, W_pot, E_sn and G:
+    about one live-component buffer per call. E_paper is energy_expectation.
 
     Every column is taken on the components run advances (evolve._live), as
     a zero one adds only exact zeros; a Coriolis-coupled pair stays whole.
@@ -106,14 +106,15 @@ def compute_charges(f: BispinorField, p: Optional[GridPotential] = None) -> Char
     W_pot = 0.0 if p is None else m * float(integrate(p.U * rho, grid))
     E_sn = float("nan") if p is None or p.U_self is None else sn_energy(rho, p, grid, m, E_paper)
     centroid = first_moments(rho, grid)
-    del rho
 
-    # Coriolis adds (hbar m / 2)(varpi x s)_j to row j, s the spin density
-    coupling = None if p is None or not p.coriolis else 0.5 * hbar * m * np.cross(
-        np.moveaxis(p.varpi, 0, -1), np.moveaxis(spin_density(phi), 0, -1)).transpose(3, 0, 1, 2)
+    # D_j leaves hbar Im(phi+ d_j phi) - m varpi_j rho in row j: Coriolis adds
+    # m varpi_j rho back, and (hbar m / 2)(varpi x s)_j, s the spin density
+    coupling = None if p is None or not p.coriolis else (
+        m * p.varpi * rho + 0.5 * hbar * m * np.cross(p.varpi, spin_density(phi), axis=0))
+    del rho
     sq_norms, P, marg = [], np.empty(3), np.empty((3, 3, grid.n))
     for j in range(3):
-        dphi = _partial(phi, grid, j)
+        dphi = _covariant_partial(phi, p, grid, m, hbar, j)
         sq_norms.append(norm2(dphi, grid))
         row = canonical_current(phi, (dphi,))[0]
         row *= hbar

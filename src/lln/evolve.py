@@ -28,7 +28,6 @@ from .fields import (
     BispinorField,
     GridSpec,
     _norm_divisor,
-    _partial,
     canonical_current,
     curl,
     density,
@@ -37,15 +36,15 @@ from .fields import (
     gradient,
     ifftn,
     irfftn,
+    jacobian,
     laplacian,
     norm2,
     rfftn,
     shift_field,
     sigma_dot,
-    sigma_grad,
     spin_density,
 )
-from .geometry import GridPotential
+from .geometry import GridPotential, _covariant_partial, _sigma_covariant
 from .gravity import mass_density, poisson_isolated, poisson_periodic
 
 __all__ = [
@@ -69,12 +68,9 @@ __all__ = [
 
 
 def chi_from_phi(phi, p: Optional[GridPotential], grid: GridSpec, m: float, hbar: float):
-    """Algebraic lower pair: chi = -(hbar/2m) sigma(grad) phi + (i/2) sigma(varpi) phi."""
+    """Algebraic lower pair: chi = -(hbar/2m) sigma(D) phi, D_j = d_j - i (m/hbar) varpi_j."""
     phi = np.asarray(phi, dtype=complex)
-    chi = -(hbar / (2.0 * m)) * sigma_grad(phi, grid)
-    if p is not None and p.coriolis:
-        chi = chi + 0.5j * sigma_dot(p.varpi, phi)
-    return chi
+    return -(hbar / (2.0 * m)) * _sigma_covariant(phi, p, grid, m, hbar)
 
 
 def apply_hamiltonian(phi, p: Optional[GridPotential], grid: GridSpec, m: float, hbar: float):
@@ -82,9 +78,9 @@ def apply_hamiltonian(phi, p: Optional[GridPotential], grid: GridSpec, m: float,
 
     Without Coriolis, the Laplacian's output is scaled in place and m U phi
     added slab by slab, each product in its operand order: one buffer of
-    phi's size. With Coriolis, the square is -hbar^2 sum_j D_j D_j, each
-    D_j = d_j - i (m/hbar) varpi_j an anti-Hermitian 1-D transform pair:
-    Hermitian by construction, no derivative of varpi (3.6 buffers at 32^3).
+    phi's size. With Coriolis, the square is -hbar^2 sum_j D_j D_j, each D_j
+    (geometry._covariant_partial) an anti-Hermitian 1-D transform pair:
+    Hermitian by construction, no derivative of varpi (3.1 buffers at 32^3).
     """
     phi = np.asarray(phi, dtype=complex)
     if p is None or not p.coriolis:
@@ -92,11 +88,8 @@ def apply_hamiltonian(phi, p: Optional[GridPotential], grid: GridSpec, m: float,
     else:
         out = np.zeros_like(phi)
         for j in range(3):
-            iw = (-1j * m / hbar) * p.varpi[j]
-            d = _partial(phi, grid, j)
-            d += iw * phi
-            out += _partial(d, grid, j)
-            out += iw * d
+            out += _covariant_partial(_covariant_partial(phi, p, grid, m, hbar, j),
+                                      p, grid, m, hbar, j)
     np.multiply(-(hbar**2 / (2.0 * m)), out, out=out)
     if p is None:
         return out
@@ -533,7 +526,7 @@ def current_and_continuity(
 
     J is computed twice: as i(phi+ sigma chi - chi+ sigma phi) with the
     algebraic chi, and in the phi-only form
-    (hbar/m) Im(phi+ grad phi) + (hbar/2m) curl(phi+ sigma phi) - varpi rho.
+    (hbar/m) Im(phi+ D phi) + (hbar/2m) curl(phi+ sigma phi).
     dt_rho is evaluated through the equation of motion, so the continuity
     residual measures operator consistency, not integrator error.
     """
@@ -542,10 +535,9 @@ def current_and_continuity(
     chi = chi_from_phi(phi, p, grid, m, hbar)
     z = np.einsum("a...,jab,b...->j...", np.conj(phi), PAULI, chi)
     J_pair = -2.0 * np.imag(z)
-    J_phi = (hbar / m) * canonical_current(phi, gradient(phi, grid))
+    Dphi = [_covariant_partial(phi, p, grid, m, hbar, j) for j in range(3)]
+    J_phi = (hbar / m) * canonical_current(phi, Dphi)
     J_phi = J_phi + (hbar / (2.0 * m)) * curl(spin_density(phi), grid)
-    if p is not None and p.coriolis:
-        J_phi = J_phi - p.varpi * rho
     h = apply_hamiltonian(phi, p, grid, m, hbar)
     dt_rho = (2.0 / hbar) * np.imag(np.einsum("a...,a...->...", np.conj(phi), h))
     residual = dt_rho + divergence(J_pair, grid)
@@ -562,11 +554,11 @@ def current_and_continuity(
 
 def gauge_transform(f: BispinorField, p: Optional[GridPotential], theta, dt_theta=None):
     """Vertical gauge map: phi' = exp(i m theta/hbar) phi, varpi' = varpi + grad theta,
-    U' = U - dt_theta. All densities and currents are invariant."""
-    grid = f.grid
+    U' = U - dt_theta; dvarpi' adds the Hessian of the periodic theta, so an exact
+    Jacobian stays exact. All densities and currents are invariant."""
+    grid, p = f.grid, p or GridPotential(f.grid)
     theta = np.asarray(theta, dtype=float)
-    U, varpi = (np.zeros(grid.shape), 0.0) if p is None else (p.U, p.varpi)
     f2 = replace(f, data=np.exp(1j * f.m / f.hbar * theta) * f.data)
-    U2 = U - (0.0 if dt_theta is None else np.asarray(dt_theta))
-    p2 = GridPotential(grid, U=U2, varpi=varpi + gradient(theta, grid))
-    return f2, p2
+    dtheta = gradient(theta, grid)
+    return f2, GridPotential(grid, U=p.U - (0.0 if dt_theta is None else np.asarray(dt_theta)),
+                             varpi=p.varpi + dtheta, dvarpi=p.dvarpi + jacobian(dtheta, grid))

@@ -24,7 +24,6 @@ __all__ = [
     "GridSpec",
     "BispinorField",
     "sigma_dot",
-    "sigma_grad",
     "gradient",
     "laplacian",
     "divergence",
@@ -182,11 +181,6 @@ def sigma_dot(v, phi):
     """
     v = np.asarray(v)
     return np.einsum("j...,jab,b...->a...", v, PAULI, phi)
-
-
-def sigma_grad(phi, grid: GridSpec):
-    """sigma(grad) phi = sum_j sigma_j d_j phi for a Pauli pair phi[2, grid]."""
-    return np.einsum("jab,jb...->a...", PAULI, gradient(phi, grid))
 
 
 def _spectral(f, multiplier, axes=(-3, -2, -1)):

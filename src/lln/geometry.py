@@ -28,6 +28,7 @@ import numpy as np
 from .fields import (
     PAULI,
     GridSpec,
+    _partial,
     axial_vector,
     curl,
     density,
@@ -36,7 +37,6 @@ from .fields import (
     laplacian,
     sample_points,
     sigma_dot,
-    sigma_grad,
 )
 
 __all__ = [
@@ -517,6 +517,22 @@ def lie_derivative_spinor_density(
     return transport + kos + DENSITY_WEIGHT * np.trace(L[:5, :5]) * psi
 
 
+def _covariant_partial(phi, p: Optional[GridPotential], grid: GridSpec, m, hbar, j: int):
+    """D_j phi = d_j phi - i (m/hbar) varpi_j phi (d_j phi without Coriolis): the frame
+    derivative d_j - varpi_j d_s on the s-equivariant lift, varpi added slab by slab."""
+    d = _partial(phi, grid, j)
+    if p is not None and p.coriolis:
+        for i in range(grid.n):
+            d[..., i, :, :] += ((-1j * m / hbar) * p.varpi[j, i]) * phi[..., i, :, :]
+    return d
+
+
+def _sigma_covariant(phi, p: Optional[GridPotential], grid: GridSpec, m, hbar):
+    """sigma(D) phi = sum_j sigma_j D_j phi for a Pauli pair phi[2, grid]."""
+    d = np.stack([_covariant_partial(phi, p, grid, m, hbar, j) for j in range(3)])
+    return np.einsum("jab,jb...->a...", PAULI, d)
+
+
 def dirac_residual(
     phi: np.ndarray,
     chi: np.ndarray,
@@ -525,28 +541,22 @@ def dirac_residual(
     m: float,
     hbar: float,
 ):
-    """Pointwise residual of the two coupled Pauli-pair equations.
+    """Pointwise residual of the two coupled Pauli-pair equations, with
+    sigma(D) = sum_j sigma_j D_j and D_j = d_j - i (m/hbar) varpi_j:
 
-    line1: hbar sigma(grad) phi + 2 m chi - i m sigma(varpi) phi
-    line2: i hbar dt_phi - m U phi - hbar sigma(grad) chi
-           + i m sigma(varpi) chi - (hbar/4) sigma(curl varpi) phi
+    line1: hbar sigma(D) phi + 2 m chi
+    line2: i hbar dt_phi - m U phi - hbar sigma(D) chi - (hbar/4) sigma(curl varpi) phi
 
     dt_phi is an input: pass the analytic time derivative when known, or a
     centered difference of evolution snapshots (second-order in the step).
     Returns (node_residual, line1, line2).
     """
-    grid = p.grid
     phi = np.asarray(phi, dtype=complex)
     chi = np.asarray(chi, dtype=complex)
-    line1 = hbar * sigma_grad(phi, grid) + 2.0 * m * chi
-    line2 = (
-        1j * hbar * np.asarray(dt_phi, dtype=complex)
-        - m * p.U * phi
-        - hbar * sigma_grad(chi, grid)
-    )
+    line1 = hbar * _sigma_covariant(phi, p, p.grid, m, hbar) + 2.0 * m * chi
+    line2 = 1j * hbar * np.asarray(dt_phi, dtype=complex) - m * p.U * phi
+    line2 -= hbar * _sigma_covariant(chi, p, p.grid, m, hbar)
     if p.coriolis:
-        line1 = line1 - 1j * m * sigma_dot(p.varpi, phi)
-        line2 = line2 + 1j * m * sigma_dot(p.varpi, chi)
-        line2 = line2 - 0.25 * hbar * sigma_dot(p.curl_varpi, phi)
+        line2 -= 0.25 * hbar * sigma_dot(p.curl_varpi, phi)
     node = np.sqrt(density(line1) + density(line2))
     return node, line1, line2

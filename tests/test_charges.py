@@ -19,11 +19,12 @@ from lln.fields import (
     ifftn,
     integrate,
     norm2,
+    spin_density,
 )
 from lln import evolve
-from lln.evolve import RunConfig, apply_hamiltonian, run, self_potential
+from lln.evolve import RunConfig, apply_hamiltonian, gauge_transform, run, self_potential
 from lln.geometry import GridPotential
-from lln.gravity import mass_density, poisson_periodic
+from lln.gravity import mass_density, poisson_periodic, taub_nut_grid, uniform_rotation_potential
 from lln.sngroup import SnGroupElement
 from lln.charges import (
     CSV_COLUMNS,
@@ -88,16 +89,19 @@ def _charges_reference(f, p, mode):
     gphi = np.stack([ifftn(1j * k * F) for k in grid.kvec])
     pdens = hbar * np.imag(np.einsum("a...,ja...->j...", np.conj(phi), gphi))
     sdens = np.einsum("a...,jab,b...->j...", np.conj(phi), PAULI, phi).real
+    integ = lambda a: np.sum(a, axis=(-3, -2, -1)) * grid.dv
+    lap = ifftn(-grid.k2 * fftn(phi))
+    T = float(np.real(np.sum(np.conj(phi) * (-(hbar**2) / (2 * m)) * lap)) * grid.dv)
     if p is not None and np.any(p.varpi):
+        # covariant T = (hbar^2/2m) sum_j |(d_j - i (m/hbar) varpi_j) phi|^2, developed
+        T += float(integ(0.5 * m * np.sum(p.varpi**2, axis=0) * rho
+                         - np.einsum("j...,j...->...", p.varpi, pdens)))
         pdens = pdens + 0.5 * hbar * m * np.cross(
             np.moveaxis(p.varpi, 0, -1), np.moveaxis(sdens, 0, -1)
         ).transpose(3, 0, 1, 2)
-    integ = lambda a: np.sum(a, axis=(-3, -2, -1)) * grid.dv
     P = integ(pdens)
     xcrossp = np.cross(np.moveaxis(X, 0, -1), np.moveaxis(pdens, 0, -1))
     J = integ(np.moveaxis(xcrossp, -1, 0)) + 0.5 * hbar * integ(sdens)
-    lap = ifftn(-grid.k2 * fftn(phi))
-    T = float(np.real(np.sum(np.conj(phi) * (-(hbar**2) / (2 * m)) * lap)) * grid.dv)
     U = p.U if p is not None else np.zeros(grid.shape)
     W = m * float(integ(U * rho))
     E = float(np.real(np.sum(np.conj(phi) * apply_hamiltonian(phi, p, grid, m, hbar)))
@@ -446,3 +450,24 @@ def test_covariance_legs_share_the_run_config(monkeypatch):
     assert (b.evolver, b.source, b.steps) == ("split", "self", 4)
     assert b.dt == cfg.dt / u.nu**5
     assert (b.monitor_every, b.monitor) == (0, None)
+
+
+@pytest.mark.parametrize("frame", ["band-limited", "rigid", "taub-nut"])
+def test_kinetic_energy_is_the_gauge_invariant_kinetic_term_of_h(frame):
+    # T_kin = (hbar^2/2m) sum_j |D_j phi|^2: E_paper = T_kin + W_pot -
+    # (hbar/4) int s . curl varpi to round-off (measured <= 2.6e-16), and a
+    # vertical gauge map moves T_kin no more than E_paper itself (measured
+    # <= 1.3e-11, Taub-NUT)
+    f, p, _ = _live_case((0.8, 0.6j), True)
+    if frame == "rigid":
+        p = uniform_rotation_potential(G32, (0, 0, 0.8))
+    elif frame == "taub-nut":
+        p = taub_nut_grid(G32, a=0.2)[0]
+    f2, p2 = gauge_transform(f, p, 0.7 * band_limited_noise(G32, modes=2, seed=5))
+    for g, q in ((f, p), (f2, p2)):
+        rec = compute_charges(g, q)
+        spin = 0.25 * g.hbar * integrate(np.sum(spin_density(g.data) * q.curl_varpi, axis=0), G32)
+        assert abs(rec.E_paper - (rec.T_kin + rec.W_pot - spin)) < 1e-15 * abs(rec.E_paper)
+    a, b = compute_charges(f, p), compute_charges(f2, p2)
+    assert abs(b.T_kin - a.T_kin) < 1e-10 * a.T_kin
+    assert abs(b.T_kin - a.T_kin) < 2.0 * abs(b.E_paper - a.E_paper) + 1e-15 * a.T_kin

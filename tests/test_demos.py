@@ -52,6 +52,21 @@ def test_taub_nut_frame_grid_rows_at_n16(capsys):
     assert "spectral med" in capsys.readouterr().out
 
 
+def test_gauge_ledger_rows_at_n16(capsys):
+    # the gauge-invariant columns hold to the aliasing of exp(i m theta/hbar)
+    # phi (T_kin with E_paper, 1.6e-6 at most here), curl varpi and the energy
+    # split to round-off; the canonical P moves by percents
+    table = _load("gauge_ledger").main(n=16)
+    assert set(table) == {"band-limited", "uniform", "taub-nut"}
+    for row in table.values():
+        assert row["T_kin"] < 2.0 * row["E_paper"] < 1e-5 and row["M"] < 1e-15
+        assert max(row["curl"], row["split"], row["split_gauged"]) < 1e-14
+        assert min(row["Px"], row["Py"], row["Pz"]) > 1e-2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["column", "band-limited", "uniform", "taub-nut"]
+    assert len(lines) == 2 + len(table["uniform"])
+
+
 def test_virial_demo_quotes_the_radial_oracle():
     mu, E, rms = _load("ground_state_virial").RADIAL
     mu0, E0, rms0 = radial_ground_state(G=4.0)
