@@ -1,12 +1,14 @@
 """Command line front end.
 
 Subcommands: verify-geometry, evolve, ground-state, charges, symmetry-check.
-Run configs are single JSON documents validated fail-closed: unknown keys,
-wrongly typed values (booleans or fractions as counts, NaN or infinite
-numbers, non-string paths, vectors of the wrong length), output paths in a
-missing directory and settings that could not take effect are errors. Each
-subcommand reads and checks every setting, LLN_THREADS included, before it
-computes anything.
+Run configs are single JSON documents validated fail-closed: unknown keys
+and keys the chosen form of `potentials` or `initial` never reads, numbers
+that break the library's one rule (`fields._json_number`, which reads group
+elements too), non-string paths, vectors of the wrong length, output paths
+in a missing directory and settings that could not take effect, such as a
+source mode paired with a potential the solvers refuse
+(`evolve._check_source`), are errors. Each subcommand reads and checks every
+setting, LLN_THREADS included, before it computes anything.
 Exit codes: 0 all checks pass, 1 a check or computation failed (including
 non-finite snapshot data; a failed computation prints one `<subcommand>
 failed:` line), 2 usage or configuration errors.
@@ -85,22 +87,14 @@ def _expect(ok, value, where, what):
     return value
 
 
-def _num(value, where, integral=False):
-    """A finite JSON number as float, or as int where integral; booleans,
-    NaN, infinities, integers beyond the float range and fractional counts
-    are rejected rather than coerced (NaN fails the range test too)."""
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max
-            and (not integral or float(value).is_integer()),
-            value, where, "an integer" if integral else "a finite number")
-    return int(value) if integral else float(value)
-
-
-def _vec(value, where, size=3) -> list:
-    """A list of exactly `size` finite numbers: extra entries are an error."""
-    _expect(isinstance(value, list) and len(value) == size, value, where,
-            f"a list of {size} numbers")
-    return [_num(v, where) for v in value]
+def _num(value, where, integral=False, size=0):
+    """A JSON number (with size, a list of exactly size of them) by the
+    library's rule, fields._json_number: a float, or an int where integral.
+    Anything else is refused, never coerced."""
+    number = fields._json_number(value, integral, size)
+    _expect(number is not None, value, where, f"a list of {size} finite numbers" if size
+            else "an integer" if integral else "a finite number")
+    return number
 
 
 def _flag(value, where) -> bool:
@@ -122,6 +116,25 @@ def _out_paths(outputs) -> dict:
     return {k: _out_file(v, f"outputs.{k}") for k, v in outputs.items()}
 
 
+# the keys each form of a section reads: a key only another form reads is an
+# error. potentials: a snapshot alone, or a preset with optional U_point_mass
+_POTENTIAL_FORMS = {"snapshot": {"snapshot"}, "none": {"preset", "U_point_mass"},
+                    "uniform": {"preset", "U_point_mass", "Omega0"},
+                    "taubnut": {"preset", "U_point_mass", "a", "sign", "r_cut"},
+                    "gradient": {"preset", "U_point_mass", "theta"}}
+_INITIAL_FORMS = {"gaussian": {"kind", "sigma", "center", "k0", "spin", "normalize"},
+                  "snapshot": {"kind", "path"}}
+
+
+def _form(sec, where, key, default, forms) -> str:
+    """The form sec[key] names, with sec held to the keys that form reads."""
+    form = _expect(isinstance(sec, dict), sec, where, "an object").get(key, default)
+    if not (isinstance(form, str) and form in forms):
+        raise ConfigError(f"{where}: unknown {key} {form!r}")
+    _check_keys(sec, forms[form], (), f"{where} as {form}")
+    return form
+
+
 def _load_config(path, *sections) -> dict:
     """A run config: the shared sections plus `sections`, the first required."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -133,21 +146,22 @@ def _load_config(path, *sections) -> dict:
 
 def _snapshot_potential(path, grid) -> geometry.GridPotential:
     snap = fields.load_snapshot(path)
-    U, varpi = snap.to_potentials()
     if snap.grid != grid:
         raise ConfigError("potentials snapshot grid does not match run grid")
-    return geometry.GridPotential(grid, U=U, varpi=varpi)
+    return geometry.GridPotential(grid, *snap.to_potentials())
 
 
 def _build_potentials(cfg, grid):
     """Returns (GridPotential or None). Fail-closed on unknown presets."""
-    if "snapshot" in cfg:
+    preset = _form(cfg, "potentials", "preset",
+                   "snapshot" if isinstance(cfg, dict) and "snapshot" in cfg else "none",
+                   _POTENTIAL_FORMS)
+    if preset == "snapshot":
         return _snapshot_potential(_path(cfg["snapshot"], "potentials.snapshot"), grid)
-    preset = cfg.get("preset", "none")
     U, varpi, kw, frame = None, None, {}, None
     if preset == "uniform":
         om = cfg.get("Omega0", 1.0)
-        om = (_vec if isinstance(om, list) else _num)(om, "potentials.Omega0")
+        om = _num(om, "potentials.Omega0", size=3 if isinstance(om, list) else 0)
         frame = gravity.uniform_rotation_potential(grid, om)
     elif preset == "taubnut":
         frame, _ = gravity.taub_nut_grid(grid, **{
@@ -162,8 +176,6 @@ def _build_potentials(cfg, grid):
         _expect(sigma > 0, sigma, "potentials.theta.sigma", "a width > 0")
         r2 = np.sum(grid.mesh()**2, axis=0)
         varpi = fields.gradient(amp * np.exp(-r2 / (2.0 * sigma**2)), grid)
-    elif preset != "none":
-        raise ConfigError(f"potentials: unknown preset {preset!r}")
     if frame is not None:  # both frames carry their exact Jacobian
         varpi, kw = frame.varpi, {"dvarpi": frame.dvarpi}
     if "U_point_mass" in cfg:
@@ -183,31 +195,25 @@ def _build_potentials(cfg, grid):
 
 
 def _build_initial(cfg, grid, phys) -> fields.BispinorField:
-    kind = cfg["kind"]
-    if kind == "gaussian":
+    if _form(cfg, "initial", "kind", None, _INITIAL_FORMS) == "gaussian":
         return fields.gaussian_packet(
             grid,
             sigma=_num(cfg.get("sigma", 1.0), "initial.sigma"),
-            center=_vec(cfg.get("center", [0.0, 0.0, 0.0]), "initial.center"),
-            k0=_vec(cfg.get("k0", [0.0, 0.0, 0.0]), "initial.k0"),
-            spin=[complex(*_vec(s, "initial.spin", 2)) if isinstance(s, list)
+            center=_num(cfg.get("center", [0.0, 0.0, 0.0]), "initial.center", size=3),
+            k0=_num(cfg.get("k0", [0.0, 0.0, 0.0]), "initial.k0", size=3),
+            spin=[complex(*_num(s, "initial.spin", size=2)) if isinstance(s, list)
                   else _num(s, "initial.spin") for s in cfg.get("spin", [1.0, 0.0])],
-            m=phys["m"],
-            hbar=phys["hbar"],
+            m=phys["m"], hbar=phys["hbar"],
             normalize=_flag(cfg.get("normalize", True), "initial.normalize"),
         )
-    if kind == "snapshot":
-        f = fields.load_snapshot(_path(cfg.get("path"), "initial.path")).to_field()
-        if f.grid != grid:
-            raise ConfigError("initial snapshot grid does not match run grid")
-        for key, val in (("m", phys["m"]), ("hbar", phys["hbar"])):
-            if abs(getattr(f, key) - val) > 1e-12:
-                raise ConfigError(
-                    f"initial snapshot carries {key}={getattr(f, key)} but "
-                    f"physics.{key}={val}"
-                )
-        return f
-    raise ConfigError(f"initial: unknown kind {kind!r}")
+    f = fields.load_snapshot(_path(cfg.get("path"), "initial.path")).to_field()
+    if f.grid != grid:
+        raise ConfigError("initial snapshot grid does not match run grid")
+    for key in ("m", "hbar"):
+        if abs(getattr(f, key) - phys[key]) > 1e-12:
+            raise ConfigError(f"initial snapshot carries {key}={getattr(f, key)} but "
+                              f"physics.{key}={phys[key]}")
+    return f
 
 
 def _setup(cfg):
@@ -221,29 +227,28 @@ def _setup(cfg):
         raise ConfigError("physics: m and hbar must be positive")
     # a non-finite potential is reported once, as a config error, not as warnings
     with np.errstate(all="ignore"):
-        pot = _build_potentials(_section(cfg, "potentials", {
-            "preset", "Omega0", "a", "sign", "r_cut", "theta", "snapshot", "U_point_mass"}), grid)
-    initial = _section(cfg, "initial",
-                       {"kind", "sigma", "center", "k0", "spin", "path", "normalize"},
-                       {"kind"})
-    return phys, pot, _build_initial(initial, grid, phys)
+        pot = _build_potentials(cfg.get("potentials", {}), grid)
+    return phys, pot, _build_initial(cfg["initial"], grid, phys)
 
 
-def _solver_settings(cfg, name, allowed, count, required=()) -> dict:
-    """A solver section as keyword values: numbers are read here, `count` as
-    an integer; names pass as given, for RunConfig or RelaxConfig to check."""
-    return {k: v if k in ("kind", "source", "poisson") else _num(v, f"{name}.{k}", k == count)
-            for k, v in _section(cfg, name, allowed, required).items()}
+def _solver_config(cls, cfg, name, pot, allowed, count, required=(), **fixed):
+    """cls (RunConfig or RelaxConfig) from section `name`: numbers are read
+    here, `count` as an integer, names pass as given for cls to check, and
+    its source must pair with pot by the solvers' rule."""
+    kw = {k: v if k in ("kind", "source", "poisson") else _num(v, f"{name}.{k}", k == count)
+          for k, v in _section(cfg, name, allowed, required).items()}
+    if "kind" in kw:
+        kw["evolver"] = kw.pop("kind")
+    rcfg = cls(**fixed, **kw)
+    with _config_phase(f"{name}.source"):
+        evolve_mod._check_source(rcfg.source, pot)
+    return rcfg
 
 
 def _build_runconfig(cfg, G, pot, monitor_every=0) -> evolve_mod.RunConfig:
-    kw = _solver_settings(cfg, "evolver", {"kind", "dt", "steps", "source", "poisson"},
-                          "steps", {"dt", "steps"})
-    rcfg = evolve_mod.RunConfig(evolver=kw.pop("kind", "split"), G=G,
-                                monitor_every=monitor_every, **kw)
-    if rcfg.source == "free" and pot is not None:
-        raise ConfigError("evolver.source: free source mode takes no potential")
-    return rcfg
+    return _solver_config(evolve_mod.RunConfig, cfg, "evolver", pot,
+                          {"kind", "dt", "steps", "source", "poisson"}, "steps",
+                          {"dt", "steps"}, G=G, monitor_every=monitor_every)
 
 
 def _write_report(path, payload):
@@ -276,7 +281,12 @@ def cmd_verify_geometry(args) -> int:
         _expect(args.points >= 1, args.points, "--points", "a count >= 1")
         _expect(args.seed >= 0, args.seed, "--seed", "an integer >= 0")
         _expect(math.isfinite(args.G), args.G, "--G", "a finite number")
-        for name in ("clifford", "christoffel", "constraint"):
+        # the report entries each --tol-<name> bounds
+        groups = {"clifford": ("clifford_upper", "clifford_lower", "chirality",
+                               "volume_density", "metric_inverse"),
+                  "christoffel": ("christoffel_fd", "christoffel_offpattern"),
+                  "constraint": ("constraint_scalar", "constraint_vector_uniform")}
+        for name in groups:
             tol = getattr(args, f"tol_{name}")
             _expect(math.isfinite(tol) and tol >= 0, tol, f"--tol-{name}", "a finite tolerance >= 0")
         out = args.json and _out_file(args.json, "--json")
@@ -327,23 +337,10 @@ def cmd_verify_geometry(args) -> int:
     solved = geometry.GridPotential(grid, U=Usol, varpi=pot.varpi, dvarpi=pot.dvarpi)
     chk = geometry.ricci_constraint_residual(solved, rho=rho, G=args.G)
     report["constraint_scalar"] = chk.scalar_max_meanfree
-    report["constraint_vector_uniform"] = float(
-        geometry.ricci_constraint_residual(
-            gravity.uniform_rotation_potential(grid, 0.7)
-        ).vector_max
-    )
+    report["constraint_vector_uniform"] = geometry.ricci_constraint_residual(
+        gravity.uniform_rotation_potential(grid, 0.7)).vector_max
 
-    tols = {
-        "clifford_upper": args.tol_clifford,
-        "clifford_lower": args.tol_clifford,
-        "chirality": args.tol_clifford,
-        "volume_density": args.tol_clifford,
-        "metric_inverse": args.tol_clifford,
-        "christoffel_fd": args.tol_christoffel,
-        "christoffel_offpattern": args.tol_christoffel,
-        "constraint_scalar": args.tol_constraint,
-        "constraint_vector_uniform": args.tol_constraint,
-    }
+    tols = {k: getattr(args, f"tol_{name}") for name, keys in groups.items() for k in keys}
     # every verdict is written `not (v <= tol)`, so that NaN fails
     failures = {k: v for k, v in report.items() if not (v <= tols[k])}
     report["pass"] = not failures
@@ -413,16 +410,13 @@ def cmd_ground_state(args) -> int:
     with _config_phase(args.config):
         cfg = _load_config(args.config, "relax")
         phys, pot, f0 = _setup(cfg)
-        rcfg = evolve_mod.RelaxConfig(G=phys["G"], **_solver_settings(
-            cfg, "relax", {"dtau", "tol", "max_iter", "source", "poisson"}, "max_iter"))
+        rcfg = _solver_config(evolve_mod.RelaxConfig, cfg, "relax", pot, {
+            "dtau", "tol", "max_iter", "source", "poisson"}, "max_iter", G=phys["G"])
         paths = _out_paths(_section(cfg, "outputs", {"snapshot", "report"}))
         checks = _section(cfg, "checks", {"require_converged", "energy_window"})
         require = _flag(checks.get("require_converged", True), "checks.require_converged")
-        window = checks.get("energy_window")
-        if "energy_window" in checks:
-            _expect(isinstance(window, list) and len(window) == 2, window,
-                    "checks.energy_window", "[lo, hi]")
-            window = [_num(v, "checks.energy_window") for v in window]
+        window = (_num(checks["energy_window"], "checks.energy_window", size=2)
+                  if "energy_window" in checks else None)
 
     res = evolve_mod.ground_state(f0, rcfg, pot)
     failures = ["relaxation did not converge"] if require and not res.converged else []
@@ -438,11 +432,8 @@ def cmd_ground_state(args) -> int:
 
 
 def cmd_charges(args) -> int:
-    if args.mode == "external" and not args.potentials:
-        raise ConfigError("--mode external: external source mode needs a potential "
-                          "(--potentials)")
-    if args.mode == "free" and args.potentials:
-        raise ConfigError("--mode free: free source mode takes no potential (--potentials)")
+    with _config_phase(f"--mode {args.mode}"):
+        evolve_mod._check_source(args.mode, args.potentials or None)
     if args.poisson and args.mode != "self":
         raise ConfigError("--poisson: only --mode self solves a Poisson equation")
     with _config_phase(f"--snapshot {args.snapshot}"):

@@ -204,14 +204,20 @@ def sn_energy(rho, pot: GridPotential, grid: GridSpec, m: float, e_paper: float)
     return e_paper - 0.5 * (float(np.sum(pot.U_self * rho) * grid.dv) * m)
 
 
+def _check_source(source: str, p) -> None:
+    """A free run takes no potential p, an external run needs one; a self
+    run may add one to its own U. The CLI checks it in its config phase."""
+    if source == "external" and p is None:
+        raise ValueError("external source mode needs a potential")
+    if source == "free" and p is not None:
+        raise ValueError("free source mode takes no potential")
+
+
 def _potential_for(phi, cfg, grid, m, p: Optional[GridPotential]):
     """The potential in force on phi under a RunConfig or RelaxConfig."""
     if cfg.source == "self":
         return self_potential(phi, grid, m, cfg.G, cfg.poisson, p)
-    if cfg.source == "external" and p is None:
-        raise ValueError("external source mode needs a potential")
-    if cfg.source == "free" and p is not None:
-        raise ValueError("free source mode takes no potential")
+    _check_source(cfg.source, p)
     return p
 
 

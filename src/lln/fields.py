@@ -535,15 +535,20 @@ def save_potentials(path, grid: GridSpec, U, varpi, m=1.0, hbar=1.0, G=0.0, time
     _write_snapshot(path, "potential", grid, data, m, hbar, G, time)
 
 
-def _header_number(path, key, val, integral=False):
-    """A header value held to the config rules: a JSON number, never a string
-    or a boolean, whole where it counts, and in the float range where not."""
-    if (isinstance(val, bool) or not isinstance(val, (int, float))
-            or (integral and isinstance(val, float) and not val.is_integer())
-            or (not integral and isinstance(val, int) and abs(val) > sys.float_info.max)):
-        raise ValueError(f"{path}: snapshot header {key} = {val!r} must be "
-                         + ("a whole number" if integral else "a number"))
-    return int(val) if integral else float(val)
+def _json_number(value, integral=False, size=0):
+    """value as a float (an int where integral), or with size a list of
+    exactly size of them, if it is a JSON int or float (never a bool or a
+    string), in the float range (NaN fails too) and whole where integral;
+    else None. The number rule of run configs, snapshot headers and group
+    elements, each of which words its own refusal."""
+    if size:
+        items = [_json_number(v, integral) for v in value] if isinstance(value, list) else []
+        return items if len(items) == size and None not in items else None
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+            and (not integral or float(value).is_integer())):
+        return int(value) if integral else float(value)
+    return None
 
 
 def load_snapshot(path) -> Snapshot:
@@ -560,22 +565,23 @@ def load_snapshot(path) -> Snapshot:
             raise ValueError(f"{path}: not a recognized snapshot file")
         if header.get("poisson", "periodic") not in ("periodic", "isolated"):
             raise ValueError(f"{path}: unknown poisson mode {header['poisson']!r}")
-        scalars = {key: _header_number(path, key, header[key])
-                   for key in ("m", "hbar", "G", "time")}
-        scalars["mass_tag"] = _header_number(path, "mass_tag", header.get("mass_tag", 1.0))
-        for key, val in scalars.items():
-            positive = key in ("m", "hbar", "mass_tag")
-            if not (np.isfinite(val) and (val > 0 or not positive)):
-                raise ValueError(f"{path}: snapshot header {key} = {val} must be finite"
-                                 + (" and > 0" if positive else ""))
-        n = header["n"]
-        if not (isinstance(n, list) and len(n) == 3):
-            raise ValueError(f"{path}: snapshot header n = {n!r} must list three sizes")
-        n1, n2, n3 = (_header_number(path, "n", v, integral=True) for v in n)
+        # held to the config rules; the sizes n and the component count are counts
+        counts = {"n": "three whole numbers", "components": "a whole number"}
+        num = {}
+        for key in ("m", "hbar", "G", "time", "mass_tag", "length", "n", "components"):
+            val = header.get(key, 1.0)
+            num[key] = _json_number(val, key in counts, 3 if key == "n" else 0)
+            if num[key] is None:
+                raise ValueError(f"{path}: snapshot header {key} = {val!r} must be "
+                                 + counts.get(key, "a finite number"))
+        for key in ("m", "hbar", "mass_tag"):
+            if not num[key] > 0:
+                raise ValueError(f"{path}: snapshot header {key} = {num[key]} must be > 0")
+        n1, n2, n3 = num["n"]
         if not (n1 == n2 == n3):
             raise ValueError(f"{path}: only cubic grids are supported")
-        grid = GridSpec(n=n1, length=_header_number(path, "length", header["length"]))
-        C = _header_number(path, "components", header["components"], integral=True)
+        grid = GridSpec(n=n1, length=num["length"])
+        C = num["components"]
         size = (os.fstat(fh.fileno()).st_size - fh.tell()) // 16
         expect = C * grid.n**3
         if size != expect:
@@ -597,5 +603,5 @@ def load_snapshot(path) -> Snapshot:
         grid=grid,
         data=data,
         poisson=header.get("poisson"),
-        **scalars,
+        **{key: num[key] for key in ("m", "hbar", "G", "time", "mass_tag")},
     )

@@ -38,6 +38,7 @@ from .fields import (
     PAULI,
     BispinorField,
     GridSpec,
+    _json_number,
     sample_points,
     shift_field,
     resample_separable,
@@ -148,10 +149,7 @@ class SnGroupElement:
         self.A = np.asarray(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float).reshape(3)
         self.c = np.asarray(self.c, dtype=float).reshape(3)
-        self.d = float(self.d)
-        self.e = float(self.e)
-        self.g = float(self.g)
-        self.h = float(self.h)
+        self.d, self.e, self.g, self.h = map(float, (self.d, self.e, self.g, self.h))
         if self.A.shape != (3, 3):
             raise ValueError("rotation block must be a 3x3 matrix")
         params = (self.A, self.b, self.c, self.d, self.e, self.g, self.h)
@@ -454,37 +452,35 @@ def transform_potentials(u: SnGroupElement, p: GridPotential, t_hat=None) -> Gri
 
 
 def element_to_dict(u: SnGroupElement) -> dict:
-    return {
-        "a": [float(x) for x in u.quat],
-        "b": [float(x) for x in u.b],
-        "c": [float(x) for x in u.c],
-        "d": u.d,
-        "e": u.e,
-        "g": u.g,
-        "h": u.h,
-        "nu": u.nu,
-    }
+    return {"a": u.quat.tolist(), "b": u.b.tolist(), "c": u.c.tolist(),
+            "d": u.d, "e": u.e, "g": u.g, "h": u.h, "nu": u.nu}
+
+
+# the fields of an element's JSON form: each list's length, 0 for one number
+_ELEMENT_FIELDS = {"a": 4, "b": 3, "c": 3, "d": 0, "e": 0, "g": 0, "h": 0, "nu": 0}
 
 
 def element_from_dict(data: dict) -> SnGroupElement:
-    for key in ("a", "b", "c", "d", "e", "g", "h"):
-        if key not in data:
+    """The element of a dict such as element_to_dict writes, read by the
+    config rules (fields._json_number): fields a to h and an optional nu,
+    each a JSON number or a list of 4 (a) or 3 (b, c) of them. Any other
+    key or value raises ValueError naming it."""
+    unknown = sorted(set(data) - set(_ELEMENT_FIELDS))
+    if unknown:
+        raise ValueError(f"group element has unknown fields {unknown}")
+    vals = {}
+    for key, size in _ELEMENT_FIELDS.items():
+        if key in data:
+            vals[key] = _json_number(data[key], size=size)
+            if vals[key] is None:
+                raise ValueError(f"group element field {key!r} = {data[key]!r} must be "
+                                 + (f"a list of {size} numbers" if size else "a number"))
+        elif key != "nu":
             raise ValueError(f"group element is missing field {key!r}")
-    q = np.asarray(data["a"], dtype=float)
-    if q.shape != (4,):
-        raise ValueError("field 'a' must be a quaternion [w, x, y, z]")
-    if not abs(np.linalg.norm(q) - 1.0) <= 1e-6:
+    if not abs(np.linalg.norm(vals["a"]) - 1.0) <= 1e-6:
         raise ValueError("quaternion must have unit length")
-    u = SnGroupElement(
-        A=matrix_from_quat(q),
-        b=data["b"],
-        c=data["c"],
-        d=float(data["d"]),
-        e=float(data["e"]),
-        g=float(data["g"]),
-        h=float(data["h"]),
-    )
-    if "nu" in data and not abs(float(data["nu"]) - u.nu) <= 1e-6:
+    u = SnGroupElement(A=matrix_from_quat(vals["a"]), **{k: vals[k] for k in "bcdegh"})
+    if "nu" in vals and not abs(vals["nu"] - u.nu) <= 1e-6:
         raise ValueError("declared nu is inconsistent with d*g")
     return u
 

@@ -704,9 +704,29 @@ _NAN_ELEMENT = dict(BASES["symmetry-check"]["element"], d=float("nan"), g=float(
     # the bases leave evolver.source at "free", where a potential cannot act
     ("evolve", {"potentials": {"U_point_mass": {"GM": 1.0}}}),
     ("symmetry-check", {"potentials": {"preset": "uniform"}}),
+    # the group element is read by the config rules, inline and from a file
+    ("symmetry-check", {"element.e": True}),
+    ("symmetry-check", {"element.e": "0.0"}),
+    ("symmetry-check", {"element.b": ["0", "0", "0"]}),
+    ("symmetry-check", {"element.typo": 1.0}),
+    ("symmetry-check", {"element": DROP, "element_path": "elem_typo.json"}),
+    ("symmetry-check", {"element": DROP, "element_path": "elem_true.json"}),
+    # an external source needs a potential
+    ("evolve", {"evolver.source": "external"}),
+    ("symmetry-check", {"evolver.source": "external"}),
+    ("ground-state", {"relax.source": "external"}),
+    # keys that the chosen form of a section never reads
+    ("evolve", {"potentials": {"snapshot": "pot.lls", "preset": "taubnut", "a": 5,
+                               "U_point_mass": {"GM": 100}}, "evolver.source": "external"}),
+    ("evolve", {"potentials": {"a": 5, "Omega0": 3,
+                               "theta": {"amplitude": 0.1, "sigma": 2.0}}}),
+    ("evolve", {"initial": {"kind": "snapshot", "path": "seed.lls", "sigma": 3,
+                            "k0": [0.3, 0, 0]}}),
+    ("evolve", {"initial": {"kind": "gaussian", "path": "nonexistent.lls"}}),
 ])
-def test_value_that_cannot_run_is_config_error(command, edits, solver_calls, capsys):
-    _assert_config_error(command, edits, solver_calls, capsys)
+def test_value_that_cannot_run_is_config_error(command, edits, fuzz_files, capsys):
+    # fuzz_files writes the snapshot and element files some rows name
+    _assert_config_error(command, edits, fuzz_files, capsys)
 
 
 # the first section a config has names its subcommand (symmetry checks evolve too)
@@ -915,6 +935,11 @@ def fuzz_files(solver_calls):
     fields.save_potentials("pot.lls", grid, U=-np.exp(-np.sum(X**2, axis=0) / 8.0),
                            varpi=np.zeros((3,) + grid.shape))
     sngroup.save_element("elem.json", sngroup.SnGroupElement.dilation(1.1))
+    # element files that only the element reader's own rules refuse
+    ident = sngroup.element_to_dict(sngroup.SnGroupElement())
+    for name, element in (("elem_typo.json", dict(ident, typo=0.0)),
+                          ("elem_true.json", dict(ident, d=True, b=["0", 0, 0]))):
+        Path(name).write_text(json.dumps(element))
     return solver_calls
 
 
@@ -935,6 +960,32 @@ def test_config_fuzz_exits_cleanly(case, fuzz_files):
     assert rc in (0, 1, 2)
     if rc == 2:
         assert fuzz_files == []
+
+
+def _leaf(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def test_every_number_refuses_a_boolean_and_a_string(fuzz_files, capsys):
+    # each numeric leaf of each fuzz base, replaced by true and by its own
+    # value as a string, exits 2 before any solver runs
+    holes = []
+    for command, base in FUZZ_BASES:
+        for path in _nodes(base):
+            value = _leaf(base, path)
+            if type(value) not in (int, float):
+                continue
+            for bad in (True, str(value)):
+                cfg = copy.deepcopy(base)
+                _leaf(cfg, path[:-1])[path[-1]] = bad
+                fuzz_files.clear()
+                rc = _run_config(command, cfg)
+                err = capsys.readouterr().err
+                if rc != 2 or fuzz_files or not err.startswith("config error"):
+                    holes.append((command, path, bad, rc, err))
+    assert not holes
 
 
 def test_entry_point_subprocess():

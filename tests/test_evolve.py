@@ -278,6 +278,20 @@ def test_free_mode_takes_no_potential(evolver):
         run(f, RunConfig(dt=1e-3, steps=1, evolver=evolver), p)
 
 
+def test_solvers_refuse_a_source_without_its_potential():
+    # the one pairing rule as a library caller meets it: a free run takes no
+    # potential, an external run (or relaxation) needs one
+    f = gaussian_packet(G16, sigma=1.2)
+    p = GridPotential(G16, U=0.1 * np.sum(G16.mesh()**2, axis=0))
+    for evolver in ("split", "rk4"):
+        with pytest.raises(ValueError, match="^free source mode takes no potential$"):
+            run(f, RunConfig(dt=1e-3, steps=1, evolver=evolver), p)
+        with pytest.raises(ValueError, match="^external source mode needs a potential$"):
+            run(f, RunConfig(dt=1e-3, steps=1, evolver=evolver, source="external"))
+    with pytest.raises(ValueError, match="^external source mode needs a potential$"):
+        ground_state(f, RelaxConfig(source="external", max_iter=1))
+
+
 def test_split_rejects_coriolis():
     f = gaussian_packet(G16, sigma=1.2)
     p = uniform_rotation_potential(G16, (0, 0, 0.5))

@@ -362,6 +362,19 @@ def test_element_dict_validation():
     element_from_dict(ok)  # nu is optional
 
 
+@pytest.mark.parametrize("key, value", [
+    ("d", True), ("e", "0.0"), ("h", float("nan")), pytest.param("nu", 10**400, id="nu-1e400"),
+    ("b", ["0", 0, 0]), ("a", [True, 0, 0, 0]), ("c", [0, 0, 0, 0]), ("c", 0.0),
+    ("typo", 0.0),
+])
+def test_element_dict_follows_the_config_rules(key, value):
+    # a boolean, a string, a non-finite number, a list of the wrong length or
+    # an unknown field is refused and named, never coerced or ignored
+    data = dict(element_to_dict(SnGroupElement()), **{key: value})
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        element_from_dict(data)
+
+
 ############################################################
 # representation on grid fields
 ############################################################
