@@ -1,12 +1,13 @@
 """Command line front end.
 
 Subcommands: verify-geometry, evolve, ground-state, charges, symmetry-check.
-Run configs are single JSON documents validated fail-closed: unknown keys
-and keys the chosen form of `potentials` or `initial` never reads, numbers
-that break the library's one rule (`fields._json_number`, which reads group
-elements too), non-string paths, vectors of the wrong length, output paths
-in a missing directory and settings that could not take effect, such as a
-source mode paired with a potential the solvers refuse
+Run configs are single JSON documents validated fail-closed: repeated keys
+(`fields._load_json`, the reader of snapshot headers and element files too),
+unknown keys and keys the chosen form of `potentials` or `initial` never
+reads, numbers that break the library's one rule (`fields._json_number`,
+which reads group elements too), non-string paths, vectors of the wrong
+length, output paths in a missing directory and settings that could not take
+effect, such as a source mode paired with a potential the solvers refuse
 (`evolve._check_source`), are errors. Each subcommand reads and checks every
 setting, LLN_THREADS included, before it computes anything.
 Exit codes: 0 all checks pass, 1 a check or computation failed (including
@@ -138,7 +139,7 @@ def _form(sec, where, key, default, forms) -> str:
 def _load_config(path, *sections) -> dict:
     """A run config: the shared sections plus `sections`, the first required."""
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        cfg = fields._load_json(fh.read())
     _check_keys(cfg, {"grid", "physics", "potentials", "initial", "outputs", "checks",
                       *sections}, {"grid", "initial", sections[0]}, "config")
     return cfg

@@ -459,7 +459,11 @@ def sample_points(f, grid: GridSpec, pts) -> np.ndarray:
 # runs components fastest, then x1, then x2, then x3 slowest; in numpy terms a
 # C-order array of shape (n3, n2, n1, components).
 
-_SNAP_VERSION = 1
+# the entries every header holds with these values, and the component count
+# of each kind of payload
+_SNAP_FIXED = {"format": "lls", "version": 1, "dtype": "complex128",
+               "endianness": "little", "layout": "components-fastest"}
+_SNAP_COMPONENTS = {"bispinor": 2, "potential": 4}
 
 
 class SnapshotDataError(ValueError):
@@ -478,12 +482,15 @@ class Snapshot:
     mass_tag: float = 1.0
     poisson: str | None = None  # solver of the self-consistent U, if recorded
 
+    def _payload(self, kind) -> np.ndarray:
+        if self.kind != kind:
+            raise ValueError(f"snapshot kind is {self.kind!r}, not {kind}")
+        return self.data
+
     def to_field(self) -> BispinorField:
-        if self.kind != "bispinor":
-            raise ValueError(f"snapshot kind is {self.kind!r}, not bispinor")
         return BispinorField(
             grid=self.grid,
-            data=self.data,
+            data=self._payload("bispinor"),
             m=self.m,
             hbar=self.hbar,
             time=self.time,
@@ -492,23 +499,22 @@ class Snapshot:
 
     def to_potentials(self):
         """Returns (U, varpi) as real arrays."""
-        if self.kind != "potential":
-            raise ValueError(f"snapshot kind is {self.kind!r}, not potential")
-        return self.data[0].real.copy(), self.data[1:4].real.copy()
+        data = self._payload("potential").real
+        return data[0].copy(), data[1:].copy()
 
 
 def _write_snapshot(path, kind, grid, data, m, hbar, G, time, mass_tag=1.0, poisson=None):
     data = np.asarray(data, dtype=complex)
+    # **_SNAP_FIXED fills the format and version places in place and puts the
+    # rest after components: the key order of every header written so far
     header = {
-        "format": "lls",
-        "version": _SNAP_VERSION,
+        "format": None,
+        "version": None,
         "kind": kind,
         "n": [grid.n, grid.n, grid.n],
         "length": grid.length,
         "components": int(data.shape[0]),
-        "dtype": "complex128",
-        "endianness": "little",
-        "layout": "components-fastest",
+        **_SNAP_FIXED,
         "m": float(m),
         "hbar": float(hbar),
         "G": float(G),
@@ -551,18 +557,38 @@ def _json_number(value, integral=False, size=0):
     return None
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict, refusing a key the object repeats (json alone
+    keeps the last copy and drops the others unread)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _load_json(text):
+    """The JSON document text, each object's keys unique: the one reader of
+    run configs, snapshot headers and group element files."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def load_snapshot(path) -> Snapshot:
     with open(path, "rb") as fh:
         line = fh.readline()
         try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"{path}: malformed snapshot header") from exc
-        for key in ("format", "kind", "n", "length", "components", "m", "hbar", "G", "time"):
+            header = _load_json(line.decode("utf-8"))
+        except ValueError as exc:  # not utf-8, not JSON, or a repeated key
+            raise ValueError(f"{path}: malformed snapshot header: {exc}") from exc
+        for key in ("kind", "n", "length", "components", "m", "hbar", "G", "time",
+                    *_SNAP_FIXED):
             if key not in header:
                 raise ValueError(f"{path}: snapshot header missing {key!r}")
-        if header["format"] != "lls" or header.get("dtype") != "complex128":
-            raise ValueError(f"{path}: not a recognized snapshot file")
+        for key, value in _SNAP_FIXED.items():  # 1 is no 1.0 and no true here
+            if not (type(header[key]) is type(value) and header[key] == value):
+                raise ValueError(f"{path}: snapshot header {key} = {header[key]!r} "
+                                 f"must be {value!r}")
         if header.get("poisson", "periodic") not in ("periodic", "isolated"):
             raise ValueError(f"{path}: unknown poisson mode {header['poisson']!r}")
         # held to the config rules; the sizes n and the component count are counts
@@ -581,7 +607,10 @@ def load_snapshot(path) -> Snapshot:
         if not (n1 == n2 == n3):
             raise ValueError(f"{path}: only cubic grids are supported")
         grid = GridSpec(n=n1, length=num["length"])
-        C = num["components"]
+        kind, C = header["kind"], num["components"]
+        if not (isinstance(kind, str) and _SNAP_COMPONENTS.get(kind) == C):
+            raise ValueError(f"{path}: a {kind!r} snapshot with {C} components is none "
+                             f"of the kinds {_SNAP_COMPONENTS}")
         size = (os.fstat(fh.fileno()).st_size - fh.tell()) // 16
         expect = C * grid.n**3
         if size != expect:
@@ -593,11 +622,6 @@ def load_snapshot(path) -> Snapshot:
             data[..., k] = slab.T
     if not np.all(np.isfinite(data)):
         raise SnapshotDataError(f"{path}: snapshot contains non-finite values")
-    kind = header["kind"]
-    if kind == "bispinor" and C != 2:
-        raise ValueError(f"{path}: bispinor snapshot must have 2 components")
-    if kind == "potential" and C != 4:
-        raise ValueError(f"{path}: potential snapshot must have 4 components")
     return Snapshot(
         kind=kind,
         grid=grid,

@@ -187,18 +187,11 @@ def brinkmann_metric(U, varpi) -> np.ndarray:
 
 
 def brinkmann_metric_inverse(U, varpi) -> np.ndarray:
-    """Inverse metric g^{mu nu}; closed form, det g = -1 identically."""
+    """Inverse metric g^{mu nu} in closed form (det g = -1): the Brinkmann
+    metric of -(U + |varpi|^2 / 2) and -varpi with t and s exchanged."""
     U, w = np.asarray(U), np.asarray(varpi)
-    base = np.broadcast_shapes(U.shape, w.shape[:-1])
-    gi = np.zeros(base + (5, 5))
-    for i in range(3):
-        gi[..., i, i] = 1.0
-    gi[..., :3, 4] = -w
-    gi[..., 4, :3] = -w
-    gi[..., 3, 4] = 1.0
-    gi[..., 4, 3] = 1.0
-    gi[..., 4, 4] = 2.0 * U + np.sum(w**2, axis=-1)
-    return gi
+    swap = [0, 1, 2, 4, 3]
+    return brinkmann_metric(-(U + 0.5 * np.sum(w**2, axis=-1)), -w)[..., swap, :][..., swap]
 
 
 def volume_density(g: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ from .fields import (
     BispinorField,
     GridSpec,
     _json_number,
+    _load_json,
     sample_points,
     shift_field,
     resample_separable,
@@ -191,10 +192,6 @@ class SnGroupElement:
         return E
 
     # ----- constructors -----
-
-    @classmethod
-    def identity(cls) -> "SnGroupElement":
-        return cls()
 
     @classmethod
     def rotation(cls, axis, angle: float) -> "SnGroupElement":
@@ -493,4 +490,4 @@ def save_element(path, u: SnGroupElement):
 
 def load_element(path) -> SnGroupElement:
     with open(path, "r", encoding="utf-8") as fh:
-        return element_from_dict(json.load(fh))
+        return element_from_dict(_load_json(fh.read()))

@@ -321,7 +321,7 @@ def test_group_algebra_closure():
                   float(np.max(np.abs(ta - tb))),
                   float(np.max(np.abs(sa - sb))))
         assert seq < 1e-10
-        assert gap(compose(u, inverse(u)), SnGroupElement.identity()) < 1e-10
+        assert gap(compose(u, inverse(u)), SnGroupElement()) < 1e-10
         assert gap(compose(compose(u, v), w), compose(u, compose(v, w))) < 1e-10
 
 

@@ -374,6 +374,8 @@ def _snapshot_with_header(tmp_path, **edits):
     # a JSON integer beyond the float range is no number either
     pytest.param("time", 10**400, id="time-1e400"),
     pytest.param("length", -10**400, id="length--1e400"),
+    # a foreign fixed entry: the payload would be misread as little-endian version 1
+    ("endianness", "big"), ("layout", "x3-fastest"), ("version", 2), ("version", True),
 ])
 def test_unusable_snapshot_header_is_config_error(tmp_path, monkeypatch, capsys, key, value):
     # both readers of a bispinor snapshot refuse the header before any compute
@@ -583,6 +585,18 @@ def solver_calls(tmp_path, monkeypatch):
 
 DROP = object()
 
+
+class Pairs(dict):
+    """A JSON object that json.dump writes pair by pair, a repeated key too."""
+
+    def __init__(self, *pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+
 BASES = {
     "evolve": {
         "grid": dict(G16),
@@ -723,6 +737,9 @@ _NAN_ELEMENT = dict(BASES["symmetry-check"]["element"], d=float("nan"), g=float(
     ("evolve", {"initial": {"kind": "snapshot", "path": "seed.lls", "sigma": 3,
                             "k0": [0.3, 0, 0]}}),
     ("evolve", {"initial": {"kind": "gaussian", "path": "nonexistent.lls"}}),
+    # a repeated key, whose last copy json alone would keep
+    ("evolve", {"evolver": Pairs(("dt", "bad"), ("steps", 2), ("dt", 1e-3))}),
+    ("symmetry-check", {"element": DROP, "element_path": "elem_repeat.json"}),
 ])
 def test_value_that_cannot_run_is_config_error(command, edits, fuzz_files, capsys):
     # fuzz_files writes the snapshot and element files some rows name
@@ -940,6 +957,7 @@ def fuzz_files(solver_calls):
     for name, element in (("elem_typo.json", dict(ident, typo=0.0)),
                           ("elem_true.json", dict(ident, d=True, b=["0", 0, 0]))):
         Path(name).write_text(json.dumps(element))
+    Path("elem_repeat.json").write_text('{"d": true, ' + json.dumps(ident)[1:])
     return solver_calls
 
 

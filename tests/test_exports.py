@@ -1,10 +1,13 @@
 """Export and checkout hygiene: every name a module exports exists and is
 used outside the tests (or is one of the paper's objects the library keeps),
-the package namespace re-exports only names its source modules export, and a
-pytest run under the repository's settings leaves no cache directories."""
+`import lln` loads no module of the package and not numpy, so its
+OPENBLAS_NUM_THREADS default comes first, and a pytest run under the
+repository's settings leaves no cache directories."""
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
 import subprocess
 import sys
@@ -30,14 +33,21 @@ def test_exported_names_exist(name):
     assert len(set(mod.__all__)) == len(mod.__all__), f"{name}.__all__ repeats a name"
 
 
-def test_package_imports_only_exported_names():
-    tree = ast.parse(Path(lln.__file__).read_text(encoding="utf-8"))
-    imports = [n for n in tree.body if isinstance(n, ast.ImportFrom) and n.level == 1]
-    assert imports
-    for node in imports:
-        mod = importlib.import_module(f"lln.{node.module}")
-        unexported = [a.name for a in node.names if a.name not in mod.__all__]
-        assert not unexported, f"lln imports {unexported} from lln.{node.module}"
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_import_lln_sets_openblas_default_and_loads_nothing(preset, expected):
+    # each name is imported from its module; the package imports none of them,
+    # so a program may import lln before numpy and get one OpenBLAS thread
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(lln.__file__).resolve().parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = ("import json, os, sys; import lln; print(json.dumps([sorted(m for m in "
+             "sys.modules if m == 'numpy' or m.startswith('lln.')), "
+             "os.environ.get('OPENBLAS_NUM_THREADS')]))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], expected]
 
 
 def _loaded_names(path):

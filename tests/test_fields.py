@@ -327,6 +327,15 @@ def test_snapshot_rejects_malformed_header(tmp_path):
             load_snapshot(path)
 
 
+def test_snapshot_rejects_repeated_header_key(tmp_path):
+    path = tmp_path / "s.lls"
+    save_snapshot(path, gaussian_packet(G16, sigma=1.0))
+    head, _, payload = path.read_bytes().partition(b"\n")
+    path.write_bytes(head[:-1] + b', "m": 2.0}\n' + payload)
+    with pytest.raises(ValueError, match="repeated key 'm'"):
+        load_snapshot(path)
+
+
 def test_snapshot_rejects_truncated_payload(tmp_path):
     f = gaussian_packet(G16, sigma=1.0)
     path = tmp_path / "t.lls"

@@ -85,8 +85,8 @@ def test_compose_matches_sequential_action():
 def test_inverse():
     for seed in range(5):
         u = SnGroupElement.random(seed=seed)
-        assert params_close(compose(u, inverse(u)), SnGroupElement.identity(), 1e-12)
-        assert params_close(compose(inverse(u), u), SnGroupElement.identity(), 1e-12)
+        assert params_close(compose(u, inverse(u)), SnGroupElement(), 1e-12)
+        assert params_close(compose(inverse(u), u), SnGroupElement(), 1e-12)
     u = SnGroupElement.random(seed=11)
     x = np.array([[0.3, -1.2, 2.0]])
     xh, th, sh = act(u, x, 0.4, -0.7)
@@ -100,7 +100,7 @@ def test_associativity_and_identity():
     u2 = SnGroupElement.random(seed=4)
     u3 = SnGroupElement.random(seed=5)
     assert params_close(compose(compose(u1, u2), u3), compose(u1, compose(u2, u3)), 1e-12)
-    e = SnGroupElement.identity()
+    e = SnGroupElement()
     assert params_close(compose(e, u1), u1, 1e-15)
     assert params_close(compose(u1, e), u1, 1e-15)
 
@@ -132,7 +132,7 @@ def test_compose_is_associative(u1, u2, u3):
 @PROPERTY
 @given(u=elements())
 def test_inverse_on_both_sides(u):
-    e = SnGroupElement.identity()
+    e = SnGroupElement()
     assert params_close(compose(u, inverse(u)), e, 1e-11)
     assert params_close(compose(inverse(u), u), e, 1e-11)
 
@@ -281,7 +281,7 @@ def test_quat_matrix_roundtrip():
 
 def test_exp_identity_and_families():
     X0 = LieParams()
-    assert params_close(exp_element(X0), SnGroupElement.identity(), 1e-14)
+    assert params_close(exp_element(X0), SnGroupElement(), 1e-14)
 
     d = exp_element(LieParams(delta=0.3))
     assert params_close(d, SnGroupElement.dilation(np.exp(0.3)), 1e-12)
